@@ -58,6 +58,19 @@ class UsageError(Exception):
     """Bad flags or parameters; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that writes help to `out` and usage errors to `err`,
+    not to sys.stdout and sys.stderr. _build_parser sets both streams on the
+    parser and on every subparser."""
+
+    out: IO[str]
+    err: IO[str]
+
+    def _print_message(self, message: str, file: IO[str] | None = None) -> None:
+        if message:
+            (self.out if file is sys.stdout else self.err).write(message)
+
+
 # ---------------------------------------------------------------------------
 # encoding helpers (CLI JSON is 1-based)
 
@@ -485,16 +498,18 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser(out: IO[str], err: IO[str]) -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="hadamix",
         description="Exact Hadamard-extension rank certificates, NAE deficiency, "
         "partition projectors, and mixture moment maps over JSON.",
     )
+    parser.out, parser.err = out, err
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str, with_input: bool = True):
         p = sub.add_parser(name, help=help_text)
+        p.out, p.err = out, err
         if with_input:
             p.add_argument("--input", "-i", default=None, metavar="FILE",
                            help="JSON input file (default: stdin)")
@@ -545,7 +560,7 @@ def main(
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
+    parser = _build_parser(stdout, stderr)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

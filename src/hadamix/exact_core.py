@@ -9,7 +9,7 @@ Every type is an immutable value and every function is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -47,7 +47,11 @@ class InternalInvariantError(RuntimeError):
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or 'a/b' string to an exact rational."""
+    """Coerce an int, Fraction, or string to an exact rational.
+
+    Strings must match -?[0-9]+(/[0-9]+)? in ASCII digits: no whitespace,
+    underscores, plus sign or signed denominator.
+    """
     if isinstance(value, bool):
         raise InputFormatError("booleans are not rational entries")
     if isinstance(value, Fraction):
@@ -55,17 +59,20 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        num, sep, den = text.partition("/")
+        num, sep, den = value.partition("/")
+        # isdigit() on an ASCII string accepts exactly 0-9
+        if not (value.isascii() and num.removeprefix("-").isdigit()
+                and (not sep or den.isdigit())):
+            raise InputFormatError(f"not a rational: {value!r}")
         try:
             if not sep:
                 return Fraction(int(num))
-            d = int(den)
-            if d <= 0:
-                raise InputFormatError(f"denominator must be positive: {value!r}")
-            return Fraction(int(num), d)
-        except ValueError as exc:
+            n, d = int(num), int(den)
+        except ValueError as exc:  # beyond int()'s digit limit
             raise InputFormatError(f"not a rational: {value!r}") from exc
+        if d == 0:
+            raise InputFormatError(f"denominator must be positive: {value!r}")
+        return Fraction(n, d)
     raise InputFormatError(f"not a rational: {value!r}")
 
 
@@ -361,146 +368,155 @@ def matrix_from_json(obj: object) -> RMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Row reduction, span, rank
+# Row reduction: the one elimination kernel, fraction-free Gauss-Jordan on
+# integer rows. A vector is scaled to integers by the lcm of its denominators
+# and, in place of Bareiss's (1968) exact division, every reduced row is
+# divided by the gcd of its entries. A basis is kept in RREF over such
+# primitive rows, each with a positive pivot; dividing a row by its pivot
+# gives the rational RREF row, so the integer form is as unique as the RREF.
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns).
+def _integer_row(vec: Sequence[Fraction | int]) -> Sequence[int]:
+    """Primitive integer multiple of a vector of Fractions or ints."""
+    scale = math.lcm(*(x.denominator for x in vec))
+    return _primitive([x.numerator * (scale // x.denominator) for x in vec])
 
-    Pivot choice is fully deterministic: columns scanned left to right,
-    rows top to bottom; the leading entry of each pivot row is scaled to 1.
+
+def _primitive(row: Sequence[int]) -> Sequence[int]:
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
+            vec: Sequence[int]) -> Sequence[int]:
+    """Primitive residue of vec against an RREF basis; zero iff vec is in its span.
+
+    One pass suffices: each pivot column is zero in every other basis row.
     """
-    if not rows:
-        return rows, []
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pr = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        lead = rows[r][c]
-        if lead != 1:
-            rows[r] = [x / lead for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
+    for row, p in zip(rows, pivots):
+        f = vec[p]
+        if f:
+            a = row[p]
+            g = math.gcd(a, f)
+            a, f = a // g, f // g
+            vec = [a * x - f * y for x, y in zip(vec, row)]
+    return _primitive(vec)
+
+
+def _insert(rows: list[Sequence[int]], pivots: list[int], vec: Sequence[int]) -> bool:
+    """Add vec to an RREF basis in place; False if it already lies in the span."""
+    vec = _reduce(rows, pivots, vec)
+    c = next((j for j, x in enumerate(vec) if x), None)
+    if c is None:
+        return False
+    if vec[c] < 0:
+        vec = [-x for x in vec]
+    for i, row in enumerate(rows):
+        if row[c]:
+            rows[i] = _reduce((vec,), (c,), row)  # keeps its positive pivot
+    at = sum(p < c for p in pivots)
+    rows.insert(at, vec)
+    pivots.insert(at, c)
+    return True
 
 
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of Q^k held as its unique RREF basis, zero rows removed.
 
-    Two subspaces are equal iff their bases are entrywise identical; the
-    RREF form is canonical so this coincides with set equality.
+    The basis is stored once, as primitive integer rows (see the kernel notes
+    above); `basis` builds the rational RREF from them on each read. Equal
+    rows mean equal subspaces, because the form is canonical.
     """
 
     ambient_dim: int
-    basis: RMatrix
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.basis.n_cols != self.ambient_dim:
+        if len(self.pivots) != len(self.rows) \
+                or any(len(row) != self.ambient_dim for row in self.rows):
             raise DomainError("basis width must equal the ambient dimension")
 
     @property
     def dim(self) -> int:
-        return self.basis.n_rows
+        return len(self.rows)
+
+    @property
+    def basis(self) -> RMatrix:
+        """The rational RREF basis; every pivot entry is 1."""
+        return RMatrix(self.dim, self.ambient_dim, tuple(
+            tuple(Fraction(x, row[p]) for x in row)
+            for row, p in zip(self.rows, self.pivots)
+        ))
 
     def pivot_columns(self) -> tuple[int, ...]:
-        out = []
-        for row in self.basis.entries:
-            out.append(next(j for j, x in enumerate(row) if x != 0))
-        return tuple(out)
+        return self.pivots
 
     def contains(self, vector: Sequence[RationalLike]) -> bool:
-        vec = list(as_vector(vector))
-        if len(vec) != self.ambient_dim:
-            raise DomainError(
-                f"vector length {len(vec)} does not match ambient {self.ambient_dim}"
-            )
-        # One elimination pass suffices: the basis is in RREF, so each
-        # pivot column is zero in every other basis row.
-        for row, p in zip(self.basis.entries, self.pivot_columns()):
-            f = vec[p]
-            if f != 0:
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return all(x == 0 for x in vec)
+        vec = as_vector(vector)
+        self._check_length(vec)
+        return not any(_reduce(self.rows, self.pivots, _integer_row(vec)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DomainError("ambient dimension mismatch")
-        return all(self.contains(row) for row in other.basis.entries)
+        return not any(any(_reduce(self.rows, self.pivots, row)) for row in other.rows)
+
+    def extend(self, vectors: Iterable[Sequence[Fraction | int]]) -> "Subspace":
+        """span(U union vectors) for vectors of Fractions or ints.
+
+        Only the new vectors are reduced against the current basis.
+        """
+        out = []
+        for vec in vectors:
+            self._check_length(vec)
+            out.append(_integer_row(vec))
+        return self._extended(out)
+
+    def extend_odot(self, v: Sequence[Fraction | int]) -> "Subspace":
+        """span(U union v*U), the Hadamard fold step.
+
+        Only the dim products v*b of the basis rows b are reduced against the
+        basis; U itself is never re-reduced.
+        """
+        self._check_length(v)
+        t = _integer_row(v)
+        return self._extended([a * b for a, b in zip(row, t)] for row in self.rows)
+
+    def _extended(self, int_rows: Iterable[Sequence[int]]) -> "Subspace":
+        rows, pivots = list(self.rows), list(self.pivots)
+        for vec in int_rows:
+            _insert(rows, pivots, vec)
+        return Subspace(self.ambient_dim, tuple(map(tuple, rows)), tuple(pivots))
+
+    def _check_length(self, vec: Sequence[object]) -> None:
+        if len(vec) != self.ambient_dim:
+            raise DomainError(f"vector length {len(vec)} does not match ambient {self.ambient_dim}")
 
 
 def span(vectors: Iterable[Sequence[RationalLike]], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by the given vectors of length ambient_dim."""
-    rows = []
-    for v in vectors:
-        vec = list(as_vector(v))
-        if len(vec) != ambient_dim:
-            raise DomainError(
-                f"vector length {len(vec)} does not match ambient {ambient_dim}"
-            )
-        rows.append(vec)
-    reduced, pivots = _rref(rows)
-    basis = tuple(tuple(reduced[i]) for i in range(len(pivots)))
-    return Subspace(ambient_dim, RMatrix(len(pivots), ambient_dim, basis))
+    return Subspace(ambient_dim, (), ()).extend(as_vector(v) for v in vectors)
 
 
 def orthogonal_complement(u: Subspace) -> Subspace:
     """Orthogonal complement w.r.t. the standard inner product."""
-    piv = u.pivot_columns()
-    piv_set = set(piv)
-    free = [c for c in range(u.ambient_dim) if c not in piv_set]
+    k = u.ambient_dim
+    scale = math.lcm(*(row[p] for row, p in zip(u.rows, u.pivots)))
     kernel = []
-    for f in free:
-        vec = [Fraction(0)] * u.ambient_dim
-        vec[f] = Fraction(1)
-        for r, p in enumerate(piv):
-            vec[p] = -u.basis.entries[r][f]
+    for f in sorted(set(range(k)).difference(u.pivots)):
+        vec = [0] * k
+        vec[f] = scale
+        for row, p in zip(u.rows, u.pivots):
+            vec[p] = -row[f] * (scale // row[p])
         kernel.append(vec)
-    return span(kernel, u.ambient_dim)
+    return Subspace(k, (), ()).extend(kernel)
 
 
 def matrix_rank(a: RMatrix) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination.
-
-    Rows are first scaled to integers by the lcm of their denominators,
-    which leaves the rank unchanged and keeps every intermediate entry an
-    exact minor of the scaled matrix.
-    """
-    m: list[list[int]] = []
-    for row in a.entries:
-        scale = math.lcm(*(x.denominator for x in row)) if row else 1
-        m.append([x.numerator * (scale // x.denominator) for x in row])
-    rank = 0
-    prev = 1
-    for c in range(a.n_cols):
-        pr = next((r for r in range(rank, a.n_rows) if m[r][c] != 0), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        piv = m[rank][c]
-        for r in range(rank + 1, a.n_rows):
-            f = m[r][c]
-            for cc in range(c + 1, a.n_cols):
-                q, rem = divmod(m[r][cc] * piv - f * m[rank][cc], prev)
-                if rem:
-                    raise InternalInvariantError("fraction-free division not exact")
-                m[r][cc] = q
-            m[r][c] = 0
-        prev = piv
-        rank += 1
-        if rank == a.n_rows:
-            break
-    return rank
+    """Exact rank of a matrix."""
+    return Subspace(a.n_cols, (), ()).extend(a.entries).dim
 
 
 def solve_square(a: RMatrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
@@ -510,10 +526,11 @@ def solve_square(a: RMatrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
     rhs = as_vector(b)
     if len(rhs) != a.n_rows:
         raise DomainError("right-hand side length does not match the system")
-    rows = [list(r) + [v] for r, v in zip(a.entries, rhs)]
-    if not rows:
-        return ()
-    reduced, pivots = _rref(rows)
+    rows: list[Sequence[int]] = []
+    pivots: list[int] = []
+    for row, value in zip(a.entries, rhs):
+        _insert(rows, pivots, _integer_row(row + (value,)))
     if pivots != list(range(a.n_cols)):
         raise DomainError("system matrix is singular")
-    return tuple(reduced[i][a.n_cols] for i in range(a.n_cols))
+    # Each row now reads pivot * x_i = last entry.
+    return tuple(Fraction(row[-1], row[i]) for i, row in enumerate(rows))

@@ -91,8 +91,8 @@ def hadamard_extension(m: RMatrix) -> RMatrix:
 def extend_rowspace(state: RowspaceState, m: RMatrix, t: int) -> RowspaceState:
     """State after adjoining row t of m to the chosen set.
 
-    The new space is span(B union t*B) for the old basis B; this visits
-    2*dim vectors instead of 2^|chosen| extension rows.
+    The new space is span(B union t*B) for the old basis B; only the dim
+    products t*b are reduced against B, instead of 2^|chosen| extension rows.
     """
     if state.chosen_rows.size != m.n_rows or state.space.ambient_dim != m.n_cols:
         raise DomainError("state does not match the matrix shape")
@@ -100,10 +100,7 @@ def extend_rowspace(state: RowspaceState, m: RMatrix, t: int) -> RowspaceState:
         raise DomainError(f"row index {t} out of range for {m.n_rows} rows")
     if t in state.chosen_rows:
         raise DomainError(f"row {t} already chosen")
-    row = m.row(t)
-    basis = state.space.basis.entries
-    vectors = list(basis) + [hadamard_product(b, row) for b in basis]
-    return RowspaceState(state.chosen_rows.add(t), span(vectors, m.n_cols))
+    return RowspaceState(state.chosen_rows.add(t), state.space.extend_odot(m.row(t)))
 
 
 def _folded_rank(m: RMatrix) -> int:

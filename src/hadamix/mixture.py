@@ -31,7 +31,6 @@ from .hadamard import (
     EXTENSION_ROW_GUARD,
     NotFullRank,
     extension_rows,
-    full_extension_rank,
     greedy_min_rows,
 )
 
@@ -195,14 +194,10 @@ class GateReport:
 def identifiability_gate(m: RMatrix) -> GateReport:
     """Rank-based necessary condition for moment invertibility."""
     n, k = m.n_rows, m.n_cols
-    rank = full_extension_rank(m)
-    full = rank == k
-    certificate = None
-    if full:
-        found = greedy_min_rows(m)
-        if isinstance(found, NotFullRank):
-            raise InternalInvariantError("greedy failed on a full-rank extension")
-        certificate = found
+    found = greedy_min_rows(m)  # NotFullRank carries the exact extension rank
+    full = not isinstance(found, NotFullRank)
+    certificate = found if full else None
+    rank = k if full else found.rank
     separated = SubsetIndex.from_members(
         n, [i for i in range(n) if is_separated(m, i)]
     )
@@ -228,15 +223,12 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
     n, k = m.n_rows, m.n_cols
     if moments.n != n:
         raise DomainError(f"moments are over {moments.n} observables, matrix has {n}")
-    rank = full_extension_rank(m)
-    if rank != k:
-        raise DomainError(
-            f"extension rank {rank} < {k}; weights are not identifiable",
-            witness={"extension_rank": rank},
-        )
     certificate = greedy_min_rows(m)
     if isinstance(certificate, NotFullRank):
-        raise InternalInvariantError("greedy failed on a full-rank extension")
+        raise DomainError(
+            f"extension rank {certificate.rank} < {k}; weights are not identifiable",
+            witness={"extension_rank": certificate.rank},
+        )
     members = certificate.members()
     restricted = m.restrict_rows(certificate)
 
@@ -247,9 +239,10 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
     for hrow in extension_rows(restricted):
         if len(system_rows) == k:
             break
-        if space.contains(hrow.values):
+        grown = space.extend([hrow.values])
+        if grown.dim == space.dim:
             continue
-        space = span(list(space.basis.entries) + [hrow.values], k)
+        space = grown
         system_rows.append(hrow.values)
         original_mask = 0
         for position in hrow.subset:

@@ -22,8 +22,6 @@ from .exact_core import (
     Subspace,
     SubsetIndex,
     as_vector,
-    hadamard_product,
-    span,
 )
 
 
@@ -117,12 +115,6 @@ def lagrange_projection(v: Sequence[RationalLike], i: int) -> RMatrix:
     return evaluated
 
 
-def _project_vector(
-    vec: Sequence[Fraction], block: SubsetIndex
-) -> tuple[Fraction, ...]:
-    return tuple(x if j in block else Fraction(0) for j, x in enumerate(vec))
-
-
 def respects(u: Subspace, part: Partition) -> bool:
     """Whether u is the direct sum of its block projections.
 
@@ -135,22 +127,16 @@ def respects(u: Subspace, part: Partition) -> bool:
         )
     total = 0
     for block in part.blocks:
-        projected = [_project_vector(row, block) for row in u.basis.entries]
-        total += span(projected, part.ambient).dim
+        projected = [[x if block.mask >> j & 1 else 0 for j, x in enumerate(row)]
+                     for row in u.rows]
+        total += Subspace(part.ambient, (), ()).extend(projected).dim
     return total == u.dim
 
 
 def bar_odot(v: Sequence[RationalLike], u: Subspace) -> Subspace:
     """span(U union v*U): the smallest space containing u and its image
     under entrywise multiplication by v."""
-    vec = as_vector(v)
-    if len(vec) != u.ambient_dim:
-        raise DomainError(
-            f"vector length {len(vec)} does not match ambient {u.ambient_dim}"
-        )
-    basis = u.basis.entries
-    vectors = list(basis) + [hadamard_product(row, vec) for row in basis]
-    return span(vectors, u.ambient_dim)
+    return u.extend_odot(as_vector(v))
 
 
 def is_invariant(v: Sequence[RationalLike], u: Subspace) -> bool:

@@ -1,8 +1,9 @@
 """Shared test helpers: independent brute-force oracles and generators.
 
 The oracles here deliberately avoid the library's elimination code paths:
-determinants are computed by cofactor expansion and rank by scanning all
-square minors, so they can certify the fast implementations.
+determinants are computed by cofactor expansion, rank by scanning all
+square minors and the RREF by Gauss-Jordan over Fractions, so they can
+certify the fast implementations.
 """
 
 from fractions import Fraction
@@ -39,6 +40,35 @@ def minor_rank(rows, n_cols):
                 if det_cofactor(sub) != 0:
                     return r
     return 0
+
+
+def rref_reference(rows):
+    """Reduced row echelon form over Fractions: (nonzero rows, pivot columns).
+
+    The plain Gauss-Jordan elimination the library used before its integer
+    kernel, kept as the slow reference: columns scanned left to right, rows
+    top to bottom, each pivot scaled to 1.
+    """
+    rows = [[Fraction(x) for x in row] for row in rows]
+    n_rows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return [tuple(row) for row in rows[: len(pivots)]], pivots
 
 
 def random_matrix(rng, n, k, pool):

@@ -188,6 +188,18 @@ def test_unknown_command_is_usage_error():
     assert code == 2
 
 
+def test_usage_errors_and_help_use_the_given_streams(capsys):
+    code, out, err = run_cli(["rank", "--bogus"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --bogus" in err
+    code, out, err = run_cli(["project"])
+    assert code == 2 and out == "" and "--block" in err
+    code, out, err = run_cli(["rank", "--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: hadamix rank")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_recover_pi_rank_failure():
     payload = json.dumps(
         {

@@ -68,6 +68,26 @@ def test_as_rational_parsing():
         Fraction(1, 1) / Fraction(0)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1_0", "not a rational"),  # int() would read 10
+        ("\u0663", "not a rational"),  # Arabic-Indic three; int() would read 3
+        (" 1 / 2 ", "not a rational"),
+        ("1/0", "denominator must be positive"),
+        ("+1", "not a rational"),
+        ("1/-2", "not a rational"),
+        ("1.5", "not a rational"),
+        ("-", "not a rational"),
+        ("", "not a rational"),
+        pytest.param("9" * 5000, "not a rational", id="past-int-digit-limit"),
+    ],
+)
+def test_as_rational_strict_grammar(text, message):
+    with pytest.raises(InputFormatError, match=message):
+        as_rational(text)
+
+
 def test_rational_json_encoding():
     assert rational_to_json(Fraction(3)) == 3
     assert rational_to_json(Fraction(-1, 2)) == "-1/2"
@@ -317,6 +337,7 @@ def test_matrix_json_roundtrip():
         {"rows": 2, "cols": 1, "data": [[1]]},
         {"rows": 1, "cols": 1, "data": [["1/0"]]},
         {"rows": True, "cols": 1, "data": [[1]]},
+        {"rows": 1, "cols": 1, "data": [["1_0"]]},
     ],
 )
 def test_matrix_json_rejects_malformed(bad):
