@@ -51,12 +51,10 @@ from .nae import (
 )
 from .partition_algebra import (
     Partition,
-    ProjectionSet,
     bar_odot,
     blocks_of,
     is_invariant,
     lagrange_projection,
-    projection_set,
     respects,
 )
 
@@ -73,7 +71,6 @@ __all__ = [
     "NaeReport",
     "NotFullRank",
     "Partition",
-    "ProjectionSet",
     "Rational",
     "RMatrix",
     "RowspaceState",
@@ -104,7 +101,6 @@ __all__ = [
     "nae_restrict",
     "nae_rows",
     "orthogonal_complement",
-    "projection_set",
     "recover_pi",
     "respects",
     "span",

@@ -28,6 +28,7 @@ from .exact_core import (
     matrix_to_json,
     rational_from_json,
     rational_to_json,
+    span,
 )
 from .hadamard import (
     NotFullRank,
@@ -51,7 +52,6 @@ from .partition_algebra import (
     lagrange_projection,
     respects,
 )
-from .exact_core import span
 
 
 class UsageError(Exception):
@@ -130,7 +130,9 @@ def _load_json(args: argparse.Namespace, stdin: IO[str]) -> object:
         text = stdin.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError also covers integers past int()'s digit limit;
+    # RecursionError, arrays nested too deeply for the decoder
+    except (ValueError, RecursionError) as exc:
         raise InputFormatError(f"malformed JSON input: {exc}") from exc
 
 
@@ -208,17 +210,16 @@ def _cmd_gen(args, stdin):
                 raise UsageError(f"--row is not a rational list: {args.row!r}") from exc
         if args.k is None:
             raise UsageError("vandermonde requires --k")
-        matrix = gen_vandermonde(args.k, args.copies, row)
+        copies = args.copies if args.copies is not None else args.k - 1
+        matrix = gen_vandermonde(args.k, copies, row)
     elif args.family == "hamming":
         if args.l is None:
             raise UsageError("hamming requires --l")
         matrix = gen_hamming(args.l)
-    elif args.family == "stairstep":
+    else:  # stairstep, the last of the argparse choices
         if args.k is None:
             raise UsageError("stairstep requires --k")
         matrix = gen_stairstep(args.k)
-    else:  # argparse choices make this unreachable
-        raise UsageError(f"unknown family {args.family!r}")
     return matrix_to_json(matrix)
 
 
@@ -304,6 +305,7 @@ def _cmd_invariant(args, stdin):
     if invariant != respected:
         raise InternalInvariantError(
             "invariance and block-respect disagree; they are provably equivalent"
+            f" (k = {u.ambient_dim}, dim = {u.dim})"
         )
     return {"invariant": invariant, "respects": respected}
 
@@ -481,22 +483,6 @@ def _column_sets(k: int, width: int):
 # ---------------------------------------------------------------------------
 # parser and entry point
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "hadext": _cmd_hadext,
-    "rank": _cmd_rank,
-    "minrows": _cmd_minrows,
-    "eps": _cmd_eps,
-    "nae-check": _cmd_nae_check,
-    "nae-restrict": _cmd_nae_restrict,
-    "blocks": _cmd_blocks,
-    "project": _cmd_project,
-    "invariant": _cmd_invariant,
-    "moments": _cmd_moments,
-    "recover-pi": _cmd_recover_pi,
-    "selftest": _cmd_selftest,
-}
-
 
 def _build_parser(out: IO[str], err: IO[str]) -> argparse.ArgumentParser:
     parser = _Parser(
@@ -507,17 +493,16 @@ def _build_parser(out: IO[str], err: IO[str]) -> argparse.ArgumentParser:
     parser.out, parser.err = out, err
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, with_input: bool = True):
+    def add(name: str, handler, help_text: str, with_input: bool = True):
         p = sub.add_parser(name, help=help_text)
         p.out, p.err = out, err
+        p.set_defaults(handler=handler)
         if with_input:
             p.add_argument("--input", "-i", default=None, metavar="FILE",
                            help="JSON input file (default: stdin)")
-        p.add_argument("--format", choices=["json"], default="json",
-                       help="output format (reserved; json only)")
         return p
 
-    p = add("gen", "generate an example-family matrix", with_input=False)
+    p = add("gen", _cmd_gen, "generate an example-family matrix", with_input=False)
     p.add_argument("family", choices=["vandermonde", "hamming", "stairstep"])
     p.add_argument("--k", type=int, default=None, help="number of columns")
     p.add_argument("--copies", type=int, default=None,
@@ -526,28 +511,28 @@ def _build_parser(out: IO[str], err: IO[str]) -> argparse.ArgumentParser:
                    help="vandermonde: comma-separated distinct entries (default 0..k-1)")
     p.add_argument("--l", type=int, default=None, help="hamming: rows (k = 2^l)")
 
-    add("hadext", "matrix -> its 2^n x k extension")
-    add("rank", "matrix -> extension column rank")
-    p = add("minrows", "matrix -> greedy rank-certifying row subset")
+    add("hadext", _cmd_hadext, "matrix -> its 2^n x k extension")
+    add("rank", _cmd_rank, "matrix -> extension column rank")
+    p = add("minrows", _cmd_minrows, "matrix -> greedy rank-certifying row subset")
     p.add_argument("--exhaustive", action="store_true",
                    help="also list every certifying subset of --size rows")
     p.add_argument("--size", type=int, default=None,
                    help="subset size for --exhaustive (default k-1)")
-    p = add("eps", "matrix -> deficiency of a fixed column set")
+    p = add("eps", _cmd_eps, "matrix -> deficiency of a fixed column set")
     p.add_argument("--cols", required=True,
                    help="comma-separated 1-based column indices")
-    add("nae-check", "matrix -> minimum deficiency report")
-    p = add("nae-restrict", "matrix -> k-1 rows with deficiency exactly -1")
+    add("nae-check", _cmd_nae_check, "matrix -> minimum deficiency report")
+    p = add("nae-restrict", _cmd_nae_restrict, "matrix -> k-1 rows with deficiency exactly -1")
     p.add_argument("--exhaustive", action="store_true",
                    help="also list every certifying (k-1)-row subset")
-    add("blocks", "{v} -> equal-value partition of the coordinates")
-    p = add("project", "{v} -> block projector via polynomial evaluation")
+    add("blocks", _cmd_blocks, "{v} -> equal-value partition of the coordinates")
+    p = add("project", _cmd_project, "{v} -> block projector via polynomial evaluation")
     p.add_argument("--block", type=int, required=True,
                    help="1-based block index (blocks ordered by decreasing value)")
-    add("invariant", "{basis, v} -> invariance and block-respect of span(basis)")
-    add("moments", "{m, pi} -> all 2^n subset moments")
-    add("recover-pi", "{m, moments} -> the unique consistent weight vector")
-    add("selftest", "run the built-in example corpus", with_input=False)
+    add("invariant", _cmd_invariant, "{basis, v} -> invariance and block-respect of span(basis)")
+    add("moments", _cmd_moments, "{m, pi} -> all 2^n subset moments")
+    add("recover-pi", _cmd_recover_pi, "{m, moments} -> the unique consistent weight vector")
+    add("selftest", _cmd_selftest, "run the built-in example corpus", with_input=False)
     return parser
 
 
@@ -566,11 +551,8 @@ def main(
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if args.command == "gen" and args.family == "vandermonde" and args.copies is None:
-        args.copies = (args.k - 1) if args.k else 0
-
     try:
-        payload = _HANDLERS[args.command](args, stdin)
+        payload = args.handler(args, stdin)
     except (InputFormatError, UsageError) as exc:
         print(f"hadamix {args.command}: {exc}", file=stderr)
         return 2

@@ -138,10 +138,6 @@ class SubsetIndex:
             mask |= 1 << i
         return cls(size, mask)
 
-    @classmethod
-    def full(cls, size: int) -> "SubsetIndex":
-        return cls(size, (1 << size) - 1)
-
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.size and (self.mask >> i) & 1 == 1
 
@@ -169,35 +165,8 @@ class SubsetIndex:
             raise DomainError(f"member {i} out of range for size {self.size}")
         return SubsetIndex(self.size, self.mask | (1 << i))
 
-    def remove(self, i: int) -> "SubsetIndex":
-        return SubsetIndex(self.size, self.mask & ~(1 << i))
-
-    def union(self, other: "SubsetIndex") -> "SubsetIndex":
-        self._check_same_ground(other)
-        return SubsetIndex(self.size, self.mask | other.mask)
-
-    def intersection(self, other: "SubsetIndex") -> "SubsetIndex":
-        self._check_same_ground(other)
-        return SubsetIndex(self.size, self.mask & other.mask)
-
-    def difference(self, other: "SubsetIndex") -> "SubsetIndex":
-        self._check_same_ground(other)
-        return SubsetIndex(self.size, self.mask & ~other.mask)
-
     def complement(self) -> "SubsetIndex":
         return SubsetIndex(self.size, self.mask ^ ((1 << self.size) - 1))
-
-    def is_subset_of(self, other: "SubsetIndex") -> bool:
-        self._check_same_ground(other)
-        return self.mask & ~other.mask == 0
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-
-    def _check_same_ground(self, other: "SubsetIndex") -> None:
-        if self.size != other.size:
-            raise DomainError(f"ground-set mismatch: {self.size} vs {other.size}")
 
 
 def masks_of_weight(n: int, weight: int) -> Iterator[int]:
@@ -264,10 +233,6 @@ class RMatrix:
         return cls(len(data), n_cols, tuple(data))
 
     @classmethod
-    def identity(cls, n: int) -> "RMatrix":
-        return cls.diagonal([Fraction(1)] * n)
-
-    @classmethod
     def diagonal(cls, diag: Sequence[RationalLike]) -> "RMatrix":
         vals = as_vector(diag)
         n = len(vals)
@@ -281,11 +246,6 @@ class RMatrix:
         if not 0 <= i < self.n_rows:
             raise DomainError(f"row index {i} out of range for {self.n_rows} rows")
         return self.entries[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        if not 0 <= j < self.n_cols:
-            raise DomainError(f"column index {j} out of range for {self.n_cols} columns")
-        return tuple(row[j] for row in self.entries)
 
     def restrict_rows(self, rows: SubsetIndex) -> "RMatrix":
         """Copy keeping only the selected rows, in their original order."""
@@ -316,26 +276,6 @@ class RMatrix:
             self.n_cols,
             self.entries[:i] + self.entries[i + 1 :],
         )
-
-    def transpose(self) -> "RMatrix":
-        return RMatrix(
-            self.n_cols,
-            self.n_rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.n_rows))
-                  for j in range(self.n_cols)),
-        )
-
-    def matmul(self, other: "RMatrix") -> "RMatrix":
-        if self.n_cols != other.n_rows:
-            raise DomainError(
-                f"cannot multiply {self.n_rows}x{self.n_cols} by {other.n_rows}x{other.n_cols}"
-            )
-        cols = other.transpose().entries
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(r, c)) for c in cols)
-            for r in self.entries
-        )
-        return RMatrix(self.n_rows, other.n_cols, rows)
 
 
 def matrix_to_json(m: RMatrix) -> dict:
@@ -450,18 +390,10 @@ class Subspace:
             for row, p in zip(self.rows, self.pivots)
         ))
 
-    def pivot_columns(self) -> tuple[int, ...]:
-        return self.pivots
-
     def contains(self, vector: Sequence[RationalLike]) -> bool:
         vec = as_vector(vector)
         self._check_length(vec)
         return not any(_reduce(self.rows, self.pivots, _integer_row(vec)))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise DomainError("ambient dimension mismatch")
-        return not any(any(_reduce(self.rows, self.pivots, row)) for row in other.rows)
 
     def extend(self, vectors: Iterable[Sequence[Fraction | int]]) -> "Subspace":
         """span(U union vectors) for vectors of Fractions or ints.

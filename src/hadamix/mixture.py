@@ -128,9 +128,12 @@ class MomentVector:
             raise InputFormatError("'moments' must be an object with the '0' entry")
         values = {}
         for key, value in raw.items():
+            # only 0|[1-9][0-9]*, so that no two keys name the same mask
+            if key != "0" and not (key.isascii() and key.isdigit() and key[0] != "0"):
+                raise InputFormatError(f"moment key {key!r} is not a bitmask")
             try:
                 mask = int(key)
-            except ValueError as exc:
+            except ValueError as exc:  # beyond int()'s digit limit
                 raise InputFormatError(f"moment key {key!r} is not a bitmask") from exc
             values[mask] = rational_from_json(value)
         return cls(n, values)
@@ -249,7 +252,9 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
             original_mask |= 1 << members[position]
         rhs.append(moments[original_mask])
     if len(system_rows) < k:
-        raise InternalInvariantError("certificate rows failed to span k dimensions")
+        raise InternalInvariantError(
+            f"certificate rows {certificate.mask:#x} failed to span k = {k} dimensions"
+        )
 
     pi = solve_square(RMatrix.from_rows(system_rows, k), rhs)
     if sum(pi) != 1:

@@ -130,7 +130,9 @@ def _largest_deficient_columns(m: RMatrix) -> SubsetIndex:
             if size > best_size:
                 best_size, best_mask = size, cmask
     if best_size < 0:
-        raise InternalInvariantError("no deficiency -1 column set despite eps_bar == -1")
+        raise InternalInvariantError(
+            f"no deficiency -1 column set despite eps_bar == -1 on a {n}x{k} matrix"
+        )
     return SubsetIndex(k, best_mask)
 
 
@@ -171,6 +173,7 @@ def _restrict_rows(m: RMatrix) -> int:
             return ((kept >> t) << (t + 1)) | (kept & ((1 << t) - 1))
     raise InternalInvariantError(
         "no deletable row keeps eps_bar >= -1; the recursion guarantees one exists"
+        f" (matrix {n}x{k}, forbidden rows {forbidden:#x})"
     )
 
 
@@ -193,7 +196,9 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
         )
     rows = SubsetIndex(n, _restrict_rows(m))
     if len(rows) != k - 1 or eps_bar(m.restrict_rows(rows)).eps_bar != -1:
-        raise InternalInvariantError("restriction does not certify eps_bar == -1")
+        raise InternalInvariantError(
+            f"restriction {rows.mask:#x} does not certify eps_bar == -1 on a {n}x{k} matrix"
+        )
     return rows
 
 

@@ -71,22 +71,6 @@ def _block_projector(ambient: int, block: SubsetIndex) -> RMatrix:
     )
 
 
-@dataclass(frozen=True)
-class ProjectionSet:
-    """The 0/1 diagonal projectors of a partition; they sum to the identity
-    and are mutually annihilating."""
-
-    partition: Partition
-    projections: tuple[RMatrix, ...]
-
-
-def projection_set(partition: Partition) -> ProjectionSet:
-    projectors = tuple(
-        _block_projector(partition.ambient, block) for block in partition.blocks
-    )
-    return ProjectionSet(partition, projectors)
-
-
 def lagrange_projection(v: Sequence[RationalLike], i: int) -> RMatrix:
     """Block-i projector obtained by polynomial evaluation on diag(v).
 
@@ -110,7 +94,8 @@ def lagrange_projection(v: Sequence[RationalLike], i: int) -> RMatrix:
     direct = _block_projector(part.ambient, part.blocks[i])
     if evaluated != direct:
         raise InternalInvariantError(
-            "polynomial projector disagrees with the block diagonal"
+            f"polynomial projector of block {i} (0-based) disagrees with the block diagonal"
+            f" (len(v) = {len(vec)})"
         )
     return evaluated
 

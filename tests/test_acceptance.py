@@ -30,7 +30,6 @@ from hadamix import (
     matrix_rank,
     moment_map,
     nae_restrict,
-    projection_set,
     recover_pi,
     respects,
     span,
@@ -163,15 +162,16 @@ def test_criterion_4_invariance_characterization():
                 k,
             )
         assert is_invariant(v, u) == respects(u, part), (v, u)
-        projectors = projection_set(part).projections
+        # lagrange_projection raises internally if polynomial evaluation
+        # mismatches the block diagonal
+        projectors = [lagrange_projection(v, i) for i in range(len(part))]
         total = [
             [sum(p.entries[r][c] for p in projectors) for c in range(k)]
             for r in range(k)
         ]
-        assert RMatrix.from_rows(total, k) == RMatrix.identity(k), v
-        for i in range(len(part)):
-            # raises internally if polynomial evaluation mismatches the diagonal
-            assert lagrange_projection(v, i) == projectors[i], (v, i)
+        assert RMatrix.from_rows(total, k) == RMatrix.diagonal([1] * k), v
+        for value, p in zip(part.values, projectors):
+            assert p == RMatrix.diagonal([1 if x == value else 0 for x in v]), (v, value)
         checked += 1
     assert checked == 1000
     print("CRITERION 4 (invariant under v iff respects blocks of v; projector "

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hadamix import RMatrix, partition_algebra
 from hadamix.cli import main
 
 
@@ -151,6 +152,13 @@ def test_moments_and_recover_pi_roundtrip():
         {"m": {"rows": 1, "cols": 2, "data": [["1/4", "3/4"]]}, "moments": moments}
     )
     assert run_json(["recover-pi"], recover_payload) == {"pi": ["1/2", "1/2"]}
+    # "00" aliased mask 0 before keys were checked, and which value won
+    # depended on the key order
+    m = '{"rows":1,"cols":1,"data":[["7/12"]]}'
+    for moments in ['{"00": "1/2", "0": 1, "1": "7/12"}', '{"0": 1, "00": "1/2", "1": "7/12"}']:
+        payload = '{"m": %s, "moments": {"n": 1, "moments": %s}}' % (m, moments)
+        code, out, err = run_cli(["recover-pi"], payload)
+        assert code == 2 and out == "" and "'00' is not a bitmask" in err
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +166,10 @@ def test_moments_and_recover_pi_roundtrip():
 
 
 def test_malformed_json_is_usage_error():
-    code, out, err = run_cli(["rank"], "{not json")
-    assert code == 2 and out == "" and "malformed" in err
+    huge_entry = '{"rows":1,"cols":1,"data":[[%s]]}' % ("1" * 5000)
+    for text in ["{not json", huge_entry, "[" * 100000]:
+        code, out, err = run_cli(["rank"], text)
+        assert code == 2 and out == "" and "malformed JSON input" in err
 
 
 def test_wrong_shape_is_usage_error():
@@ -194,10 +204,27 @@ def test_usage_errors_and_help_use_the_given_streams(capsys):
     assert "unrecognized arguments: --bogus" in err
     code, out, err = run_cli(["project"])
     assert code == 2 and out == "" and "--block" in err
+    code, out, err = run_cli(["rank", "--format", "json"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --format json" in err
     code, out, err = run_cli(["rank", "--help"])
     assert code == 0 and err == ""
     assert out.startswith("usage: hadamix rank")
+    assert "--format" not in out
     assert capsys.readouterr() == ("", "")
+
+
+def test_internal_invariant_error_names_its_shape(monkeypatch):
+    monkeypatch.setattr(
+        partition_algebra, "_block_projector",
+        lambda ambient, block: RMatrix.diagonal([0] * ambient),
+    )
+    code, out, _ = run_cli(["project", "--block", "2"], '{"v":[2,1,2,1]}')
+    assert code == 1
+    error = json.loads(out)
+    assert error["witness"] is None
+    assert error["error"].startswith("internal invariant violated: ")
+    assert "block 1 (0-based)" in error["error"] and "len(v) = 4" in error["error"]
 
 
 def test_recover_pi_rank_failure():

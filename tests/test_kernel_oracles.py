@@ -68,7 +68,7 @@ def test_span_matches_sympy_rref(data):
     u = span(rows, k)
     reduced, pivots = to_sympy(rows, k).rref()
     assert u.dim == len(pivots) == matrix_rank(RMatrix.from_rows(rows, k))
-    assert u.pivot_columns() == tuple(pivots)
+    assert u.pivots == tuple(pivots)
     expected = tuple(
         tuple(from_sympy(x) for x in reduced.row(i)) for i in range(len(pivots))
     )

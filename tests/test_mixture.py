@@ -6,6 +6,7 @@ import pytest
 from conftest import PROB_POOL, random_matrix
 from hadamix import (
     DomainError,
+    InputFormatError,
     MixtureParams,
     MomentVector,
     RMatrix,
@@ -62,6 +63,13 @@ def test_moment_vector_json_roundtrip():
     obj = vec.to_json_obj()
     assert obj == {"n": 1, "moments": {"0": 1, "1": "7/12"}}
     assert MomentVector.from_json_obj(obj) == vec
+    # one key per mask: no leading zeros, signs, whitespace or underscores
+    for key in ["00", "01", "-0", "-1", "+1", " 1", "1 ", "1_0", "\u0661", ""]:
+        bad = {"n": 1, "moments": {"0": 1, "1": "7/12", key: "1/2"}}
+        with pytest.raises(InputFormatError, match="not a bitmask"):
+            MomentVector.from_json_obj(bad)
+    with pytest.raises(InputFormatError, match="not a bitmask"):
+        MomentVector.from_json_obj({"n": 1, "moments": {"0": 1, "1" * 5000: 1}})
 
 
 # ---------------------------------------------------------------------------

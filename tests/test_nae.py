@@ -40,7 +40,7 @@ def test_nae_rows_examples():
     for j in range(3):
         assert nae_rows(m, SubsetIndex.from_members(3, [j])).mask == 0
     assert nae_rows(m, SubsetIndex.from_members(3, [0, 1])).mask == 0
-    assert nae_rows(STAIRSTEP_3, SubsetIndex.full(3)) == SubsetIndex.from_members(2, [0, 1])
+    assert nae_rows(STAIRSTEP_3, SubsetIndex(3, 0b111)) == SubsetIndex.from_members(2, [0, 1])
 
 
 def test_nae_rows_empty_columns_rejected():
@@ -159,8 +159,8 @@ def test_exhaustive_nae_restrict_examples():
     assert exhaustive_nae_restrict(violating) == []
 
     tight = STAIRSTEP_3  # n = k-1 and the NAE condition holds
-    assert exhaustive_nae_restrict(tight) == [SubsetIndex.full(2)]
-    assert nae_restrict(tight) == SubsetIndex.full(2)
+    assert exhaustive_nae_restrict(tight) == [SubsetIndex(2, 0b11)]
+    assert nae_restrict(tight) == SubsetIndex(2, 0b11)
 
 
 def test_constructive_restriction_matches_oracle():

@@ -12,7 +12,6 @@ from hadamix import (
     is_invariant,
     lagrange_projection,
     orthogonal_complement,
-    projection_set,
     respects,
     span,
 )
@@ -68,7 +67,7 @@ def test_blocks_of_examples():
 
     constant = blocks_of([7, 7, 7])
     assert len(constant) == 1
-    assert constant.blocks[0] == SubsetIndex.full(3)
+    assert constant.blocks[0] == SubsetIndex(3, (1 << 3) - 1)
 
     distinct = blocks_of([3, 1, 2])
     assert len(distinct) == 3
@@ -90,7 +89,7 @@ def test_lagrange_projection_examples():
     assert p0 == RMatrix.diagonal([1, 0, 1, 0])
     p1 = lagrange_projection([2, 1, 2, 1], 1)
     assert p1 == RMatrix.diagonal([0, 1, 0, 1])
-    assert lagrange_projection([5, 5, 5], 0) == RMatrix.identity(3)
+    assert lagrange_projection([5, 5, 5], 0) == RMatrix.diagonal([1] * 3)
     with pytest.raises(DomainError):
         lagrange_projection([2, 1, 2, 1], 2)
 
@@ -101,9 +100,9 @@ def test_projectors_resolve_identity_and_annihilate():
         k = rng.randint(1, 8)
         v = random_partition_vector(rng, k)
         part = blocks_of(v)
-        projectors = projection_set(part).projections
-        for i, p in enumerate(projectors):
-            assert p == lagrange_projection(v, i)
+        projectors = [lagrange_projection(v, i) for i in range(len(part))]
+        for value, p in zip(part.values, projectors):
+            assert p == RMatrix.diagonal([1 if x == value else 0 for x in v])
         total = RMatrix.from_rows(
             [
                 [sum(p.entries[r][c] for p in projectors) for c in range(k)]
@@ -111,12 +110,14 @@ def test_projectors_resolve_identity_and_annihilate():
             ],
             k,
         )
-        assert total == RMatrix.identity(k)
-        for i in range(len(projectors)):
-            for j in range(len(projectors)):
-                prod = projectors[i].matmul(projectors[j])
-                expected = projectors[i] if i == j else RMatrix.diagonal([0] * k)
-                assert prod == expected
+        assert total == RMatrix.diagonal([1] * k)
+        # the product of two diagonal matrices is the diagonal of the
+        # entrywise product of their diagonals
+        diagonals = [[p.entries[r][r] for r in range(k)] for p in projectors]
+        for i in range(len(diagonals)):
+            for j in range(len(diagonals)):
+                prod = [a * b for a, b in zip(diagonals[i], diagonals[j])]
+                assert prod == (diagonals[i] if i == j else [0] * k)
 
 
 # ---------------------------------------------------------------------------
