@@ -60,8 +60,9 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser that writes help to `out` and usage errors to `err`,
-    not to sys.stdout and sys.stderr. _build_parser sets both streams on the
-    parser and on every subparser."""
+    not to sys.stdout and sys.stderr. The parser and its subparsers are built
+    once per process; main() sets both streams on this class before each
+    parse, so every one of them writes to that call's streams."""
 
     out: IO[str]
     err: IO[str]
@@ -108,10 +109,22 @@ def _witness_to_json(witness: object) -> object:
     return str(witness)
 
 
+def integer(text: str) -> int:
+    """An integer flag value: -?[0-9]+ in ASCII digits, else ValueError.
+
+    The type of every integer flag; argparse reports the ValueError as
+    "invalid integer value" (exit 2).
+    """
+    # isdigit() on an ASCII string accepts exactly 0-9
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)  # a ValueError too past int()'s digit limit
+
+
 def _parse_indices(text: str, size: int, what: str) -> SubsetIndex:
     """Comma-separated 1-based indices -> 0-based subset."""
     try:
-        members = [int(part) - 1 for part in text.split(",") if part.strip() != ""]
+        members = [integer(part) - 1 for part in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"{what} must be comma-separated integers: {text!r}") from exc
     if any(i < 0 or i >= size for i in members):
@@ -484,18 +497,19 @@ def _column_sets(k: int, width: int):
 # parser and entry point
 
 
-def _build_parser(out: IO[str], err: IO[str]) -> argparse.ArgumentParser:
+_PARSER: _Parser | None = None  # built on the first main() call, not at import
+
+
+def _build_parser() -> _Parser:
     parser = _Parser(
         prog="hadamix",
         description="Exact Hadamard-extension rank certificates, NAE deficiency, "
         "partition projectors, and mixture moment maps over JSON.",
     )
-    parser.out, parser.err = out, err
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, handler, help_text: str, with_input: bool = True):
         p = sub.add_parser(name, help=help_text)
-        p.out, p.err = out, err
         p.set_defaults(handler=handler)
         if with_input:
             p.add_argument("--input", "-i", default=None, metavar="FILE",
@@ -504,19 +518,19 @@ def _build_parser(out: IO[str], err: IO[str]) -> argparse.ArgumentParser:
 
     p = add("gen", _cmd_gen, "generate an example-family matrix", with_input=False)
     p.add_argument("family", choices=["vandermonde", "hamming", "stairstep"])
-    p.add_argument("--k", type=int, default=None, help="number of columns")
-    p.add_argument("--copies", type=int, default=None,
+    p.add_argument("--k", type=integer, default=None, help="number of columns")
+    p.add_argument("--copies", type=integer, default=None,
                    help="vandermonde: number of identical rows (default k-1)")
     p.add_argument("--row", default=None,
                    help="vandermonde: comma-separated distinct entries (default 0..k-1)")
-    p.add_argument("--l", type=int, default=None, help="hamming: rows (k = 2^l)")
+    p.add_argument("--l", type=integer, default=None, help="hamming: rows (k = 2^l)")
 
     add("hadext", _cmd_hadext, "matrix -> its 2^n x k extension")
     add("rank", _cmd_rank, "matrix -> extension column rank")
     p = add("minrows", _cmd_minrows, "matrix -> greedy rank-certifying row subset")
     p.add_argument("--exhaustive", action="store_true",
                    help="also list every certifying subset of --size rows")
-    p.add_argument("--size", type=int, default=None,
+    p.add_argument("--size", type=integer, default=None,
                    help="subset size for --exhaustive (default k-1)")
     p = add("eps", _cmd_eps, "matrix -> deficiency of a fixed column set")
     p.add_argument("--cols", required=True,
@@ -527,7 +541,7 @@ def _build_parser(out: IO[str], err: IO[str]) -> argparse.ArgumentParser:
                    help="also list every certifying (k-1)-row subset")
     add("blocks", _cmd_blocks, "{v} -> equal-value partition of the coordinates")
     p = add("project", _cmd_project, "{v} -> block projector via polynomial evaluation")
-    p.add_argument("--block", type=int, required=True,
+    p.add_argument("--block", type=integer, required=True,
                    help="1-based block index (blocks ordered by decreasing value)")
     add("invariant", _cmd_invariant, "{basis, v} -> invariance and block-respect of span(basis)")
     add("moments", _cmd_moments, "{m, pi} -> all 2^n subset moments")
@@ -545,9 +559,12 @@ def main(
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser(stdout, stderr)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    _Parser.out, _Parser.err = stdout, stderr
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -316,10 +316,15 @@ def matrix_from_json(obj: object) -> RMatrix:
 # gives the rational RREF row, so the integer form is as unique as the RREF.
 
 
+def scale_to_integers(vec: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """(d, d * vec), where d is the lcm of the denominators of vec."""
+    scale = math.lcm(*(x.denominator for x in vec))
+    return scale, [x.numerator * (scale // x.denominator) for x in vec]
+
+
 def _integer_row(vec: Sequence[Fraction | int]) -> Sequence[int]:
     """Primitive integer multiple of a vector of Fractions or ints."""
-    scale = math.lcm(*(x.denominator for x in vec))
-    return _primitive([x.numerator * (scale // x.denominator) for x in vec])
+    return _primitive(scale_to_integers(vec)[1])
 
 
 def _primitive(row: Sequence[int]) -> Sequence[int]:

@@ -24,6 +24,7 @@ from .exact_core import (
     as_vector,
     rational_from_json,
     rational_to_json,
+    scale_to_integers,
     solve_square,
     span,
 )
@@ -86,17 +87,21 @@ class MomentVector:
             raise DomainError(f"moments must cover all {total} subsets of [{self.n}]")
         if self.values[0] != 1:
             raise DomainError("the empty-set moment must be exactly 1")
-        for mask in range(total):
-            value = self.values[mask]
-            if not 0 <= value <= 1:
+        # integer cross-multiplication; a common denominator of all 2^n
+        # values could grow to 2^n times the size of one of them
+        nums = [self.values[mask].numerator for mask in range(total)]
+        dens = [self.values[mask].denominator for mask in range(total)]
+        for mask, (num, den) in enumerate(zip(nums, dens)):
+            if not 0 <= num <= den:
                 raise DomainError(
-                    f"moment {value} for mask {mask} is outside [0, 1]",
+                    f"moment {self.values[mask]} for mask {mask} is outside [0, 1]",
                     witness={"subset_mask": mask},
                 )
             rest = mask
             while rest:
                 low = rest & -rest
-                if value > self.values[mask ^ low]:
+                sub = mask ^ low
+                if num * dens[sub] > nums[sub] * den:
                     raise DomainError(
                         "moments must not increase on supersets",
                         witness={"subset_mask": mask},
@@ -139,20 +144,33 @@ class MomentVector:
         return cls(n, values)
 
 
-def _forward_moments(m: RMatrix, pi: Sequence[Fraction]) -> dict[int, Fraction]:
-    """All 2^n subset moments of (m, pi), one scalar pass per column."""
-    n = m.n_rows
-    total = 1 << n
-    acc = [Fraction(0)] * total
-    for j, weight in enumerate(pi):
-        dp = [Fraction(0)] * total
-        dp[0] = weight
-        for mask in range(1, total):
-            low = mask & -mask
-            dp[mask] = dp[mask ^ low] * m.entries[low.bit_length() - 1][j]
-        for mask in range(total):
-            acc[mask] += dp[mask]
-    return dict(enumerate(acc))
+def _subset_products(first: int, factors: Sequence[int]) -> list[int]:
+    """first * prod(factors[i] for i in S) for every mask S, in ascending order.
+
+    The table doubles once per factor: the masks whose highest bit is i
+    extend the masks below 2^i.
+    """
+    table = [first]
+    for x in factors:
+        table += [v * x for v in table]
+    return table
+
+
+def _forward_moments(m: RMatrix, pi: Sequence[Fraction]) -> tuple[list[int], list[int]]:
+    """All 2^n subset moments of (m, pi) as integer numerators and denominators.
+
+    Row i of m is scaled to integers by the lcm d_i of its denominators and
+    pi by the lcm w of its own, so mask S has the numerator
+    sum_j (w pi_j) prod_{i in S} (d_i m_ij) over the denominator
+    w prod_{i in S} d_i.
+    """
+    rows = [scale_to_integers(row) for row in m.entries]
+    w, weights = scale_to_integers(pi)
+    nums = [0] * (1 << m.n_rows)
+    for j, weight in enumerate(weights):
+        column = _subset_products(weight, [row[j] for _, row in rows])
+        nums = [a + b for a, b in zip(nums, column)]
+    return nums, _subset_products(w, [d for d, _ in rows])
 
 
 def moment_map(params: MixtureParams) -> MomentVector:
@@ -162,7 +180,8 @@ def moment_map(params: MixtureParams) -> MomentVector:
         raise DomainError(
             f"moment guard: at most {EXTENSION_ROW_GUARD} observables (got {n})"
         )
-    return MomentVector(n, _forward_moments(params.m, params.pi))
+    nums, dens = _forward_moments(params.m, params.pi)
+    return MomentVector(n, dict(enumerate(map(Fraction, nums, dens))))
 
 
 def is_separated(m: RMatrix, i: int) -> bool:
@@ -261,9 +280,10 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
         raise DomainError(
             f"recovered weights sum to {sum(pi)}, not 1; moments are inconsistent"
         )
-    forward = _forward_moments(m, pi)
-    for mask in range(1 << n):
-        if forward[mask] != moments.values[mask]:
+    nums, dens = _forward_moments(m, pi)
+    for mask, (num, den) in enumerate(zip(nums, dens)):
+        value = moments.values[mask]
+        if num * value.denominator != value.numerator * den:
             raise DomainError(
                 "moments are inconsistent with every weight vector",
                 witness={"subset_mask": mask},

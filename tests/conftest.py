@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's elimination code paths:
 determinants are computed by cofactor expansion, rank by scanning all
-square minors and the RREF by Gauss-Jordan over Fractions, so they can
-certify the fast implementations.
+square minors, the RREF by Gauss-Jordan over Fractions, and the subset
+moments and their checks over Fractions, so they can certify the fast
+implementations.
 """
 
 from fractions import Fraction
@@ -69,6 +70,45 @@ def rref_reference(rows):
         if r == n_rows:
             break
     return [tuple(row) for row in rows[: len(pivots)]], pivots
+
+
+def forward_moments_reference(m, pi):
+    """All 2^n subset moments of (m, pi) over Fractions, keyed by bitmask.
+
+    The per-column subset recursion the library ran before its integer
+    moment path, kept as the slow reference.
+    """
+    n = m.n_rows
+    total = 1 << n
+    acc = [Fraction(0)] * total
+    for j, weight in enumerate(pi):
+        dp = [Fraction(0)] * total
+        dp[0] = weight
+        for mask in range(1, total):
+            low = mask & -mask
+            dp[mask] = dp[mask ^ low] * m.entries[low.bit_length() - 1][j]
+        for mask in range(total):
+            acc[mask] += dp[mask]
+    return dict(enumerate(acc))
+
+
+def moment_checks_reference(n, values):
+    """The value checks of MomentVector over Fractions, in the library's
+    order: (message, witness) of the first failure, or None if all pass."""
+    if values[0] != 1:
+        return "the empty-set moment must be exactly 1", None
+    for mask in range(1 << n):
+        value = values[mask]
+        if not 0 <= value <= 1:
+            return (f"moment {value} for mask {mask} is outside [0, 1]",
+                    {"subset_mask": mask})
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if value > values[mask ^ low]:
+                return "moments must not increase on supersets", {"subset_mask": mask}
+            rest ^= low
+    return None
 
 
 def random_matrix(rng, n, k, pool):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hadamix import RMatrix, partition_algebra
+from hadamix import RMatrix, cli, partition_algebra
 from hadamix.cli import main
 
 
@@ -58,6 +58,24 @@ def test_gen_rejects_bad_parameters():
     assert code == 2
     code, _, _ = run_cli(["gen", "hamming"])
     assert code == 2
+    # integer flags take ASCII -?[0-9]+ only; "1_0" used to build k = 10
+    for argv in [
+        ["gen", "stairstep", "--k", "1_0"],
+        ["gen", "vandermonde", "--k", "+3"],
+        ["gen", "vandermonde", "--k", "3", "--copies", "\u0662"],
+        ["gen", "hamming", "--l", " 2"],
+        ["gen", "hamming", "--l", "2.0"],
+        ["gen", "hamming", "--l", "1" * 5000],
+        ["minrows", "--exhaustive", "--size", "2 "],
+        ["project", "--block", "1_0"],
+    ]:
+        code, out, err = run_cli(argv, '{"v":[2,1]}')
+        assert code == 2 and out == "" and "invalid integer value" in err, argv
+    # negative and zero values keep their own messages
+    code, _, err = run_cli(["gen", "vandermonde", "--k", "3", "--copies", "-1"])
+    assert code == 2 and "--copies must be nonnegative" in err
+    code, _, err = run_cli(["project", "--block", "-1"], '{"v":[2,1]}')
+    assert code == 2 and "--block is 1-based" in err
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +123,14 @@ def test_eps_command():
     }
     code, _, _ = run_cli(["eps", "--cols", "9"], stairstep)
     assert code == 2
+    # each part is ASCII -?[0-9]+: "1_0,\u0662, +3" was read as columns 10, 2, 3
+    ten = '{"rows":1,"cols":10,"data":[[1,2,3,4,5,6,7,8,9,10]]}'
+    for cols in ["1_0,\u0662, +3", "1_0", "\u0662", "+3", " 3", "1,,3", "1,3,", "", "1" * 5000]:
+        code, out, err = run_cli(["eps", "--cols", cols], ten)
+        assert code == 2 and out == "" and "comma-separated integers" in err, cols
+    for cols in ["0", "-2", "11"]:
+        code, out, err = run_cli(["eps", "--cols", cols], ten)
+        assert code == 2 and out == "" and "indices must be in 1..10" in err, cols
 
 
 def test_nae_check_golden():
@@ -212,6 +238,47 @@ def test_usage_errors_and_help_use_the_given_streams(capsys):
     assert out.startswith("usage: hadamix rank")
     assert "--format" not in out
     assert capsys.readouterr() == ("", "")
+
+
+def test_each_call_writes_only_to_its_own_streams():
+    # the parser is built once and shared, its streams are not
+    calls = [
+        (["rank", "--bogus"], 2, "", "unrecognized arguments: --bogus"),
+        (["rank", "--help"], 0, "usage: hadamix rank", ""),
+        (["project"], 2, "", "--block"),
+        (["--help"], 0, "usage: hadamix", ""),
+        (["frobnicate"], 2, "", "invalid choice"),
+    ]
+    streams = []
+    for argv, want_code, want_out, want_err in calls:
+        out, err = io.StringIO(), io.StringIO()
+        assert main(argv, io.StringIO(), out, err) == want_code
+        streams.append((out, err))
+    for (out, err), (argv, _, want_out, want_err) in zip(streams, calls):
+        if want_out:
+            assert out.getvalue().startswith(want_out) and err.getvalue() == "", argv
+        else:
+            assert out.getvalue() == "" and want_err in err.getvalue(), argv
+            assert err.getvalue().count("usage:") == 1, argv
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    monkeypatch.setattr(cli, "_PARSER", None)
+    progs = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert progs == []  # nothing is built before the first call
+    run_cli(["gen", "hamming", "--l", "2"])
+    built = len(progs)
+    for argv in [["rank", "--help"], ["frobnicate"], ["selftest"], ["gen", "stairstep", "--k", "3"]]:
+        run_cli(argv)
+    assert progs.count("hadamix") == 1
+    assert len(progs) == built  # the root parser and its 13 subparsers, once
 
 
 def test_internal_invariant_error_names_its_shape(monkeypatch):

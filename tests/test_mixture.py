@@ -1,9 +1,19 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import PROB_POOL, random_matrix
+from conftest import (
+    PROB_POOL,
+    forward_moments_reference,
+    moment_checks_reference,
+    random_matrix,
+)
 from hadamix import (
     DomainError,
     InputFormatError,
@@ -13,6 +23,7 @@ from hadamix import (
     SubsetIndex,
     identifiability_gate,
     is_separated,
+    mixture,
     moment_map,
     recover_pi,
 )
@@ -212,3 +223,106 @@ def test_duplicate_columns_make_weights_swappable():
         first = moment_map(MixtureParams(dup, pi))
         second = moment_map(MixtureParams(dup, tuple(swapped)))
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the integer moment path against the Fraction references
+
+# PROB_POOL holds 0 and 1; the rest have large coprime denominators
+entries = st.sampled_from(
+    PROB_POOL + [Fraction(1, 10007), Fraction(5003, 10009), Fraction(65535, 65537),
+                 Fraction(2**61 - 2, 2**61 - 1)]
+)
+
+
+@st.composite
+def mixtures(draw):
+    n, k = draw(st.integers(0, 8)), draw(st.integers(1, 6))
+    rows = [[draw(entries) for _ in range(k)] for _ in range(n)]
+    raw = draw(st.lists(st.one_of(st.just(0), st.integers(1, 2**40)),
+                        min_size=k, max_size=k).filter(any))
+    return MixtureParams(RMatrix.from_rows(rows, k), tuple(Fraction(w, sum(raw)) for w in raw))
+
+
+def perturbed(values, mask, data):
+    """values with the moment of `mask` nudged, scaled or pushed outside [0, 1]."""
+    changed = dict(values)
+    changed[mask] = data.draw(st.one_of(
+        st.sampled_from([Fraction(1, 10007), Fraction(1, 2**61 - 1), Fraction(1, 7)])
+        .flatmap(lambda d: st.sampled_from([values[mask] + d, values[mask] - d])),
+        st.sampled_from([values[mask] * Fraction(6, 7), values[mask] * Fraction(8, 7)]),
+        st.sampled_from([Fraction(-1, 3), Fraction(4, 3), Fraction(2)]),
+    ))
+    return changed
+
+
+moment_oracle = settings(deadline=None, max_examples=80)
+
+
+@moment_oracle
+@given(mixtures())
+def test_moment_map_matches_fraction_references(params):
+    m, pi = params.m, params.pi
+    values = moment_map(params).values
+    assert values == forward_moments_reference(m, pi)
+    for mask in range(1 << m.n_rows):
+        members = [row for i, row in enumerate(m.entries) if mask >> i & 1]
+        assert values[mask] == sum(
+            p * math.prod((row[j] for row in members), start=Fraction(1))
+            for j, p in enumerate(pi)
+        )
+
+
+@moment_oracle
+@given(mixtures(), st.data())
+def test_perturbed_moments_fail_like_the_fraction_references(params, data):
+    m, n = params.m, params.m.n_rows
+    values = perturbed(moment_map(params).values, data.draw(st.integers(0, (1 << n) - 1)), data)
+    expected = moment_checks_reference(n, values)
+    try:
+        moments = MomentVector(n, values)
+    except DomainError as exc:
+        assert (str(exc), exc.witness) == expected
+        return
+    assert expected is None
+    if not identifiability_gate(m).full_rank:
+        return
+    # recover_pi verifies the weights it solved for against every moment;
+    # the empty-set row is in its system, so they sum to moments[0] = 1
+    solved, solve = [], mixture.solve_square
+
+    def solve_spy(a, b):
+        solved.append(solve(a, b))
+        return solved[-1]
+
+    with mock.patch.object(mixture, "solve_square", solve_spy):
+        try:
+            got, error = recover_pi(m, moments), None
+        except DomainError as exc:
+            got, error = None, exc
+    (pi,) = solved
+    forward = forward_moments_reference(m, pi)
+    mismatches = [mask for mask in range(1 << n) if forward[mask] != values[mask]]
+    if mismatches:
+        assert error is not None and error.witness == {"subset_mask": mismatches[0]}
+        assert str(error) == "moments are inconsistent with every weight vector"
+    else:
+        assert got == tuple(pi)
+
+
+def test_moment_map_does_no_fraction_arithmetic_per_mask(monkeypatch):
+    rng = random.Random(89)
+    n, k = 10, 4
+    params = MixtureParams(random_matrix(rng, n, k, PROB_POOL), random_distribution(rng, k))
+    calls = Counter()
+    for name in ("__add__", "__radd__", "__mul__"):
+        def counted(self, other, _op=getattr(Fraction, name), _name=name):
+            calls[_name] += 1
+            return _op(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    moments = moment_map(params)
+    monkeypatch.undo()
+    # the Fraction recursion made about 2 * k * 2^n of these calls
+    assert sum(calls.values()) < 10 * n * k, calls
+    assert moments.values == forward_moments_reference(params.m, params.pi)
