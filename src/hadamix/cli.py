@@ -165,6 +165,19 @@ def _require_object(obj: object, keys: Sequence[str], what: str) -> dict:
 # ---------------------------------------------------------------------------
 # example-family generators
 
+# The largest output of any family: that of `gen hamming --l 20`.
+GEN_COLUMN_LIMIT = 1 << 20
+GEN_ENTRY_LIMIT = 20 << 20
+
+
+def _check_gen_size(n_rows: int, k: int) -> None:
+    """Refuse an n_rows x k family matrix before any of it is built."""
+    if k > GEN_COLUMN_LIMIT or n_rows * k > GEN_ENTRY_LIMIT:
+        raise UsageError(
+            f"output size guard: at most {GEN_COLUMN_LIMIT} columns and"
+            f" {GEN_ENTRY_LIMIT} entries (got {n_rows}x{k})"
+        )
+
 
 def gen_vandermonde(k: int, copies: int, row: Sequence[Fraction] | None) -> RMatrix:
     """`copies` identical rows with k pairwise distinct entries."""
@@ -172,6 +185,7 @@ def gen_vandermonde(k: int, copies: int, row: Sequence[Fraction] | None) -> RMat
         raise UsageError("--k must be at least 1")
     if copies < 0:
         raise UsageError("--copies must be nonnegative")
+    _check_gen_size(copies, k)
     values = tuple(row) if row is not None else tuple(Fraction(j) for j in range(k))
     if len(values) != k:
         raise UsageError(f"--row must have {k} entries")
@@ -202,6 +216,7 @@ def gen_stairstep(k: int) -> RMatrix:
     """
     if k < 1:
         raise UsageError("--k must be at least 1")
+    _check_gen_size(k - 1, k)
     rows = tuple(
         tuple(Fraction(1) if i < j else Fraction(1, 2) for j in range(k))
         for i in range(k - 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .exact_core import (
     SUBSET_SCAN_LIMIT,
@@ -71,27 +72,76 @@ def eps(m: RMatrix, cols: SubsetIndex) -> int:
     return len(nae_rows(m, cols)) - len(cols)
 
 
-def _constant_counts(m: RMatrix) -> list[int]:
-    """counts[C] = number of rows constant on column set C.
+def _check_columns(k: int) -> None:
+    if k < 1:
+        raise DomainError("matrix must have at least one column")
+    if k > COLUMN_SCAN_GUARD:
+        raise DomainError(
+            f"column scan guard: at most {COLUMN_SCAN_GUARD} columns (got {k})"
+        )
 
-    A row is constant on C iff C sits inside one of the row's classes of
-    equal values, so marking every submask of every class covers each
-    nonempty C exactly once per row.
-    """
-    k = m.n_cols
-    counts = [0] * (1 << k)
+
+def _row_classes(m: RMatrix) -> list[tuple[int, ...]]:
+    """Each row's classes of equal values, as column masks."""
+    out = []
     for row in m.entries:
         classes: dict[object, int] = {}
         for j, value in enumerate(row):
             classes[value] = classes.get(value, 0) | (1 << j)
-        for cmask in classes.values():
+        out.append(tuple(classes.values()))
+    return out
+
+
+def _members(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _spread(local: int, cols: int) -> int:
+    """The subset of `cols` whose bits, numbered within `cols`, are `local`."""
+    if cols & (cols + 1) == 0:  # cols is 0..w-1: the numbering is the identity
+        return local
+    return sum(1 << j for b, j in enumerate(_members(cols)) if local >> b & 1)
+
+
+def _constant_counts(classes: list[tuple[int, ...]], rows: int, cols: int) -> list[int]:
+    """counts[S] = number of rows in `rows` constant on the column set S.
+
+    S ranges over the subsets of `cols`, numbered by their bits within
+    `cols` (the submatrix's own column order). A row is constant on S iff
+    S sits inside one of the row's classes of equal values, so marking
+    every nonempty submask of every class covers each S once per row.
+    """
+    counts = [0] * (1 << cols.bit_count())
+    local = None
+    if cols & (cols + 1):
+        local = {1 << j: 1 << b for b, j in enumerate(_members(cols))}
+    for i in _members(rows):
+        for cmask in classes[i]:
+            cmask &= cols
+            if local is not None:
+                bits, cmask = cmask, 0
+                while bits:
+                    low = bits & -bits
+                    cmask |= local[low]
+                    bits ^= low
             s = cmask
-            while True:
+            while s:
                 counts[s] += 1
-                if s == 0:
-                    break
                 s = (s - 1) & cmask
     return counts
+
+
+def _min_deficiency(counts: list[int], n: int) -> tuple[int, int]:
+    """(eps_bar, smallest-bitmask minimizer) of a constant-count table over n rows."""
+    best, best_mask = n, 0
+    for cmask in range(1, len(counts)):
+        e = (n - counts[cmask]) - cmask.bit_count()
+        if e < best:
+            best, best_mask = e, cmask
+    return best, best_mask
 
 
 def eps_bar(m: RMatrix) -> NaeReport:
@@ -101,89 +151,105 @@ def eps_bar(m: RMatrix) -> NaeReport:
     NAE condition holds iff the reported eps_bar is >= -1.
     """
     n, k = m.n_rows, m.n_cols
-    if k < 1:
-        raise DomainError("matrix must have at least one column")
-    if k > COLUMN_SCAN_GUARD:
-        raise DomainError(
-            f"column scan guard: at most {COLUMN_SCAN_GUARD} columns (got {k})"
-        )
-    counts = _constant_counts(m)
-    best = None
-    best_mask = 0
-    for cmask in range(1, 1 << k):
-        e = (n - counts[cmask]) - cmask.bit_count()
-        if best is None or e < best:
-            best, best_mask = e, cmask
+    _check_columns(k)
+    best, best_mask = _min_deficiency(
+        _constant_counts(_row_classes(m), (1 << n) - 1, (1 << k) - 1), n
+    )
     witness = SubsetIndex(k, best_mask)
     return NaeReport(best, witness, nae_rows(m, witness))
-
-
-def _largest_deficient_columns(m: RMatrix) -> SubsetIndex:
-    """Largest column set with deficiency exactly -1 (smallest bitmask on ties)."""
-    n, k = m.n_rows, m.n_cols
-    counts = _constant_counts(m)
-    best_size = -1
-    best_mask = 0
-    for cmask in range(1, 1 << k):
-        if (n - counts[cmask]) - cmask.bit_count() == -1:
-            size = cmask.bit_count()
-            if size > best_size:
-                best_size, best_mask = size, cmask
-    if best_size < 0:
-        raise InternalInvariantError(
-            f"no deficiency -1 column set despite eps_bar == -1 on a {n}x{k} matrix"
-        )
-    return SubsetIndex(k, best_mask)
-
-
-def _restrict_rows(m: RMatrix) -> int:
-    """Row mask of a (k-1)-row restriction with eps_bar exactly -1.
-
-    Assumes eps_bar(m) >= -1 and n >= k-1. Recursion: while n > k-1,
-    delete one deletable row and recurse on the rest.
-
-      * If eps_bar >= 0, any single deletion keeps eps_bar >= -1, so the
-        highest-indexed row that re-verifies is removed.
-      * If eps_bar == -1, take a largest column set S with eps(S) = -1.
-        Rows constant on S stay, and so does a recursively found
-        (k-|S|-1)-row certificate for the complementary columns; some row
-        outside both always survives deletion with eps_bar >= -1 (with
-        |S| = k the spare rows are exactly the rows constant everywhere).
-        Each candidate deletion is re-verified directly rather than
-        trusting the existence argument.
-    """
-    n, k = m.n_rows, m.n_cols
-    if k == 1:
-        return 0
-    if n == k - 1:
-        return (1 << n) - 1
-    forbidden = 0
-    if eps_bar(m).eps_bar == -1:
-        cols = _largest_deficient_columns(m)
-        forbidden = nae_rows(m, cols).mask
-        if len(cols) < k:
-            forbidden |= _restrict_rows(m.restrict_cols(cols.complement()))
-    for t in reversed(range(n)):
-        if (forbidden >> t) & 1:
-            continue
-        trimmed = m.drop_row(t)
-        if eps_bar(trimmed).eps_bar >= -1:
-            kept = _restrict_rows(trimmed)
-            # reindex the recursive answer around the deleted row
-            return ((kept >> t) << (t + 1)) | (kept & ((1 << t) - 1))
-    raise InternalInvariantError(
-        "no deletable row keeps eps_bar >= -1; the recursion guarantees one exists"
-        f" (matrix {n}x{k}, forbidden rows {forbidden:#x})"
-    )
 
 
 def nae_restrict(m: RMatrix) -> SubsetIndex:
     """Exactly k-1 rows of m whose restriction has eps_bar exactly -1.
 
     Requires the NAE condition (eps_bar >= -1) and at least k-1 rows.
+
+    A subproblem is the submatrix on a row mask and a column mask of m;
+    the recursion and the scans it makes are memoised on that pair for the
+    duration of one call. `restrict(rows, cols)` returns the row mask (in
+    m's indices) of |cols|-1 rows of the subproblem with eps_bar -1,
+    assuming its eps_bar >= -1 and |rows| >= |cols|-1. While there are
+    more rows, it deletes one deletable row and continues on the rest.
+
+      * If eps_bar >= 0, any single deletion keeps eps_bar >= -1, so the
+        highest-indexed row that re-verifies is removed.
+      * If eps_bar == -1, take a largest column set S with eps(S) = -1.
+        Rows nonconstant on S stay, and so does a recursively found
+        (|cols|-|S|-1)-row certificate for the complementary columns; some
+        row outside both always survives deletion with eps_bar >= -1 (with
+        S = cols the spare rows are exactly the rows constant on cols).
+        Each candidate deletion is re-verified directly rather than
+        trusting the existence argument.
+
+    Restricting to a column subset keeps the column order, so the
+    smallest-bitmask choices within a subproblem are the smallest masks of
+    m's columns too.
     """
     n, k = m.n_rows, m.n_cols
-    report = eps_bar(m)
+    _check_columns(k)
+    classes = _row_classes(m)
+    scans: dict[tuple[int, int], tuple[int, int, int]] = {}
+    kept: dict[tuple[int, int], int] = {}
+
+    def where(rows: int, cols: int) -> str:
+        return f"matrix {n}x{k}, rows {rows:#x}, columns {cols:#x}"
+
+    def scan(rows: int, cols: int) -> tuple[int, int, int]:
+        """(eps_bar, its witness, a largest deficiency -1 set or 0), as column masks.
+
+        The largest set (smallest bitmask on ties) is looked for only where
+        the recursion takes it: eps_bar == -1 and more than |cols|-1 rows.
+        """
+        key = (rows, cols)
+        if key not in scans:
+            n_sub, width = rows.bit_count(), cols.bit_count()
+            counts = _constant_counts(classes, rows, cols)
+            best, witness = _min_deficiency(counts, n_sub)
+            largest = largest_size = 0
+            if best == -1 and n_sub >= width > 1:
+                for cmask in range(1, len(counts)):
+                    size = cmask.bit_count()
+                    if size > largest_size and (n_sub - counts[cmask]) - size == -1:
+                        largest, largest_size = cmask, size
+            scans[key] = (best, _spread(witness, cols), _spread(largest, cols))
+        return scans[key]
+
+    def restrict(rows: int, cols: int) -> int:
+        key = (rows, cols)
+        if key in kept:
+            return kept[key]
+        if cols.bit_count() == 1:
+            return 0
+        if rows.bit_count() == cols.bit_count() - 1:
+            return rows
+        best, _, largest = scan(rows, cols)
+        forbidden = 0
+        if best == -1:
+            if not largest:
+                raise InternalInvariantError(
+                    "no deficiency -1 column set despite eps_bar == -1"
+                    f" ({where(rows, cols)})"
+                )
+            forbidden = sum(
+                1 << i for i in _members(rows)
+                if not any(cmask & largest == largest for cmask in classes[i])
+            )
+            if largest != cols:
+                forbidden |= restrict(rows, cols & ~largest)
+        for t in sorted(_members(rows & ~forbidden), reverse=True):
+            trimmed = rows & ~(1 << t)
+            if scan(trimmed, cols)[0] >= -1:
+                kept[key] = restrict(trimmed, cols)
+                return kept[key]
+        raise InternalInvariantError(
+            "no deletable row keeps eps_bar >= -1; the recursion guarantees one exists"
+            f" ({where(rows, cols)}, forbidden rows {forbidden:#x})"
+        )
+
+    all_rows, all_cols = (1 << n) - 1, (1 << k) - 1
+    best, witness_mask, _ = scan(all_rows, all_cols)
+    witness = SubsetIndex(k, witness_mask)
+    report = NaeReport(best, witness, nae_rows(m, witness))
     if not report.satisfies_nae:
         raise DomainError(
             f"NAE condition fails: eps_bar = {report.eps_bar} < -1",
@@ -194,7 +260,7 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
             f"need at least k-1 = {k - 1} rows, got {n}",
             witness={"n_rows": n, "n_cols": k},
         )
-    rows = SubsetIndex(n, _restrict_rows(m))
+    rows = SubsetIndex(n, restrict(all_rows, all_cols))
     if len(rows) != k - 1 or eps_bar(m.restrict_rows(rows)).eps_bar != -1:
         raise InternalInvariantError(
             f"restriction {rows.mask:#x} does not certify eps_bar == -1 on a {n}x{k} matrix"
@@ -211,13 +277,17 @@ def exhaustive_nae_restrict(m: RMatrix) -> list[SubsetIndex]:
     n, k = m.n_rows, m.n_cols
     if k < 1:
         raise DomainError("matrix must have at least one column")
-    if k - 1 <= n and math.comb(n, k - 1) > SUBSET_SCAN_LIMIT:
+    if k - 1 > n:
+        return []
+    if math.comb(n, k - 1) > SUBSET_SCAN_LIMIT:
         raise DomainError(
             f"subset scan guard: C({n},{k - 1}) exceeds {SUBSET_SCAN_LIMIT}"
         )
-    out = []
-    for mask in masks_of_weight(n, k - 1):
-        subset = SubsetIndex(n, mask)
-        if eps_bar(m.restrict_rows(subset)).eps_bar == -1:
-            out.append(subset)
-    return out
+    _check_columns(k)
+    classes = _row_classes(m)
+    all_cols = (1 << k) - 1
+    return [
+        SubsetIndex(n, mask)
+        for mask in masks_of_weight(n, k - 1)
+        if _min_deficiency(_constant_counts(classes, mask, all_cols), k - 1)[0] == -1
+    ]

@@ -2,15 +2,17 @@
 
 The oracles here deliberately avoid the library's elimination code paths:
 determinants are computed by cofactor expansion, rank by scanning all
-square minors, the RREF by Gauss-Jordan over Fractions, and the subset
-moments and their checks over Fractions, so they can certify the fast
+square minors, the RREF by Gauss-Jordan over Fractions, the subset
+moments and their checks over Fractions, and the NAE restriction by
+recursing on explicit submatrices, so they can certify the fast
 implementations.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from hadamix import RMatrix
+from hadamix import DomainError, InternalInvariantError, RMatrix, SubsetIndex, nae_rows
+from hadamix.nae import COLUMN_SCAN_GUARD, NaeReport
 
 
 def det_cofactor(rows):
@@ -109,6 +111,117 @@ def moment_checks_reference(n, values):
                 return "moments must not increase on supersets", {"subset_mask": mask}
             rest ^= low
     return None
+
+
+def _constant_counts_reference(m):
+    """counts[C] = number of rows of m constant on the column set C."""
+    k = m.n_cols
+    counts = [0] * (1 << k)
+    for row in m.entries:
+        classes = {}
+        for j, value in enumerate(row):
+            classes[value] = classes.get(value, 0) | (1 << j)
+        for cmask in classes.values():
+            s = cmask
+            while True:
+                counts[s] += 1
+                if s == 0:
+                    break
+                s = (s - 1) & cmask
+    return counts
+
+
+def eps_bar_reference(m):
+    """The NaeReport of m: minimum deficiency, smallest-bitmask witness."""
+    n, k = m.n_rows, m.n_cols
+    if k < 1:
+        raise DomainError("matrix must have at least one column")
+    if k > COLUMN_SCAN_GUARD:
+        raise DomainError(
+            f"column scan guard: at most {COLUMN_SCAN_GUARD} columns (got {k})"
+        )
+    counts = _constant_counts_reference(m)
+    best = None
+    best_mask = 0
+    for cmask in range(1, 1 << k):
+        e = (n - counts[cmask]) - cmask.bit_count()
+        if best is None or e < best:
+            best, best_mask = e, cmask
+    witness = SubsetIndex(k, best_mask)
+    return NaeReport(best, witness, nae_rows(m, witness))
+
+
+def _largest_deficient_columns_reference(m):
+    """Largest column set with deficiency exactly -1 (smallest bitmask on ties)."""
+    n, k = m.n_rows, m.n_cols
+    counts = _constant_counts_reference(m)
+    best_size = -1
+    best_mask = 0
+    for cmask in range(1, 1 << k):
+        if (n - counts[cmask]) - cmask.bit_count() == -1:
+            size = cmask.bit_count()
+            if size > best_size:
+                best_size, best_mask = size, cmask
+    if best_size < 0:
+        raise InternalInvariantError(
+            f"no deficiency -1 column set despite eps_bar == -1 on a {n}x{k} matrix"
+        )
+    return SubsetIndex(k, best_mask)
+
+
+def _restrict_rows_reference(m):
+    """Row mask of a (k-1)-row restriction of m with eps_bar exactly -1.
+
+    Recurses on explicit submatrices (`drop_row`, `restrict_cols`) and
+    recomputes every eps_bar: exponential on repeated subproblems.
+    """
+    n, k = m.n_rows, m.n_cols
+    if k == 1:
+        return 0
+    if n == k - 1:
+        return (1 << n) - 1
+    forbidden = 0
+    if eps_bar_reference(m).eps_bar == -1:
+        cols = _largest_deficient_columns_reference(m)
+        forbidden = nae_rows(m, cols).mask
+        if len(cols) < k:
+            forbidden |= _restrict_rows_reference(m.restrict_cols(cols.complement()))
+    for t in reversed(range(n)):
+        if (forbidden >> t) & 1:
+            continue
+        trimmed = m.drop_row(t)
+        if eps_bar_reference(trimmed).eps_bar >= -1:
+            kept = _restrict_rows_reference(trimmed)
+            # reindex the recursive answer around the deleted row
+            return ((kept >> t) << (t + 1)) | (kept & ((1 << t) - 1))
+    raise InternalInvariantError(
+        "no deletable row keeps eps_bar >= -1; the recursion guarantees one exists"
+        f" (matrix {n}x{k}, forbidden rows {forbidden:#x})"
+    )
+
+
+def nae_restrict_reference(m):
+    """The recursive restriction nae_restrict made before it memoised
+    subproblems as (row mask, column mask) pairs, kept as the slow
+    reference: the same preconditions, messages, witnesses and choice."""
+    n, k = m.n_rows, m.n_cols
+    report = eps_bar_reference(m)
+    if not report.satisfies_nae:
+        raise DomainError(
+            f"NAE condition fails: eps_bar = {report.eps_bar} < -1",
+            witness=report,
+        )
+    if n < k - 1:
+        raise DomainError(
+            f"need at least k-1 = {k - 1} rows, got {n}",
+            witness={"n_rows": n, "n_cols": k},
+        )
+    rows = SubsetIndex(n, _restrict_rows_reference(m))
+    if len(rows) != k - 1 or eps_bar_reference(m.restrict_rows(rows)).eps_bar != -1:
+        raise InternalInvariantError(
+            f"restriction {rows.mask:#x} does not certify eps_bar == -1 on a {n}x{k} matrix"
+        )
+    return rows
 
 
 def random_matrix(rng, n, k, pool):

@@ -1,9 +1,10 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
-from hadamix import RMatrix, cli, partition_algebra
+from hadamix import RMatrix, cli, nae, partition_algebra
 from hadamix.cli import main
 
 
@@ -76,6 +77,27 @@ def test_gen_rejects_bad_parameters():
     assert code == 2 and "--copies must be nonnegative" in err
     code, _, err = run_cli(["project", "--block", "-1"], '{"v":[2,1]}')
     assert code == 2 and "--block is 1-based" in err
+    # no family emits more than `gen hamming --l 20` (2^20 columns, 20 * 2^20
+    # entries); larger requests fail before anything is built
+    run_cli(["gen", "hamming", "--l", "1"])  # the parser's own allocations
+    for argv in [
+        ["gen", "vandermonde", "--k", "3", "--copies", "100000000"],
+        ["gen", "vandermonde", "--k", "1000000000", "--copies", "0"],
+        ["gen", "vandermonde", "--k", "1000000000"],
+        ["gen", "vandermonde", "--k", "1048577", "--copies", "0"],
+        ["gen", "vandermonde", "--k", "1000000000", "--row", "0,1"],
+        ["gen", "stairstep", "--k", "4580"],
+        ["gen", "stairstep", "--k", "1000000000"],
+    ]:
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "", argv
+        assert "output size guard: at most 1048576 columns and 20971520 entries" in err, argv
+        assert peak < 64 * 1024, (argv, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +314,27 @@ def test_internal_invariant_error_names_its_shape(monkeypatch):
     assert error["witness"] is None
     assert error["error"].startswith("internal invariant violated: ")
     assert "block 1 (0-based)" in error["error"] and "len(v) = 4" in error["error"]
+
+
+def test_nae_invariant_error_names_the_submatrix(monkeypatch):
+    real = nae._constant_counts
+
+    def deficient_below_three_rows(classes, rows, cols):
+        counts = real(classes, rows, cols)
+        # every scan over fewer than 3 rows now reports eps_bar < -1
+        return counts if rows.bit_count() >= 3 else [c + 5 for c in counts]
+
+    monkeypatch.setattr(nae, "_constant_counts", deficient_below_three_rows)
+    vandermonde = '{"rows":4,"cols":3,"data":[[0,1,2],[0,1,2],[0,1,2],[0,1,2]]}'
+    code, out, _ = run_cli(["nae-restrict"], vandermonde)
+    assert code == 1
+    error = json.loads(out)
+    assert error["witness"] is None
+    assert error["error"] == (
+        "internal invariant violated: no deletable row keeps eps_bar >= -1;"
+        " the recursion guarantees one exists"
+        " (matrix 4x3, rows 0x7, columns 0x6, forbidden rows 0x0)"
+    )
 
 
 def test_recover_pi_rank_failure():

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_matrix, SMALL_POOL
+from conftest import eps_bar_reference, nae_restrict_reference, random_matrix, SMALL_POOL
 from hadamix import (
     DomainError,
     RMatrix,
@@ -12,6 +15,7 @@ from hadamix import (
     eps_bar,
     exhaustive_nae_restrict,
     full_extension_rank,
+    nae,
     nae_restrict,
     nae_rows,
 )
@@ -194,3 +198,95 @@ def test_nae_condition_not_necessary_for_rank():
     hamming = RMatrix.from_rows([[1, -1, 1, -1], [1, 1, -1, -1]])
     assert full_extension_rank(hamming) == 4
     assert eps_bar(hamming).eps_bar == -2
+
+
+def test_exhaustive_nae_restrict_matches_definitional_enumeration():
+    rng = random.Random(53)
+    for trial in range(60):
+        k = rng.randint(1, 5)
+        n = rng.randint(0, 7)
+        if trial % 3 == 0:
+            rows = [list(range(k))] * n  # Vandermonde copies
+        else:
+            rows = [[rng.choice(SMALL_POOL[:3]) for _ in range(k)] for _ in range(n)]
+        m = RMatrix.from_rows(rows, k)
+        expected = sorted(
+            sum(1 << i for i in subset)
+            for subset in combinations(range(n), k - 1)
+            if brute_eps_bar(m.restrict_rows(SubsetIndex.from_members(n, subset)))[0] == -1
+        )
+        assert [s.mask for s in exhaustive_nae_restrict(m)] == expected, m
+
+
+def test_exhaustive_nae_restrict_guards():
+    # the subset guard comes first, the column guard only once a subset exists
+    with pytest.raises(DomainError, match=r"subset scan guard: C\(40,20\)"):
+        exhaustive_nae_restrict(RMatrix.from_rows([list(range(21))] * 40, 21))
+    with pytest.raises(DomainError, match="column scan guard: at most 20 columns"):
+        exhaustive_nae_restrict(RMatrix.from_rows([list(range(21))] * 20, 21))
+    assert exhaustive_nae_restrict(RMatrix.from_rows([list(range(22))] * 3, 22)) == []
+    with pytest.raises(DomainError, match="at least one column"):
+        exhaustive_nae_restrict(RMatrix(2, 0, ((), ())))
+
+
+COLOURS = [0, 1, Fraction(1, 2), -3]
+
+
+@st.composite
+def nae_matrices(draw):
+    """Small matrices over 2-4 colours, Vandermonde copies among them, with
+    duplicated rows and columns; many fail NAE."""
+    k = draw(st.integers(1, 7))
+    n = draw(st.integers(0, 9))
+    pool = COLOURS[: draw(st.integers(2, 4))]
+    vandermonde = list(draw(st.permutations(range(k))))
+    all_vandermonde = draw(st.booleans())
+    rows = [
+        list(vandermonde)
+        if all_vandermonde or draw(st.booleans())
+        else draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+        for _ in range(n)
+    ]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        rows[draw(st.integers(0, n - 1))] = list(rows[draw(st.integers(0, n - 1))])
+    for _ in range(draw(st.integers(0, 2))):
+        target, source = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        for row in rows:
+            row[target] = row[source]
+    return RMatrix.from_rows(rows, k)
+
+
+def _outcome(fn, m):
+    try:
+        return fn(m)
+    except DomainError as exc:
+        return str(exc), exc.witness
+
+
+@settings(deadline=None, max_examples=150)
+@given(nae_matrices())
+def test_nae_restrict_matches_the_recursive_reference(m):
+    assert eps_bar(m) == eps_bar_reference(m)
+    assert _outcome(nae_restrict, m) == _outcome(nae_restrict_reference, m)
+
+
+def test_nae_restrict_builds_few_count_tables(monkeypatch):
+    real = nae._constant_counts
+    builds = 0
+
+    def counting(*args):
+        nonlocal builds
+        builds += 1
+        return real(*args)
+
+    monkeypatch.setattr(nae, "_constant_counts", counting)
+    k, n = 8, 12
+    rows = nae_restrict(RMatrix.from_rows([list(range(k))] * n, k))
+    # the recursion without memoised subproblems made over 36,000 scans
+    assert builds <= n * k
+    assert rows == SubsetIndex(n, (1 << (k - 1)) - 1)
+
+    monkeypatch.undo()
+    k, n = 10, 14
+    m = RMatrix.from_rows([list(range(k))] * n, k)
+    assert nae_restrict(m) in exhaustive_nae_restrict(m)
