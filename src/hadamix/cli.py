@@ -320,7 +320,17 @@ def _cmd_project(args, stdin):
     v = _vector_from_json(obj["v"], "'v'")
     if args.block < 1:
         raise UsageError("--block is 1-based")
-    return matrix_to_json(lagrange_projection(v, args.block - 1))
+    try:
+        projector = lagrange_projection(v, args.block - 1)
+    except DomainError:
+        # the library's message names the 0-based index; restate it as typed
+        n_blocks = len(blocks_of(v)) if v else 0
+        if args.block > n_blocks > 0:
+            raise DomainError(
+                f"block index {args.block} out of range for {n_blocks} blocks"
+            ) from None
+        raise
+    return matrix_to_json(projector)
 
 
 def _cmd_invariant(args, stdin):

@@ -19,6 +19,9 @@ Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
+# Shared zero; a Fraction is immutable, so every zero entry can be this one.
+ZERO = Fraction(0)
+
 # Bitmask ground sets stay inside a signed 64-bit word for any consumer.
 GROUND_SET_LIMIT = 62
 
@@ -96,7 +99,7 @@ def hadamard_product(
 def rational_to_json(q: Fraction) -> int | str:
     """Bare integer when the denominator is 1, else the string 'a/b'."""
     if q.denominator == 1:
-        return int(q)
+        return q.numerator
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -236,10 +239,8 @@ class RMatrix:
     def diagonal(cls, diag: Sequence[RationalLike]) -> "RMatrix":
         vals = as_vector(diag)
         n = len(vals)
-        rows = tuple(
-            tuple(vals[i] if i == j else Fraction(0) for j in range(n))
-            for i in range(n)
-        )
+        zeros = (ZERO,) * n
+        rows = tuple(zeros[:i] + (x,) + zeros[i + 1:] for i, x in enumerate(vals))
         return cls(n, n, rows)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
@@ -254,28 +255,6 @@ class RMatrix:
                 f"row subset over {rows.size} elements does not match {self.n_rows} rows"
             )
         return RMatrix(len(rows), self.n_cols, tuple(self.entries[i] for i in rows))
-
-    def restrict_cols(self, cols: SubsetIndex) -> "RMatrix":
-        """Copy keeping only the selected columns, in their original order."""
-        if cols.size != self.n_cols:
-            raise DomainError(
-                f"column subset over {cols.size} elements does not match {self.n_cols} columns"
-            )
-        idx = cols.members()
-        return RMatrix(
-            self.n_rows,
-            len(idx),
-            tuple(tuple(row[j] for j in idx) for row in self.entries),
-        )
-
-    def drop_row(self, i: int) -> "RMatrix":
-        if not 0 <= i < self.n_rows:
-            raise DomainError(f"row index {i} out of range for {self.n_rows} rows")
-        return RMatrix(
-            self.n_rows - 1,
-            self.n_cols,
-            self.entries[:i] + self.entries[i + 1 :],
-        )
 
 
 def matrix_to_json(m: RMatrix) -> dict:

@@ -162,7 +162,8 @@ def eps_bar(m: RMatrix) -> NaeReport:
 def nae_restrict(m: RMatrix) -> SubsetIndex:
     """Exactly k-1 rows of m whose restriction has eps_bar exactly -1.
 
-    Requires the NAE condition (eps_bar >= -1) and at least k-1 rows.
+    Requires the NAE condition (eps_bar >= -1), which implies at least k-1
+    rows.
 
     A subproblem is the submatrix on a row mask and a column mask of m;
     the recursion and the scans it makes are memoised on that pair for the
@@ -255,11 +256,8 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
             f"NAE condition fails: eps_bar = {report.eps_bar} < -1",
             witness=report,
         )
-    if n < k - 1:
-        raise DomainError(
-            f"need at least k-1 = {k - 1} rows, got {n}",
-            witness={"n_rows": n, "n_cols": k},
-        )
+    # Passing the NAE check implies n >= k-1: with n < k-1 rows, the set of
+    # all columns has eps <= n - k <= -2, so the check above refuses first.
     rows = SubsetIndex(n, restrict(all_rows, all_cols))
     if len(rows) != k - 1 or eps_bar(m.restrict_rows(rows)).eps_bar != -1:
         raise InternalInvariantError(

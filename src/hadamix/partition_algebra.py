@@ -10,11 +10,13 @@ projections, which happens exactly when span(U union v*U) = U.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exact_core import (
+    ZERO,
     DomainError,
     InternalInvariantError,
     RationalLike,
@@ -22,6 +24,7 @@ from .exact_core import (
     Subspace,
     SubsetIndex,
     as_vector,
+    scale_to_integers,
 )
 
 
@@ -74,28 +77,31 @@ def _block_projector(ambient: int, block: SubsetIndex) -> RMatrix:
 def lagrange_projection(v: Sequence[RationalLike], i: int) -> RMatrix:
     """Block-i projector obtained by polynomial evaluation on diag(v).
 
-    Evaluates the Lagrange basis polynomial for the i-th distinct value at
-    every entry of v, then cross-checks the result against the directly
-    built 0/1 diagonal and fails loudly on mismatch.
+    The Lagrange basis polynomial L_i (1 at the i-th distinct value, 0 at
+    the others) is evaluated once per distinct value, over integers: with
+    the values scaled to integers a_j by their common denominator,
+    L_i(a_x) = prod_{j != i} (a_x - a_j) / prod_{j != i} (a_i - a_j). Each
+    block's value is then spread to its coordinates. The result is
+    cross-checked against the directly built 0/1 diagonal, failing loudly
+    on mismatch.
     """
     part = blocks_of(v)
     if not 0 <= i < len(part):
         raise DomainError(f"block index {i} out of range for {len(part)} blocks")
-    vec = as_vector(v)
-    lam = part.values
-    diag = []
-    for x in vec:
-        value = Fraction(1)
-        for j, other in enumerate(lam):
-            if j != i:
-                value *= (x - other) / (lam[i] - other)
-        diag.append(value)
+    _, a = scale_to_integers(part.values)
+    others = a[:i] + a[i + 1:]
+    denominator = math.prod(a[i] - b for b in others)
+    diag: list[Fraction] = [ZERO] * part.ambient
+    for ax, block in zip(a, part.blocks):
+        value = Fraction(math.prod(ax - b for b in others), denominator)
+        for j in block:
+            diag[j] = value
     evaluated = RMatrix.diagonal(diag)
     direct = _block_projector(part.ambient, part.blocks[i])
     if evaluated != direct:
         raise InternalInvariantError(
             f"polynomial projector of block {i} (0-based) disagrees with the block diagonal"
-            f" (len(v) = {len(vec)})"
+            f" (len(v) = {part.ambient})"
         )
     return evaluated
 

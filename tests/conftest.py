@@ -3,15 +3,24 @@
 The oracles here deliberately avoid the library's elimination code paths:
 determinants are computed by cofactor expansion, rank by scanning all
 square minors, the RREF by Gauss-Jordan over Fractions, the subset
-moments and their checks over Fractions, and the NAE restriction by
-recursing on explicit submatrices, so they can certify the fast
-implementations.
+moments and their checks over Fractions, the NAE restriction by
+recursing on explicit submatrices, and the block projectors by evaluating
+the Lagrange polynomial at every entry in Fractions, so they can certify
+the fast implementations.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from hadamix import DomainError, InternalInvariantError, RMatrix, SubsetIndex, nae_rows
+from hadamix import (
+    DomainError,
+    InternalInvariantError,
+    RMatrix,
+    SubsetIndex,
+    blocks_of,
+    nae_rows,
+)
+from hadamix.exact_core import as_vector
 from hadamix.nae import COLUMN_SCAN_GUARD, NaeReport
 
 
@@ -113,6 +122,27 @@ def moment_checks_reference(n, values):
     return None
 
 
+def restrict_cols(m, cols):
+    """Copy of m keeping only the selected columns, in their original order."""
+    if cols.size != m.n_cols:
+        raise DomainError(
+            f"column subset over {cols.size} elements does not match {m.n_cols} columns"
+        )
+    idx = cols.members()
+    return RMatrix(
+        m.n_rows,
+        len(idx),
+        tuple(tuple(row[j] for j in idx) for row in m.entries),
+    )
+
+
+def drop_row(m, i):
+    """Copy of m without row i."""
+    if not 0 <= i < m.n_rows:
+        raise DomainError(f"row index {i} out of range for {m.n_rows} rows")
+    return RMatrix(m.n_rows - 1, m.n_cols, m.entries[:i] + m.entries[i + 1 :])
+
+
 def _constant_counts_reference(m):
     """counts[C] = number of rows of m constant on the column set C."""
     k = m.n_cols
@@ -185,11 +215,11 @@ def _restrict_rows_reference(m):
         cols = _largest_deficient_columns_reference(m)
         forbidden = nae_rows(m, cols).mask
         if len(cols) < k:
-            forbidden |= _restrict_rows_reference(m.restrict_cols(cols.complement()))
+            forbidden |= _restrict_rows_reference(restrict_cols(m, cols.complement()))
     for t in reversed(range(n)):
         if (forbidden >> t) & 1:
             continue
-        trimmed = m.drop_row(t)
+        trimmed = drop_row(m, t)
         if eps_bar_reference(trimmed).eps_bar >= -1:
             kept = _restrict_rows_reference(trimmed)
             # reindex the recursive answer around the deleted row
@@ -222,6 +252,29 @@ def nae_restrict_reference(m):
             f"restriction {rows.mask:#x} does not certify eps_bar == -1 on a {n}x{k} matrix"
         )
     return rows
+
+
+def lagrange_projection_reference(v, i):
+    """Block-i projector with the Lagrange polynomial evaluated in Fractions
+    at every entry of v, as lagrange_projection did before it evaluated once
+    per distinct value over integers; kept as the slow reference, with the
+    same out-of-range message."""
+    part = blocks_of(v)
+    if not 0 <= i < len(part):
+        raise DomainError(f"block index {i} out of range for {len(part)} blocks")
+    vec = as_vector(v)
+    lam = part.values
+    diag = []
+    for x in vec:
+        value = Fraction(1)
+        for j, other in enumerate(lam):
+            if j != i:
+                value *= (x - other) / (lam[i] - other)
+        diag.append(value)
+    k = len(vec)
+    return RMatrix(k, k, tuple(
+        tuple(diag[r] if r == c else Fraction(0) for c in range(k)) for r in range(k)
+    ))
 
 
 def random_matrix(rng, n, k, pool):

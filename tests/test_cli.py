@@ -192,6 +192,19 @@ def test_blocks_project_invariant():
     assert verdict == {"invariant": False, "respects": False}
 
 
+def test_project_block_out_of_range_names_the_typed_index():
+    for block, v in [("5", "[2,1]"), ("3", "[2,1]"), ("2", "[7,7,7]")]:
+        code, out, err = run_cli(["project", "--block", block], '{"v":%s}' % v)
+        blocks = len(set(json.loads(v)))
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "error": f"block index {block} out of range for {blocks} blocks",
+            "witness": None,
+        }
+    code, out, _ = run_cli(["project", "--block", "1"], '{"v":[]}')
+    assert code == 1 and json.loads(out)["error"] == "vector must be nonempty"
+
+
 def test_moments_and_recover_pi_roundtrip():
     payload = '{"m":{"rows":1,"cols":2,"data":[["1/4","3/4"]]},"pi":["1/2","1/2"]}'
     moments = run_json(["moments"], payload)

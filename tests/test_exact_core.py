@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import det_cofactor, minor_rank, random_matrix, SMALL_POOL
+from conftest import (
+    SMALL_POOL,
+    det_cofactor,
+    drop_row,
+    minor_rank,
+    random_matrix,
+    restrict_cols,
+)
 from hadamix import (
     DomainError,
     InputFormatError,
@@ -295,13 +303,39 @@ def test_restriction_preserves_order():
     rows = m.restrict_rows(SubsetIndex.from_members(3, [2, 0]))
     assert rows.entries == ((Fraction(1), Fraction(2), Fraction(3)),
                             (Fraction(7), Fraction(8), Fraction(9)))
-    cols = m.restrict_cols(SubsetIndex.from_members(3, [0, 2]))
+    # restrict_cols and drop_row are test helpers, used by the references
+    cols = restrict_cols(m, SubsetIndex.from_members(3, [0, 2]))
     assert cols.entries == ((Fraction(1), Fraction(3)),
                             (Fraction(4), Fraction(6)),
                             (Fraction(7), Fraction(9)))
-    assert m.drop_row(1).entries == (m.entries[0], m.entries[2])
+    assert drop_row(m, 1).entries == (m.entries[0], m.entries[2])
     with pytest.raises(DomainError):
         m.restrict_rows(SubsetIndex(2, 0))
+    with pytest.raises(DomainError, match="does not match 3 columns"):
+        restrict_cols(m, SubsetIndex(2, 0))
+    with pytest.raises(DomainError, match="row index 3 out of range for 3 rows"):
+        drop_row(m, 3)
+
+
+def test_diagonal_shares_its_zero_and_serialises_entrywise():
+    for diag in ([], [0], [3, 0, -2, Fraction(5, 7), Fraction(-1, 10007), 0, 1],
+                 [Fraction(1, 2**61 - 1), -4, Fraction(9, 2)]):
+        m = RMatrix.diagonal(diag)
+        n = len(diag)
+        assert (m.n_rows, m.n_cols) == (n, n)
+        for r in range(n):
+            assert m.entries[r][r] == diag[r]
+            for c in range(n):
+                if c != r:
+                    assert type(m.entries[r][c]) is Fraction and m.entries[r][c] == 0
+        # bare ints for integers, "a/b" otherwise; compared as bytes, so an
+        # int subclass or a float would show
+        entry = [int(x) if Fraction(x).denominator == 1 else f"{x.numerator}/{x.denominator}"
+                 for x in diag]
+        expected = {"rows": n, "cols": n, "data": [
+            [entry[r] if r == c else 0 for c in range(n)] for r in range(n)
+        ]}
+        assert json.dumps(matrix_to_json(m)) == json.dumps(expected)
 
 
 def test_rmatrix_validation():

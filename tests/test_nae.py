@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eps_bar_reference, nae_restrict_reference, random_matrix, SMALL_POOL
+from conftest import (
+    SMALL_POOL,
+    drop_row,
+    eps_bar_reference,
+    nae_restrict_reference,
+    random_matrix,
+)
 from hadamix import (
     DomainError,
     RMatrix,
@@ -102,7 +108,7 @@ def test_eps_bar_drops_at_most_one_per_deleted_row():
         m = random_matrix(rng, n, k, SMALL_POOL)
         before = eps_bar(m).eps_bar
         t = rng.randrange(n)
-        after = eps_bar(m.drop_row(t)).eps_bar
+        after = eps_bar(drop_row(m, t)).eps_bar
         assert before - 1 <= after <= before
 
 
@@ -150,9 +156,18 @@ def test_nae_restrict_preconditions():
         nae_restrict(bad)
     assert err.value.witness is not None
 
-    short = RMatrix.from_rows([[0, 1, 2]])  # n = 1 < k-1 = 2
-    with pytest.raises(DomainError):
-        nae_restrict(short)
+    # With n < k-1 rows the set of all columns has eps <= n - k <= -2, so
+    # the NAE check refuses before any row count could.
+    short = [
+        RMatrix.from_rows([[0, 1, 2]]),
+        RMatrix.from_rows([list(range(5))] * 2),
+        RMatrix(0, 3, ()),
+    ]
+    for m in short:
+        with pytest.raises(DomainError) as err:
+            nae_restrict(m)
+        assert str(err.value) == f"NAE condition fails: eps_bar = {m.n_rows - m.n_cols} < -1"
+        assert err.value.witness.witness_columns == SubsetIndex(m.n_cols, (1 << m.n_cols) - 1)
 
 
 def test_exhaustive_nae_restrict_examples():

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import lagrange_projection_reference
 from hadamix import (
     DomainError,
     RMatrix,
@@ -118,6 +121,67 @@ def test_projectors_resolve_identity_and_annihilate():
             for j in range(len(diagonals)):
                 prod = [a * b for a, b in zip(diagonals[i], diagonals[j])]
                 assert prod == (diagonals[i] if i == j else [0] * k)
+
+
+VALUES = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 10007, 2**61 - 1])),
+)
+
+
+@st.composite
+def partition_vectors(draw):
+    """Vectors of length 1-48 with 1-8 distinct values, each value present."""
+    k = draw(st.integers(1, 48))
+    values = draw(st.lists(VALUES, min_size=1, max_size=min(8, k), unique=True))
+    labels = draw(st.lists(st.integers(0, len(values) - 1), min_size=k, max_size=k))
+    for label, j in enumerate(draw(st.permutations(range(k)))[: len(values)]):
+        labels[j] = label
+    return [values[label] for label in labels]
+
+
+def _outcome(fn, v, i):
+    try:
+        return fn(v, i)
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=120)
+@given(partition_vectors())
+def test_lagrange_projection_matches_the_per_entry_reference(v):
+    blocks = len(blocks_of(v))
+    for i in range(blocks):
+        assert lagrange_projection(v, i) == lagrange_projection_reference(v, i)
+    for i in (-1, blocks, blocks + 5):
+        expected = f"block index {i} out of range for {blocks} blocks"
+        assert _outcome(lagrange_projection, v, i) == expected
+        assert _outcome(lagrange_projection_reference, v, i) == expected
+
+
+def test_lagrange_projection_evaluates_once_per_value(monkeypatch):
+    values = [Fraction(7, 3), Fraction(5, 7), Fraction(1, 2**61 - 1), 0,
+              Fraction(-2, 10007), -3]
+    v = [values[(j * 5) % 6] for j in range(48)]
+    calls = 0
+
+    def counted(real):
+        def op(self, other):
+            nonlocal calls
+            calls += 1
+            return real(self, other)
+        return op
+
+    for name in ("__sub__", "__rsub__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name)))
+    for i in range(len(values)):
+        calls = 0
+        projector = lagrange_projection(v, i)
+        assert calls < len(values)
+        calls = 0
+        assert projector == lagrange_projection_reference(v, i)
+        # per entry and other value: two subtractions, a division, a product
+        assert calls == 4 * 48 * (len(values) - 1)
 
 
 # ---------------------------------------------------------------------------
