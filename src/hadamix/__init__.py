@@ -18,7 +18,6 @@ from .exact_core import (
     matrix_from_json,
     matrix_rank,
     matrix_to_json,
-    orthogonal_complement,
     span,
 )
 from .hadamard import (
@@ -100,7 +99,6 @@ __all__ = [
     "moment_map",
     "nae_restrict",
     "nae_rows",
-    "orthogonal_complement",
     "recover_pi",
     "respects",
     "span",

@@ -168,9 +168,6 @@ class SubsetIndex:
             raise DomainError(f"member {i} out of range for size {self.size}")
         return SubsetIndex(self.size, self.mask | (1 << i))
 
-    def complement(self) -> "SubsetIndex":
-        return SubsetIndex(self.size, self.mask ^ ((1 << self.size) - 1))
-
 
 def masks_of_weight(n: int, weight: int) -> Iterator[int]:
     """All n-bit masks with the given popcount, in ascending numeric order.
@@ -278,11 +275,24 @@ def matrix_from_json(obj: object) -> RMatrix:
         raise InputFormatError("'rows' and 'cols' must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows:
         raise InputFormatError(f"'data' must be a list of {rows} rows")
+    # Each distinct entry is parsed once. Only ints and strings are keys:
+    # True == 1 and hash(True) == hash(1), so `true` must never hit a
+    # cached 1; every other type goes to rational_from_json, which refuses it.
+    parsed: dict[int | str, Fraction] = {}
+
+    def entry(x: object) -> Fraction:
+        if type(x) is not int and type(x) is not str:
+            return rational_from_json(x)
+        q = parsed.get(x)
+        if q is None:
+            q = parsed[x] = rational_from_json(x)
+        return q
+
     entries = []
     for r in data:
         if not isinstance(r, list) or len(r) != cols:
             raise InputFormatError(f"each row must be a list of {cols} entries")
-        entries.append(tuple(rational_from_json(x) for x in r))
+        entries.append(tuple(map(entry, r)))
     return RMatrix(rows, cols, tuple(entries))
 
 
@@ -327,12 +337,16 @@ def _reduce(rows: Sequence[Sequence[int]], pivots: Sequence[int],
     return _primitive(vec)
 
 
-def _insert(rows: list[Sequence[int]], pivots: list[int], vec: Sequence[int]) -> bool:
-    """Add vec to an RREF basis in place; False if it already lies in the span."""
+def _insert(rows: list[Sequence[int]], pivots: list[int], vec: Sequence[int]) -> None:
+    """Add vec to an RREF basis in place, unless it already lies in the span."""
     vec = _reduce(rows, pivots, vec)
-    c = next((j for j, x in enumerate(vec) if x), None)
-    if c is None:
-        return False
+    if any(vec):
+        _adjoin(rows, pivots, vec)
+
+
+def _adjoin(rows: list[Sequence[int]], pivots: list[int], vec: Sequence[int]) -> None:
+    """Add a nonzero residue of `_reduce` against this basis to it in place."""
+    c = next(j for j, x in enumerate(vec) if x)
     if vec[c] < 0:
         vec = [-x for x in vec]
     for i, row in enumerate(rows):
@@ -341,7 +355,6 @@ def _insert(rows: list[Sequence[int]], pivots: list[int], vec: Sequence[int]) ->
     at = sum(p < c for p in pivots)
     rows.insert(at, vec)
     pivots.insert(at, c)
-    return True
 
 
 @dataclass(frozen=True)
@@ -384,27 +397,35 @@ class Subspace:
 
         Only the new vectors are reduced against the current basis.
         """
-        out = []
+        rows, pivots = list(self.rows), list(self.pivots)
         for vec in vectors:
             self._check_length(vec)
-            out.append(_integer_row(vec))
-        return self._extended(out)
+            _insert(rows, pivots, _integer_row(vec))
+        return Subspace(self.ambient_dim, tuple(map(tuple, rows)), tuple(pivots))
 
     def extend_odot(self, v: Sequence[Fraction | int]) -> "Subspace":
-        """span(U union v*U), the Hadamard fold step.
+        """span(U union v*U), the Hadamard fold step; `self` if that is U.
 
-        Only the dim products v*b of the basis rows b are reduced against the
-        basis; U itself is never re-reduced.
+        Only the dim products v*b of the basis rows b are reduced, and U is
+        never re-reduced. The products are reduced against the unchanged
+        basis until one leaves the span; only then is the basis copied, once,
+        and that residue and the remaining products are inserted into it.
+        So a fold that does not grow U copies nothing.
         """
         self._check_length(v)
         t = _integer_row(v)
-        return self._extended([a * b for a, b in zip(row, t)] for row in self.rows)
-
-    def _extended(self, int_rows: Iterable[Sequence[int]]) -> "Subspace":
-        rows, pivots = list(self.rows), list(self.pivots)
-        for vec in int_rows:
-            _insert(rows, pivots, vec)
-        return Subspace(self.ambient_dim, tuple(map(tuple, rows)), tuple(pivots))
+        rows, pivots = self.rows, self.pivots
+        for i, row in enumerate(rows):
+            vec = _reduce(rows, pivots, [a * b for a, b in zip(row, t)])
+            if any(vec):
+                break
+        else:
+            return self
+        grown, grown_pivots = list(rows), list(pivots)
+        _adjoin(grown, grown_pivots, vec)
+        for row in rows[i + 1:]:
+            _insert(grown, grown_pivots, [a * b for a, b in zip(row, t)])
+        return Subspace(self.ambient_dim, tuple(map(tuple, grown)), tuple(grown_pivots))
 
     def _check_length(self, vec: Sequence[object]) -> None:
         if len(vec) != self.ambient_dim:
@@ -414,20 +435,6 @@ class Subspace:
 def span(vectors: Iterable[Sequence[RationalLike]], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by the given vectors of length ambient_dim."""
     return Subspace(ambient_dim, (), ()).extend(as_vector(v) for v in vectors)
-
-
-def orthogonal_complement(u: Subspace) -> Subspace:
-    """Orthogonal complement w.r.t. the standard inner product."""
-    k = u.ambient_dim
-    scale = math.lcm(*(row[p] for row, p in zip(u.rows, u.pivots)))
-    kernel = []
-    for f in sorted(set(range(k)).difference(u.pivots)):
-        vec = [0] * k
-        vec[f] = scale
-        for row, p in zip(u.rows, u.pivots):
-            vec[p] = -row[f] * (scale // row[p])
-        kernel.append(vec)
-    return Subspace(k, (), ()).extend(kernel)
 
 
 def matrix_rank(a: RMatrix) -> int:

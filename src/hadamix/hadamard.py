@@ -6,6 +6,15 @@ the entrywise products of every subset of the rows of m (the empty subset
 contributing the all-ones row). Its column rank can be computed without
 materializing the 2^n rows: adjoining a row t to a chosen set replaces the
 current rowspace U by span(U union t*U), which only touches basis vectors.
+
+That fold is `Subspace.extend_odot`; it returns U itself, copying nothing,
+when t adds nothing. The functions below fold only while the rank can
+still change: `full_extension_rank` stops at rank k; the greedy scales the
+rows of m to primitive integer rows once per call and builds a
+`RowspaceState` only for a row it accepts; `exhaustive_min_rows` does the
+same scaling and folds each prefix of a subset once, shared by every
+subset that extends it, stopping at rank k and dropping prefixes that
+cannot reach it.
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ from .exact_core import (
     RMatrix,
     Subspace,
     SubsetIndex,
+    _integer_row,
+    _reduce,
     hadamard_product,
     masks_by_cardinality,
     masks_of_weight,
@@ -53,7 +64,8 @@ class RowspaceState:
     space: Subspace
 
     def __post_init__(self) -> None:
-        if not self.space.contains(ones(self.space.ambient_dim)):
+        space = self.space
+        if any(_reduce(space.rows, space.pivots, [1] * space.ambient_dim)):
             raise DomainError("extension rowspace must contain the all-ones vector")
 
     @classmethod
@@ -103,20 +115,22 @@ def extend_rowspace(state: RowspaceState, m: RMatrix, t: int) -> RowspaceState:
     return RowspaceState(state.chosen_rows.add(t), state.space.extend_odot(m.row(t)))
 
 
-def _folded_rank(m: RMatrix) -> int:
-    state = RowspaceState.initial(m.n_rows, m.n_cols)
-    for t in range(m.n_rows):
-        state = extend_rowspace(state, m, t)
-    return state.space.dim
-
-
 def full_extension_rank(m: RMatrix) -> int:
-    """Column rank of the extension of m, without materializing it."""
+    """Column rank of the extension of m, without materializing it.
+
+    Folds the rows in order and stops once the rank is k, the most it can be.
+    """
     if m.n_rows > EXTENSION_ROW_GUARD:
         raise DomainError(
             f"extension guard: at most {EXTENSION_ROW_GUARD} rows (got {m.n_rows})"
         )
-    return _folded_rank(m)
+    k = m.n_cols
+    space = RowspaceState.initial(m.n_rows, k).space
+    for row in m.entries:
+        if space.dim == k:
+            break
+        space = space.extend_odot(row)
+    return space.dim
 
 
 @dataclass(frozen=True)
@@ -140,14 +154,15 @@ def greedy_min_rows(m: RMatrix) -> Union[SubsetIndex, NotFullRank]:
     carrying the extension's exact rank.
     """
     k = m.n_cols
+    rows = [_integer_row(row) for row in m.entries]
     state = RowspaceState.initial(m.n_rows, k)
     while state.space.dim < k:
-        for t in range(m.n_rows):
+        for t, row in enumerate(rows):
             if t in state.chosen_rows:
                 continue
-            candidate = extend_rowspace(state, m, t)
-            if candidate.space.dim > state.space.dim:
-                state = candidate
+            grown = state.space.extend_odot(row)
+            if grown.dim > state.space.dim:
+                state = RowspaceState(state.chosen_rows.add(t), grown)
                 break
         else:
             return NotFullRank(state.space.dim)
@@ -159,6 +174,17 @@ def exhaustive_min_rows(m: RMatrix, size: int) -> list[SubsetIndex]:
 
     Ascending bitmask order. Guard: at most SUBSET_SCAN_LIMIT candidate
     subsets are enumerated.
+
+    The subsets are walked depth-first, members picked from the highest
+    index down, each new member below the last. A subset with a lower
+    highest member has the smaller mask, and so on down the members, so
+    visiting the candidates for each position in increasing index order
+    yields the masks in ascending order. A prefix's rowspace is folded once
+    and shared by every subset that extends it. Two cuts skip whole
+    subtrees without changing the answer: a prefix already at rank k makes
+    every completion full rank, so all of them are emitted unfolded; and a
+    fold at most doubles the dimension, so a prefix of dimension d with
+    `left` members still to pick is dropped when d * 2^left < k.
     """
     n, k = m.n_rows, m.n_cols
     if size < 0 or size > n:
@@ -168,9 +194,16 @@ def exhaustive_min_rows(m: RMatrix, size: int) -> list[SubsetIndex]:
         raise DomainError(
             f"subset scan guard: C({n},{size}) = {count} exceeds {SUBSET_SCAN_LIMIT}"
         )
-    out = []
-    for mask in masks_of_weight(n, size):
-        subset = SubsetIndex(n, mask)
-        if _folded_rank(m.restrict_rows(subset)) == k:
-            out.append(subset)
+    rows = [_integer_row(row) for row in m.entries]
+    out: list[SubsetIndex] = []
+
+    def walk(space: Subspace, prefix: int, below: int, left: int) -> None:
+        # the subsets are prefix plus `left` members from {0, ..., below - 1}
+        if space.dim == k:
+            out.extend(SubsetIndex(n, prefix | low) for low in masks_of_weight(below, left))
+        elif space.dim << left >= k:
+            for t in range(left - 1, below):
+                walk(space.extend_odot(rows[t]), prefix | 1 << t, t, left - 1)
+
+    walk(RowspaceState.initial(n, k).space, 0, n, size)
     return out

@@ -6,21 +6,31 @@ square minors, the RREF by Gauss-Jordan over Fractions, the subset
 moments and their checks over Fractions, the NAE restriction by
 recursing on explicit submatrices, and the block projectors by evaluating
 the Lagrange polynomial at every entry in Fractions, so they can certify
-the fast implementations.
+the fast implementations. The Hadamard-fold references are the library's
+earlier loops, one `extend_rowspace` state per fold, with no early stop and
+no shared prefixes.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
+
+import pytest
 
 from hadamix import (
     DomainError,
     InternalInvariantError,
+    NotFullRank,
     RMatrix,
+    RowspaceState,
+    Subspace,
     SubsetIndex,
     blocks_of,
+    extend_rowspace,
+    masks_of_weight,
     nae_rows,
 )
-from hadamix.exact_core import as_vector
+from hadamix.exact_core import SUBSET_SCAN_LIMIT, as_vector
 from hadamix.nae import COLUMN_SCAN_GUARD, NaeReport
 
 
@@ -136,6 +146,26 @@ def restrict_cols(m, cols):
     )
 
 
+def complement(s):
+    """The members of s's ground set that are not in s."""
+    return SubsetIndex(s.size, s.mask ^ ((1 << s.size) - 1))
+
+
+def orthogonal_complement(u):
+    """Orthogonal complement of a Subspace w.r.t. the standard inner product,
+    read off its integer RREF rows: one kernel vector per free column."""
+    k = u.ambient_dim
+    scale = math.lcm(*(row[p] for row, p in zip(u.rows, u.pivots)))
+    kernel = []
+    for f in sorted(set(range(k)).difference(u.pivots)):
+        vec = [0] * k
+        vec[f] = scale
+        for row, p in zip(u.rows, u.pivots):
+            vec[p] = -row[f] * (scale // row[p])
+        kernel.append(vec)
+    return Subspace(k, (), ()).extend(kernel)
+
+
 def drop_row(m, i):
     """Copy of m without row i."""
     if not 0 <= i < m.n_rows:
@@ -215,7 +245,7 @@ def _restrict_rows_reference(m):
         cols = _largest_deficient_columns_reference(m)
         forbidden = nae_rows(m, cols).mask
         if len(cols) < k:
-            forbidden |= _restrict_rows_reference(restrict_cols(m, cols.complement()))
+            forbidden |= _restrict_rows_reference(restrict_cols(m, complement(cols)))
     for t in reversed(range(n)):
         if (forbidden >> t) & 1:
             continue
@@ -275,6 +305,63 @@ def lagrange_projection_reference(v, i):
     return RMatrix(k, k, tuple(
         tuple(diag[r] if r == c else Fraction(0) for c in range(k)) for r in range(k)
     ))
+
+
+def folded_rank_reference(m):
+    """Extension rank by folding every row of m through `extend_rowspace`."""
+    state = RowspaceState.initial(m.n_rows, m.n_cols)
+    for t in range(m.n_rows):
+        state = extend_rowspace(state, m, t)
+    return state.space.dim
+
+
+def greedy_min_rows_reference(m):
+    """The greedy certificate with a full `extend_rowspace` state per probe."""
+    k = m.n_cols
+    state = RowspaceState.initial(m.n_rows, k)
+    while state.space.dim < k:
+        for t in range(m.n_rows):
+            if t in state.chosen_rows:
+                continue
+            candidate = extend_rowspace(state, m, t)
+            if candidate.space.dim > state.space.dim:
+                state = candidate
+                break
+        else:
+            return NotFullRank(state.space.dim)
+    return state.chosen_rows
+
+
+def exhaustive_min_rows_reference(m, size):
+    """Every size-subset folded from scratch, in ascending bitmask order."""
+    n, k = m.n_rows, m.n_cols
+    if size < 0 or size > n:
+        raise DomainError(f"subset size {size} out of range for {n} rows")
+    count = math.comb(n, size)
+    if count > SUBSET_SCAN_LIMIT:
+        raise DomainError(
+            f"subset scan guard: C({n},{size}) = {count} exceeds {SUBSET_SCAN_LIMIT}"
+        )
+    out = []
+    for mask in masks_of_weight(n, size):
+        subset = SubsetIndex(n, mask)
+        if folded_rank_reference(m.restrict_rows(subset)) == k:
+            out.append(subset)
+    return out
+
+
+@pytest.fixture
+def fold_dims(monkeypatch):
+    """Dimension of the space each Subspace.extend_odot call starts from."""
+    dims = []
+    fold = Subspace.extend_odot
+
+    def counted(self, v):
+        dims.append(self.dim)
+        return fold(self, v)
+
+    monkeypatch.setattr(Subspace, "extend_odot", counted)
+    return dims
 
 
 def random_matrix(rng, n, k, pool):

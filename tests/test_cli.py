@@ -233,6 +233,27 @@ def test_malformed_json_is_usage_error():
         assert code == 2 and out == "" and "malformed JSON input" in err
 
 
+def test_repeated_entries_keep_their_refusals():
+    # entries are parsed once per distinct int or string, and true == 1,
+    # false == 0 and 1.0 == 1 must not be answered from that cache
+    for data, bad in [
+        ('[[1, true]]', "True"),
+        ('[[0, false]]', "False"),
+        ('[[1, 1.0]]', "1.0"),
+        ('[["1", 1], ["1/2", true]]', "True"),
+    ]:
+        text = '{"rows": %d, "cols": 2, "data": %s}' % (data.count("[") - 1, data)
+        code, out, err = run_cli(["rank"], text)
+        assert (code, out) == (2, ""), data
+        assert err == f"hadamix rank: entry must be an integer or 'a/b' string: {bad}\n"
+    # the first bad entry in row-major order is the one named
+    text = '{"rows": 3, "cols": 2, "data": [[1, 2], [2, "1/0"], [true, "x"]]}'
+    assert run_cli(["rank"], text) == (
+        2, "", "hadamix rank: denominator must be positive: '1/0'\n")
+    text = '{"rows": 2, "cols": 2, "data": [[1, "2"], ["2", "x"]]}'
+    assert run_cli(["rank"], text) == (2, "", "hadamix rank: not a rational: 'x'\n")
+
+
 def test_wrong_shape_is_usage_error():
     code, _, err = run_cli(["rank"], '{"rows": 1}')
     assert code == 2 and "missing field" in err
@@ -384,3 +405,15 @@ def test_repeat_invocations_are_byte_identical():
         first = run_cli(argv, stdin_text)
         second = run_cli(argv, stdin_text)
         assert first == second
+
+
+def test_minrows_exhaustive_below_log2_k_adds_no_fold(fold_dims):
+    matrix = json.dumps({"rows": 5, "cols": 8, "data": [
+        [(3 * i + j) % 7 for j in range(8)] for i in range(5)
+    ]})
+    greedy = run_json(["minrows"], matrix)
+    greedy_folds = len(fold_dims)
+    fold_dims.clear()
+    both = run_json(["minrows", "--exhaustive", "--size", "2"], matrix)
+    assert both == {**greedy, "exhaustive": []}
+    assert len(fold_dims) == greedy_folds

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     SMALL_POOL,
+    complement,
     det_cofactor,
     drop_row,
     minor_rank,
+    orthogonal_complement,
     random_matrix,
     restrict_cols,
 )
@@ -26,10 +28,9 @@ from hadamix import (
     matrix_from_json,
     matrix_rank,
     matrix_to_json,
-    orthogonal_complement,
     span,
 )
-from hadamix.exact_core import as_rational, rational_from_json, rational_to_json, solve_square
+from hadamix.exact_core import as_rational, as_vector, rational_from_json, rational_to_json, solve_square
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -192,6 +193,23 @@ def test_subspace_membership_reduction():
         u.contains((1, 0))
 
 
+@given(st.integers(1, 5), st.data())
+def test_extend_odot_is_the_span_of_the_products(k, data):
+    # small values, so that many folds stay inside the span
+    entry = st.sampled_from([0, 1, -1, 2, Fraction(1, 2)])
+    vecs = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), max_size=4))
+    v = data.draw(st.one_of(
+        st.lists(entry, min_size=k, max_size=k),
+        entry.map(lambda x: [x] * k),
+    ))
+    u = span(vecs, k)
+    grown = u.extend_odot(v)
+    products = [hadamard_product(b, as_vector(v)) for b in u.basis.entries]
+    assert grown == u.extend(products) == span(list(vecs) + products, k)
+    # a fold that stays in U hands back U itself
+    assert (grown is u) == (grown.dim == u.dim)
+
+
 # ---------------------------------------------------------------------------
 # orthogonal complement
 
@@ -277,7 +295,7 @@ def test_subset_index_basics():
     assert len(s) == 3
     assert 2 in s and 3 not in s
     assert s.add(3).members() == (0, 2, 3, 4)
-    assert s.complement().members() == (1, 3, 5)
+    assert complement(s).members() == (1, 3, 5)
     assert str(s) == "{0,2,4}"
     with pytest.raises(DomainError):
         SubsetIndex(63, 0)

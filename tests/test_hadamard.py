@@ -1,14 +1,25 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import det_cofactor, random_matrix, SMALL_POOL
+from conftest import (
+    SMALL_POOL,
+    det_cofactor,
+    exhaustive_min_rows_reference,
+    folded_rank_reference,
+    greedy_min_rows_reference,
+    random_matrix,
+)
 from hadamix import (
     DomainError,
     NotFullRank,
     RMatrix,
     RowspaceState,
+    Subspace,
     SubsetIndex,
     exhaustive_min_rows,
     extend_rowspace,
@@ -233,3 +244,85 @@ def test_exhaustive_guards():
         exhaustive_min_rows(m, 20)
     with pytest.raises(DomainError):
         exhaustive_min_rows(m, 41)
+
+
+def test_exhaustive_prune_alone_answers_below_log2_k(fold_dims):
+    # a fold at most doubles the dimension, so with 2^size < k no subset of
+    # that size can reach rank k and the walk answers [] without a fold
+    rng = random.Random(43)
+    for k in (2, 3, 4, 5, 8, 9, 16):
+        m = random_matrix(rng, 6, k, SMALL_POOL)
+        for size in range(math.ceil(math.log2(k))):
+            fold_dims.clear()
+            assert exhaustive_min_rows(m, size) == []
+            assert fold_dims == [], (k, size)
+            assert exhaustive_min_rows_reference(m, size) == []
+
+
+# ---------------------------------------------------------------------------
+# the short-circuiting folds against the earlier extend_rowspace loops
+
+
+@st.composite
+def fold_inputs(draw):
+    """A matrix with n 0-6, k 1-6, and a subset size 0..n.
+
+    Entries come from a small pool, so equal values are common; on top of
+    that, a column may be copied onto another, a row zeroed and a row
+    repeated.
+    """
+    n, k = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 7)])
+    rows = [[draw(entry) for _ in range(k)] for _ in range(n)]
+    index = st.integers(0, k - 1)
+    if draw(st.booleans()):
+        src, dst = draw(index), draw(index)
+        for row in rows:
+            row[dst] = row[src]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [0] * k
+    if n and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[j] = list(rows[i])
+    return RMatrix.from_rows(rows, k), draw(st.integers(0, n))
+
+
+@settings(deadline=None, max_examples=200)
+@given(fold_inputs())
+def test_folds_match_the_extend_rowspace_references(data):
+    m, size = data
+    assert full_extension_rank(m) == folded_rank_reference(m)
+    # the same certificate, or the same NotFullRank with the same rank
+    assert greedy_min_rows(m) == greedy_min_rows_reference(m)
+    assert exhaustive_min_rows(m, size) == exhaustive_min_rows_reference(m, size)
+
+
+# ---------------------------------------------------------------------------
+# fold counts of the exhaustive walk
+
+
+def test_exhaustive_folds_each_prefix_once(fold_dims):
+    n, k, size = 8, 5, 4
+    m = random_matrix(random.Random(8), n, k, SMALL_POOL)
+    found = exhaustive_min_rows(m, size)
+    folds = len(fold_dims)
+    assert all(d < k for d in fold_dims)
+    assert folds <= sum(math.comb(n, r) for r in range(1, size + 1))
+    # folding every subset from scratch takes size * C(n, size)
+    assert folds < size * math.comb(n, size)
+    assert found == exhaustive_min_rows_reference(m, size)
+    assert found  # the scan has something to find
+
+
+def test_exhaustive_stops_folding_under_a_full_rank_prefix(fold_dims):
+    # rows 3 and 4 are HAMMING_2, whose extension alone has rank 4, so the
+    # prefix {4, 3} is full rank and its completions need no fold
+    rows = [[2, 0, 1, 3], [1, 2, 2, 1], [0, 0, 1, 1]] + [list(r) for r in HAMMING_2.entries]
+    m = RMatrix.from_rows(rows, 4)
+    found = exhaustive_min_rows(m, 3)
+    assert all(d < 4 for d in fold_dims)
+    assert found == exhaustive_min_rows_reference(m, 3)
+    masks = [s.mask for s in found]
+    assert {0b11001, 0b11010, 0b11100} <= set(masks)
+    assert masks == sorted(masks)
+

@@ -14,14 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rref_reference
+from conftest import orthogonal_complement, rref_reference
 from hadamix import (
     DomainError,
     RMatrix,
     full_extension_rank,
     hadamard_extension,
     matrix_rank,
-    orthogonal_complement,
     span,
 )
 from hadamix.exact_core import solve_square

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lagrange_projection_reference
+from conftest import lagrange_projection_reference, orthogonal_complement
 from hadamix import (
     DomainError,
     RMatrix,
@@ -14,7 +14,6 @@ from hadamix import (
     blocks_of,
     is_invariant,
     lagrange_projection,
-    orthogonal_complement,
     respects,
     span,
 )
