@@ -49,18 +49,15 @@ class InternalInvariantError(RuntimeError):
 # Rational scalars and vectors
 
 
-def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or string to an exact rational.
+def rational_pair(value: object) -> tuple[int, int]:
+    """An integer or rational string as (numerator, denominator) in lowest
+    terms, with a positive denominator.
 
     Strings must match -?[0-9]+(/[0-9]+)? in ASCII digits: no whitespace,
-    underscores, plus sign or signed denominator.
+    underscores, plus sign or signed denominator. This is the one parser
+    of the rational grammar; as_rational and rational_from_json build
+    their Fractions from it.
     """
-    if isinstance(value, bool):
-        raise InputFormatError("booleans are not rational entries")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         num, sep, den = value.partition("/")
         # isdigit() on an ASCII string accepts exactly 0-9
@@ -68,14 +65,32 @@ def as_rational(value: RationalLike) -> Fraction:
                 and (not sep or den.isdigit())):
             raise InputFormatError(f"not a rational: {value!r}")
         try:
+            n = int(num)
             if not sep:
-                return Fraction(int(num))
-            n, d = int(num), int(den)
+                return n, 1
+            d = int(den)
         except ValueError as exc:  # beyond int()'s digit limit
             raise InputFormatError(f"not a rational: {value!r}") from exc
         if d == 0:
             raise InputFormatError(f"denominator must be positive: {value!r}")
-        return Fraction(n, d)
+        g = math.gcd(n, d)
+        return n // g, d // g
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFormatError(f"entry must be an integer or 'a/b' string: {value!r}")
+    return value, 1
+
+
+def as_rational(value: RationalLike) -> Fraction:
+    """Coerce an int, Fraction, or string (as rational_pair reads it) to an
+    exact rational."""
+    if isinstance(value, bool):
+        raise InputFormatError("booleans are not rational entries")
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return Fraction(*rational_pair(value))
     raise InputFormatError(f"not a rational: {value!r}")
 
 
@@ -104,9 +119,7 @@ def rational_to_json(q: Fraction) -> int | str:
 
 
 def rational_from_json(value: object) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise InputFormatError(f"entry must be an integer or 'a/b' string: {value!r}")
-    return as_rational(value)
+    return Fraction(*rational_pair(value))
 
 
 # ---------------------------------------------------------------------------

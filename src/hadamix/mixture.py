@@ -10,20 +10,20 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .exact_core import (
     DomainError,
     InputFormatError,
     InternalInvariantError,
-    RationalLike,
     RMatrix,
     SubsetIndex,
     as_vector,
-    rational_from_json,
-    rational_to_json,
+    rational_pair,
     scale_to_integers,
     solve_square,
     span,
@@ -66,59 +66,76 @@ class MixtureParams:
             raise DomainError(f"mixture weights sum to {sum(self.pi)}, not 1")
 
 
-@dataclass(frozen=True, eq=True)
-class MomentVector:
-    """One exact moment per subset of [n], keyed by bitmask.
+def _check_moments(n: int, nums: Sequence[int], dens: Sequence[int]) -> None:
+    """Raise the first DomainError that the moment tables of a MomentVector earn.
 
-    The empty-set moment is exactly 1, every value lies in [0, 1], and
-    values never increase when the subset grows.
+    In order: the guard on n, the cover of all 2^n masks, the empty-set
+    moment, then mask by mask in ascending order the range [0, 1] and no
+    increase over each subset one member smaller. Comparisons are integer
+    cross-multiplications; a common denominator of all 2^n values could
+    grow to 2^n times the size of one of them.
+    """
+    if not 0 <= n <= EXTENSION_ROW_GUARD:
+        raise DomainError(f"moment guard: 0 <= n <= {EXTENSION_ROW_GUARD} (got {n})")
+    total = 1 << n
+    if len(nums) != total or len(dens) != total:
+        raise DomainError(f"moments must cover all {total} subsets of [{n}]")
+    if nums[0] != dens[0]:
+        raise DomainError("the empty-set moment must be exactly 1")
+    for mask, (num, den) in enumerate(zip(nums, dens)):
+        if not 0 <= num <= den:
+            raise DomainError(
+                f"moment {Fraction(num, den)} for mask {mask} is outside [0, 1]",
+                witness={"subset_mask": mask},
+            )
+        rest = mask
+        while rest:
+            low = rest & -rest
+            sub = mask ^ low
+            if num * dens[sub] > nums[sub] * den:
+                raise DomainError(
+                    "moments must not increase on supersets",
+                    witness={"subset_mask": mask},
+                )
+            rest ^= low
+
+
+@dataclass(frozen=True)
+class MomentVector:
+    """One exact moment per subset of [n], as integer tables indexed by mask.
+
+    The moment of the subset `mask` is nums[mask] / dens[mask], in lowest
+    terms with a positive denominator. The constructor takes tables in that
+    form and checks that the empty-set moment is exactly 1, every value
+    lies in [0, 1], and values never increase when the subset grows. A
+    Fraction is built only when one moment is read by indexing.
     """
 
     n: int
-    values: Mapping[int, Fraction] = field(compare=True)
+    nums: tuple[int, ...]
+    dens: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= EXTENSION_ROW_GUARD:
-            raise DomainError(
-                f"moment guard: 0 <= n <= {EXTENSION_ROW_GUARD} (got {self.n})"
-            )
-        total = 1 << self.n
-        if set(self.values) != set(range(total)):
-            raise DomainError(f"moments must cover all {total} subsets of [{self.n}]")
-        if self.values[0] != 1:
-            raise DomainError("the empty-set moment must be exactly 1")
-        # integer cross-multiplication; a common denominator of all 2^n
-        # values could grow to 2^n times the size of one of them
-        nums = [self.values[mask].numerator for mask in range(total)]
-        dens = [self.values[mask].denominator for mask in range(total)]
-        for mask, (num, den) in enumerate(zip(nums, dens)):
-            if not 0 <= num <= den:
-                raise DomainError(
-                    f"moment {self.values[mask]} for mask {mask} is outside [0, 1]",
-                    witness={"subset_mask": mask},
-                )
-            rest = mask
-            while rest:
-                low = rest & -rest
-                sub = mask ^ low
-                if num * dens[sub] > nums[sub] * den:
-                    raise DomainError(
-                        "moments must not increase on supersets",
-                        witness={"subset_mask": mask},
-                    )
-                rest ^= low
+        _check_moments(self.n, self.nums, self.dens)
 
     def __getitem__(self, subset: SubsetIndex | int) -> Fraction:
-        mask = subset.mask if isinstance(subset, SubsetIndex) else subset
-        return self.values[mask]
+        if isinstance(subset, SubsetIndex):
+            if subset.size != self.n:
+                raise DomainError(
+                    f"subset of [{subset.size}] indexes moments over [{self.n}]"
+                )
+            subset = subset.mask
+        if not 0 <= subset < len(self.nums):
+            raise DomainError(f"mask {subset} out of range for moments over [{self.n}]")
+        return Fraction(self.nums[subset], self.dens[subset])
 
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
-            "moments": {
-                str(mask): rational_to_json(value)
-                for mask, value in sorted(self.values.items())
-            },
+            "moments": dict(zip(
+                map(str, range(len(self.nums))),
+                [num if den == 1 else f"{num}/{den}" for num, den in zip(self.nums, self.dens)],
+            )),
         }
 
     @classmethod
@@ -131,7 +148,13 @@ class MomentVector:
         raw = obj["moments"]
         if not isinstance(raw, dict) or "0" not in raw:
             raise InputFormatError("'moments' must be an object with the '0' entry")
-        values = {}
+        # The keys are distinct masks, so they fill tables of len(raw)
+        # entries exactly when they are 0 .. len(raw)-1. No table is longer
+        # than the document, whatever n claims; a larger mask leaves the
+        # tables empty, and so short of covering the 2^n masks.
+        size = len(raw)
+        nums, dens = [0] * size, [0] * size
+        dense = True
         for key, value in raw.items():
             # only 0|[1-9][0-9]*, so that no two keys name the same mask
             if key != "0" and not (key.isascii() and key.isdigit() and key[0] != "0"):
@@ -140,8 +163,14 @@ class MomentVector:
                 mask = int(key)
             except ValueError as exc:  # beyond int()'s digit limit
                 raise InputFormatError(f"moment key {key!r} is not a bitmask") from exc
-            values[mask] = rational_from_json(value)
-        return cls(n, values)
+            num, den = rational_pair(value)
+            if mask < size:
+                nums[mask], dens[mask] = num, den
+            else:
+                dense = False
+        if not dense:
+            nums = dens = []
+        return cls(n, tuple(nums), tuple(dens))
 
 
 def _subset_products(first: int, factors: Sequence[int]) -> list[int]:
@@ -152,7 +181,8 @@ def _subset_products(first: int, factors: Sequence[int]) -> list[int]:
     """
     table = [first]
     for x in factors:
-        table += [v * x for v in table]
+        # list() first: extending a list by a map over itself never ends
+        table += list(map(x.__mul__, table))
     return table
 
 
@@ -169,7 +199,7 @@ def _forward_moments(m: RMatrix, pi: Sequence[Fraction]) -> tuple[list[int], lis
     nums = [0] * (1 << m.n_rows)
     for j, weight in enumerate(weights):
         column = _subset_products(weight, [row[j] for _, row in rows])
-        nums = [a + b for a, b in zip(nums, column)]
+        nums = list(map(operator.add, nums, column))
     return nums, _subset_products(w, [d for d, _ in rows])
 
 
@@ -181,7 +211,12 @@ def moment_map(params: MixtureParams) -> MomentVector:
             f"moment guard: at most {EXTENSION_ROW_GUARD} observables (got {n})"
         )
     nums, dens = _forward_moments(params.m, params.pi)
-    return MomentVector(n, dict(enumerate(map(Fraction, nums, dens))))
+    gcds = list(map(math.gcd, nums, dens))
+    return MomentVector(
+        n,
+        tuple(map(operator.floordiv, nums, gcds)),
+        tuple(map(operator.floordiv, dens, gcds)),
+    )
 
 
 def is_separated(m: RMatrix, i: int) -> bool:
@@ -281,11 +316,12 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
             f"recovered weights sum to {sum(pi)}, not 1; moments are inconsistent"
         )
     nums, dens = _forward_moments(m, pi)
-    for mask, (num, den) in enumerate(zip(nums, dens)):
-        value = moments.values[mask]
-        if num * value.denominator != value.numerator * den:
-            raise DomainError(
-                "moments are inconsistent with every weight vector",
-                witness={"subset_mask": mask},
-            )
+    forward = list(map(operator.mul, nums, moments.dens))
+    given = list(map(operator.mul, moments.nums, dens))
+    if forward != given:
+        mask = next(mask for mask, (a, b) in enumerate(zip(forward, given)) if a != b)
+        raise DomainError(
+            "moments are inconsistent with every weight vector",
+            witness={"subset_mask": mask},
+        )
     return tuple(pi)

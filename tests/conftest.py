@@ -20,6 +20,7 @@ import pytest
 from hadamix import (
     DomainError,
     InternalInvariantError,
+    MomentVector,
     NotFullRank,
     RMatrix,
     RowspaceState,
@@ -130,6 +131,22 @@ def moment_checks_reference(n, values):
                 return "moments must not increase on supersets", {"subset_mask": mask}
             rest ^= low
     return None
+
+
+def moment_vector(n, values):
+    """MomentVector from a mapping of masks to Fractions or ints, as the
+    library's Fraction-keyed constructor took it. Masks that are not exactly
+    0 .. len(values)-1 give empty tables, which cover no 2^n masks."""
+    masks = range(len(values)) if set(values) == set(range(len(values))) else ()
+    fractions = [Fraction(values[mask]) for mask in masks]
+    return MomentVector(n, tuple(q.numerator for q in fractions),
+                        tuple(q.denominator for q in fractions))
+
+
+def moment_values(moments):
+    """The moments of a MomentVector as a dict of masks to Fractions."""
+    return {mask: Fraction(num, den)
+            for mask, (num, den) in enumerate(zip(moments.nums, moments.dens))}
 
 
 def restrict_cols(m, cols):

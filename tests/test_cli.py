@@ -222,6 +222,38 @@ def test_moments_and_recover_pi_roundtrip():
         assert code == 2 and out == "" and "'00' is not a bitmask" in err
 
 
+def test_moment_document_errors_keep_their_order_and_text():
+    # key and entry errors in document order, every format error (exit 2)
+    # before any domain error (exit 1)
+    def recover(moments, n=1):
+        payload = json.dumps({"m": {"rows": 1, "cols": 2, "data": [["1/4", "3/4"]]},
+                              "moments": {"n": n, "moments": moments}})
+        return run_cli(["recover-pi"], payload)
+
+    usage = "hadamix recover-pi: %s\n"
+    assert recover({"0": 1, "1": "x", "01": "1/2"}) == (2, "", usage % "not a rational: 'x'")
+    assert recover({"0": 1, "01": "1/2", "1": "x"}) == (
+        2, "", usage % "moment key '01' is not a bitmask")
+    assert recover({"0": "1/2", "1": "x"}) == (2, "", usage % "not a rational: 'x'")
+    assert recover({"0": 1, "1": "3/2"}) == (
+        1, '{"error": "moment 3/2 for mask 1 is outside [0, 1]", '
+           '"witness": {"subset_mask": 1}}\n', "")
+    assert recover({"0": 1}) == (
+        1, '{"error": "moments must cover all 2 subsets of [1]", "witness": null}\n', "")
+    for n in [21, 1000000]:
+        for moments in [{"0": 1, "1": "1/2"}, {"0": 1}]:
+            tracemalloc.start()
+            try:
+                got = recover(moments, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == (1, '{"error": "moment guard: 0 <= n <= 20 (got %d)", '
+                              '"witness": null}\n' % n, "")
+            # refused before any table of 2^n entries (or the integer 2^n)
+            assert peak < 64 * 1024, peak
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error objects
 

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import random
 from collections import Counter
@@ -12,6 +14,8 @@ from conftest import (
     PROB_POOL,
     forward_moments_reference,
     moment_checks_reference,
+    moment_values,
+    moment_vector,
     random_matrix,
 )
 from hadamix import (
@@ -21,12 +25,15 @@ from hadamix import (
     MomentVector,
     RMatrix,
     SubsetIndex,
+    cli,
     identifiability_gate,
     is_separated,
+    matrix_to_json,
     mixture,
     moment_map,
     recover_pi,
 )
+from hadamix.exact_core import rational_to_json
 
 HALF = Fraction(1, 2)
 
@@ -55,22 +62,22 @@ def test_mixture_params_validation():
 
 
 def test_moment_vector_validation():
-    MomentVector(1, {0: Fraction(1), 1: HALF})
+    moment_vector(1, {0: Fraction(1), 1: HALF})
     with pytest.raises(DomainError):
-        MomentVector(1, {0: Fraction(1)})
+        moment_vector(1, {0: Fraction(1)})
     with pytest.raises(DomainError):
-        MomentVector(1, {0: HALF, 1: HALF})
+        moment_vector(1, {0: HALF, 1: HALF})
     with pytest.raises(DomainError):
-        MomentVector(1, {0: Fraction(1), 1: Fraction(2)})
+        moment_vector(1, {0: Fraction(1), 1: Fraction(2)})
     with pytest.raises(DomainError):
         # increases on a superset
-        MomentVector(2, {0: Fraction(1), 1: HALF, 2: HALF, 3: Fraction(3, 4)})
+        moment_vector(2, {0: Fraction(1), 1: HALF, 2: HALF, 3: Fraction(3, 4)})
     with pytest.raises(DomainError):
-        MomentVector(21, {})
+        moment_vector(21, {})
 
 
 def test_moment_vector_json_roundtrip():
-    vec = MomentVector(1, {0: Fraction(1), 1: Fraction(7, 12)})
+    vec = moment_vector(1, {0: Fraction(1), 1: Fraction(7, 12)})
     obj = vec.to_json_obj()
     assert obj == {"n": 1, "moments": {"0": 1, "1": "7/12"}}
     assert MomentVector.from_json_obj(obj) == vec
@@ -81,6 +88,53 @@ def test_moment_vector_json_roundtrip():
             MomentVector.from_json_obj(bad)
     with pytest.raises(InputFormatError, match="not a bitmask"):
         MomentVector.from_json_obj({"n": 1, "moments": {"0": 1, "1" * 5000: 1}})
+
+
+def test_moment_document_is_read_in_lowest_terms_and_must_cover():
+    vec = MomentVector.from_json_obj({"n": 1, "moments": {"1": "2/4", "0": "3/3"}})
+    assert vec == moment_vector(1, {0: Fraction(1), 1: HALF})
+    assert vec.to_json_obj() == {"n": 1, "moments": {"0": 1, "1": "1/2"}}
+    zero = MomentVector.from_json_obj({"n": 1, "moments": {"0": 1, "1": "-0/5"}})
+    assert (zero.nums, zero.dens) == ((1, 0), (1, 1))
+    # a missing mask, a mask past 2^n, too few masks for n, and one mask too many
+    for n, moments in [
+        (1, {"0": 1, "2": "1/2"}),
+        (2, {"0": 1, "1": "1/2", "2": "1/2", "4": "1/4"}),
+        (2, {"0": 1, "1": "1/2"}),
+        (1, {"0": 1, "1": "1/2", "2": "1/2"}),
+    ]:
+        with pytest.raises(DomainError) as err:
+            MomentVector.from_json_obj({"n": n, "moments": moments})
+        assert str(err.value) == f"moments must cover all {1 << n} subsets of [{n}]"
+    # an empty-set moment below 1
+    with pytest.raises(DomainError, match="empty-set moment"):
+        MomentVector.from_json_obj({"n": 0, "moments": {"0": "2/3"}})
+
+
+def test_moment_vector_refuses_the_smallest_increase():
+    # 1 against 1/2 differ by one in the cross-products 1 * 2 and 1 * 1
+    moment_vector(2, {0: 1, 1: HALF, 2: 1, 3: HALF})
+    with pytest.raises(DomainError) as err:
+        moment_vector(2, {0: 1, 1: HALF, 2: 1, 3: 1})
+    assert (str(err.value), err.value.witness) == (
+        "moments must not increase on supersets", {"subset_mask": 3})
+
+
+def test_moment_vector_index_names_one_of_its_masks():
+    vec = moment_vector(1, {0: Fraction(1), 1: Fraction(7, 12)})
+    assert vec[0] == vec[SubsetIndex(1, 0)] == 1
+    assert vec[1] == vec[SubsetIndex(1, 1)] == Fraction(7, 12)
+    # -1 would read the last table entry, and a subset of another ground
+    # set was read by its mask alone
+    for bad, message in [
+        (-1, "mask -1 out of range for moments over [1]"),
+        (2, "mask 2 out of range for moments over [1]"),
+        (SubsetIndex(3, 1), "subset of [3] indexes moments over [1]"),
+        (SubsetIndex(0, 0), "subset of [0] indexes moments over [1]"),
+    ]:
+        with pytest.raises(DomainError) as err:
+            vec[bad]
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +217,9 @@ def test_gate_examples():
 
 def test_recover_pi_examples():
     m = RMatrix.from_rows([[Fraction(1, 4), Fraction(3, 4)]])
-    even = MomentVector(1, {0: Fraction(1), 1: HALF})
+    even = moment_vector(1, {0: Fraction(1), 1: HALF})
     assert recover_pi(m, even) == (HALF, HALF)
-    skew = MomentVector(1, {0: Fraction(1), 1: Fraction(7, 12)})
+    skew = moment_vector(1, {0: Fraction(1), 1: Fraction(7, 12)})
     assert recover_pi(m, skew) == (Fraction(1, 3), Fraction(2, 3))
 
 
@@ -185,7 +239,7 @@ def test_recover_pi_roundtrip_random():
 
 def test_recover_pi_rank_precondition():
     dup = RMatrix.from_rows([[HALF, HALF]])
-    moments = MomentVector(1, {0: Fraction(1), 1: HALF})
+    moments = moment_vector(1, {0: Fraction(1), 1: HALF})
     with pytest.raises(DomainError) as err:
         recover_pi(dup, moments)
     assert err.value.witness == {"extension_rank": 1}
@@ -194,15 +248,15 @@ def test_recover_pi_rank_precondition():
 def test_recover_pi_detects_inconsistent_moments():
     m = RMatrix.from_rows([[Fraction(1, 4), Fraction(3, 4)], [HALF, Fraction(1, 4)]])
     pi = (Fraction(1, 3), Fraction(2, 3))
-    values = dict(moment_map(MixtureParams(m, pi)).values)
+    values = moment_values(moment_map(MixtureParams(m, pi)))
     values[0b11] = values[0b11] / 2  # stays monotone but leaves the image
     with pytest.raises(DomainError, match="inconsistent"):
-        recover_pi(m, MomentVector(2, values))
+        recover_pi(m, moment_vector(2, values))
 
 
 def test_recover_pi_moment_size_mismatch():
     m = RMatrix.from_rows([[Fraction(1, 4), Fraction(3, 4)]])
-    moments = MomentVector(2, {0: Fraction(1), 1: HALF, 2: HALF, 3: Fraction(1, 4)})
+    moments = moment_vector(2, {0: Fraction(1), 1: HALF, 2: HALF, 3: Fraction(1, 4)})
     with pytest.raises(DomainError):
         recover_pi(m, moments)
 
@@ -263,7 +317,7 @@ moment_oracle = settings(deadline=None, max_examples=80)
 @given(mixtures())
 def test_moment_map_matches_fraction_references(params):
     m, pi = params.m, params.pi
-    values = moment_map(params).values
+    values = moment_values(moment_map(params))
     assert values == forward_moments_reference(m, pi)
     for mask in range(1 << m.n_rows):
         members = [row for i, row in enumerate(m.entries) if mask >> i & 1]
@@ -277,10 +331,11 @@ def test_moment_map_matches_fraction_references(params):
 @given(mixtures(), st.data())
 def test_perturbed_moments_fail_like_the_fraction_references(params, data):
     m, n = params.m, params.m.n_rows
-    values = perturbed(moment_map(params).values, data.draw(st.integers(0, (1 << n) - 1)), data)
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    values = perturbed(moment_values(moment_map(params)), mask, data)
     expected = moment_checks_reference(n, values)
     try:
-        moments = MomentVector(n, values)
+        moments = moment_vector(n, values)
     except DomainError as exc:
         assert (str(exc), exc.witness) == expected
         return
@@ -325,4 +380,61 @@ def test_moment_map_does_no_fraction_arithmetic_per_mask(monkeypatch):
     monkeypatch.undo()
     # the Fraction recursion made about 2 * k * 2^n of these calls
     assert sum(calls.values()) < 10 * n * k, calls
-    assert moments.values == forward_moments_reference(params.m, params.pi)
+    assert moment_values(moments) == forward_moments_reference(params.m, params.pi)
+
+
+def test_moment_commands_build_no_fraction_per_mask(monkeypatch):
+    rng = random.Random(97)
+    n, k = 10, 4
+    m = random_matrix(rng, n, k, PROB_POOL)
+    assert identifiability_gate(m).full_rank
+    pi = random_distribution(rng, k)
+    params = {"m": matrix_to_json(m), "pi": [rational_to_json(p) for p in pi]}
+    built = Counter()
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def run(argv, payload):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(argv, io.StringIO(json.dumps(payload)), out, err) == 0, err.getvalue()
+        return json.loads(out.getvalue())
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    moments = run(["moments"], params)
+    recovered = run(["recover-pi"], {"m": params["m"], "moments": moments})
+    monkeypatch.undo()
+    # one Fraction per mask and direction was 2 * 2^n = 2048 of them; what
+    # is left is the matrix, the weights and the k x k solve
+    assert built["Fraction"] < 10 * (n * k + k * k), built
+    assert recovered == {"pi": params["pi"]}
+    assert moments["moments"] == {
+        str(mask): rational_to_json(value)
+        for mask, value in forward_moments_reference(m, pi).items()
+    }
+
+
+@moment_oracle
+@given(mixtures(), st.data())
+def test_moment_json_codec_matches_the_fraction_reference(params, data):
+    n = params.m.n_rows
+    values = moment_values(moment_map(params))
+    if data.draw(st.booleans()):
+        values = perturbed(values, data.draw(st.integers(0, (1 << n) - 1)), data)
+    reference = {str(mask): rational_to_json(value) for mask, value in values.items()}
+    # the masks may come in any order in a document
+    shuffled = dict(data.draw(st.permutations(list(reference.items()))))
+    expected = moment_checks_reference(n, values)
+    try:
+        moments = MomentVector.from_json_obj({"n": n, "moments": shuffled})
+    except DomainError as exc:
+        assert (str(exc), exc.witness) == expected
+        return
+    assert expected is None
+    assert moments == moment_vector(n, values)
+    obj = moments.to_json_obj()
+    assert obj == {"n": n, "moments": reference}
+    assert list(obj["moments"]) == [str(mask) for mask in range(1 << n)]
+    assert MomentVector.from_json_obj(obj) == moments
