@@ -21,12 +21,10 @@ from .exact_core import (
     span,
 )
 from .hadamard import (
-    HadamardRow,
     NotFullRank,
     RowspaceState,
     exhaustive_min_rows,
     extend_rowspace,
-    extension_rows,
     full_extension_rank,
     greedy_min_rows,
     hadamard_extension,
@@ -62,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError",
     "GateReport",
-    "HadamardRow",
     "InputFormatError",
     "InternalInvariantError",
     "MixtureParams",
@@ -82,7 +79,6 @@ __all__ = [
     "exhaustive_min_rows",
     "exhaustive_nae_restrict",
     "extend_rowspace",
-    "extension_rows",
     "full_extension_rank",
     "greedy_min_rows",
     "hadamard_extension",

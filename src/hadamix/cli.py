@@ -47,7 +47,6 @@ from .nae import eps as nae_eps
 from .nae import eps_bar, exhaustive_nae_restrict, nae_restrict, nae_rows
 from .partition_algebra import (
     blocks_of,
-    bar_odot,
     is_invariant,
     lagrange_projection,
     respects,

@@ -455,6 +455,27 @@ def matrix_rank(a: RMatrix) -> int:
     return Subspace(a.n_cols, (), ()).extend(a.entries).dim
 
 
+def _solve_rows(rows: Iterable[Sequence[int]], k: int) -> tuple[Fraction, ...] | None:
+    """x with a x = b, from the first k integer rows [a | b] whose a parts
+    are independent; None if fewer than k of them come.
+
+    A row whose a part reduces to zero is skipped, whatever its b, and no
+    row is read once there are k pivots. All k pivots then lie in a, so
+    basis row i reads row[i] * x_i = row[k].
+    """
+    rows = iter(rows)
+    basis: list[Sequence[int]] = []
+    pivots: list[int] = []
+    while len(basis) < k:
+        row = next(rows, None)
+        if row is None:
+            return None
+        vec = _reduce(basis, pivots, row)
+        if any(vec[:k]):
+            _adjoin(basis, pivots, vec)
+    return tuple(Fraction(row[k], row[i]) for i, row in enumerate(basis))
+
+
 def solve_square(a: RMatrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
     """Unique solution x of the square system a x = b; a must be invertible."""
     if a.n_rows != a.n_cols:
@@ -462,11 +483,8 @@ def solve_square(a: RMatrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
     rhs = as_vector(b)
     if len(rhs) != a.n_rows:
         raise DomainError("right-hand side length does not match the system")
-    rows: list[Sequence[int]] = []
-    pivots: list[int] = []
-    for row, value in zip(a.entries, rhs):
-        _insert(rows, pivots, _integer_row(row + (value,)))
-    if pivots != list(range(a.n_cols)):
+    x = _solve_rows((scale_to_integers(row + (value,))[1]
+                     for row, value in zip(a.entries, rhs)), a.n_cols)
+    if x is None:
         raise DomainError("system matrix is singular")
-    # Each row now reads pivot * x_i = last entry.
-    return tuple(Fraction(row[-1], row[i]) for i, row in enumerate(rows))
+    return x

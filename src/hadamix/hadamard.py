@@ -3,7 +3,10 @@ rank-certifying row subsets.
 
 The extension of an n x k matrix m is the 2^n x k matrix whose rows are
 the entrywise products of every subset of the rows of m (the empty subset
-contributing the all-ones row). Its column rank can be computed without
+contributing the all-ones row). `_subset_products` is the one table of
+products over subsets: `hadamard_extension` builds it once per column, and
+the mixture module uses it for the forward moments and the equations of
+`recover_pi`. The column rank of the extension can be computed without
 materializing the 2^n rows: adjoining a row t to a chosen set replaces the
 current rowspace U by span(U union t*U), which only touches basis vectors.
 
@@ -20,9 +23,11 @@ cannot reach it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from itertools import repeat
+from typing import Sequence, Union
 
 from .exact_core import (
     SUBSET_SCAN_LIMIT,
@@ -32,7 +37,6 @@ from .exact_core import (
     SubsetIndex,
     _integer_row,
     _reduce,
-    hadamard_product,
     masks_by_cardinality,
     masks_of_weight,
     ones,
@@ -41,14 +45,6 @@ from .exact_core import (
 
 # Materializing 2^n rows is inherent to the object; refuse past this.
 EXTENSION_ROW_GUARD = 20
-
-
-@dataclass(frozen=True)
-class HadamardRow:
-    """One extension row: the product of the rows indexed by `subset`."""
-
-    subset: SubsetIndex
-    values: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -73,31 +69,37 @@ class RowspaceState:
         return cls(SubsetIndex(n_rows, 0), span([ones(n_cols)], n_cols))
 
 
-def extension_rows(m: RMatrix) -> Iterator[HadamardRow]:
-    """Rows of the extension of m in canonical order.
+def _subset_products(first: Fraction | int,
+                     factors: Sequence[Fraction | int]) -> list[Fraction | int]:
+    """first * prod(factors[i] for i in S) for every mask S, in ascending order.
+
+    The table doubles once per factor: the masks whose highest bit is i
+    extend the masks below 2^i.
+    """
+    table = [first]
+    for x in factors:
+        # list() first: extending a list by a map over itself never ends;
+        # operator.mul, as int.__mul__ returns NotImplemented for a Fraction
+        table += list(map(operator.mul, table, repeat(x)))
+    return table
+
+
+def hadamard_extension(m: RMatrix) -> RMatrix:
+    """The 2^n x k extension matrix of m, rows in canonical order.
 
     Canonical order sorts subsets by (cardinality, bitmask value), so the
     all-ones row comes first and single rows of m come next.
     """
-    n = m.n_rows
+    n, k = m.n_rows, m.n_cols
     if n > EXTENSION_ROW_GUARD:
         raise DomainError(
             f"extension guard: at most {EXTENSION_ROW_GUARD} rows (got {n})"
         )
-    products: dict[int, tuple[Fraction, ...]] = {0: ones(m.n_cols)}
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        products[mask] = hadamard_product(
-            products[mask ^ low], m.row(low.bit_length() - 1)
-        )
-    for mask in masks_by_cardinality(n):
-        yield HadamardRow(SubsetIndex(n, mask), products[mask])
-
-
-def hadamard_extension(m: RMatrix) -> RMatrix:
-    """The 2^n x k extension matrix of m, rows in canonical order."""
-    rows = tuple(hrow.values for hrow in extension_rows(m))
-    return RMatrix(len(rows), m.n_cols, rows)
+    columns = [_subset_products(Fraction(1), [row[j] for row in m.entries])
+               for j in range(k)]
+    # with no columns, zip() yields nothing: each row is then empty
+    products = list(zip(*columns)) if k else [()] * (1 << n)
+    return RMatrix(1 << n, k, tuple(products[mask] for mask in masks_by_cardinality(n)))
 
 
 def extend_rowspace(state: RowspaceState, m: RMatrix, t: int) -> RowspaceState:

@@ -22,16 +22,16 @@ from .exact_core import (
     InternalInvariantError,
     RMatrix,
     SubsetIndex,
+    _solve_rows,
     as_vector,
+    masks_by_cardinality,
     rational_pair,
     scale_to_integers,
-    solve_square,
-    span,
 )
 from .hadamard import (
     EXTENSION_ROW_GUARD,
     NotFullRank,
-    extension_rows,
+    _subset_products,
     greedy_min_rows,
 )
 
@@ -173,19 +173,6 @@ class MomentVector:
         return cls(n, tuple(nums), tuple(dens))
 
 
-def _subset_products(first: int, factors: Sequence[int]) -> list[int]:
-    """first * prod(factors[i] for i in S) for every mask S, in ascending order.
-
-    The table doubles once per factor: the masks whose highest bit is i
-    extend the masks below 2^i.
-    """
-    table = [first]
-    for x in factors:
-        # list() first: extending a list by a map over itself never ends
-        table += list(map(x.__mul__, table))
-    return table
-
-
 def _forward_moments(m: RMatrix, pi: Sequence[Fraction]) -> tuple[list[int], list[int]]:
     """All 2^n subset moments of (m, pi) as integer numerators and denominators.
 
@@ -273,9 +260,10 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
     """The unique mixture weights consistent with the given moments.
 
     Requires the extension of m to have full column rank. Solves the
-    k x k system built from the first k independent extension rows of the
-    greedy certificate, then re-verifies every one of the 2^n moment
-    equations; any mismatch means the moments are inconsistent.
+    k x k system of the first k independent extension rows of the greedy
+    certificate, in canonical order, on integers, then re-verifies every one
+    of the 2^n moment equations; any mismatch means the moments are
+    inconsistent.
     """
     n, k = m.n_rows, m.n_cols
     if moments.n != n:
@@ -287,30 +275,26 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
             witness={"extension_rank": certificate.rank},
         )
     members = certificate.members()
-    restricted = m.restrict_rows(certificate)
+    # Row i of m times the lcm d_i of its denominators, then d_i itself: the
+    # product over a subset S is [D_S P_S | D_S], for the product row P_S of
+    # the extension and D_S = prod_{i in S} d_i. Equation S, P_S pi = num/den,
+    # becomes the integer row [den D_S P_S | D_S num].
+    scaled = [(*row, d) for d, row in map(scale_to_integers, map(m.row, members))]
+    products = list(zip(*(_subset_products(1, [row[j] for row in scaled])
+                          for j in range(k + 1))))
 
-    # First k independent rows of the restricted extension, canonical order.
-    space = span([], k)
-    system_rows: list[tuple[Fraction, ...]] = []
-    rhs: list[Fraction] = []
-    for hrow in extension_rows(restricted):
-        if len(system_rows) == k:
-            break
-        grown = space.extend([hrow.values])
-        if grown.dim == space.dim:
-            continue
-        space = grown
-        system_rows.append(hrow.values)
-        original_mask = 0
-        for position in hrow.subset:
-            original_mask |= 1 << members[position]
-        rhs.append(moments[original_mask])
-    if len(system_rows) < k:
+    def equations():
+        for local in masks_by_cardinality(len(members)):
+            mask = sum(1 << t for i, t in enumerate(members) if local >> i & 1)
+            den = moments.dens[mask]
+            *coefficients, scale = products[local]
+            yield [den * p for p in coefficients] + [scale * moments.nums[mask]]
+
+    pi = _solve_rows(equations(), k)
+    if pi is None:
         raise InternalInvariantError(
             f"certificate rows {certificate.mask:#x} failed to span k = {k} dimensions"
         )
-
-    pi = solve_square(RMatrix.from_rows(system_rows, k), rhs)
     if sum(pi) != 1:
         raise DomainError(
             f"recovered weights sum to {sum(pi)}, not 1; moments are inconsistent"
@@ -324,4 +308,4 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
             "moments are inconsistent with every weight vector",
             witness={"subset_mask": mask},
         )
-    return tuple(pi)
+    return pi

@@ -8,7 +8,9 @@ recursing on explicit submatrices, and the block projectors by evaluating
 the Lagrange polynomial at every entry in Fractions, so they can certify
 the fast implementations. The Hadamard-fold references are the library's
 earlier loops, one `extend_rowspace` state per fold, with no early stop and
-no shared prefixes.
+no shared prefixes. The mixture-weight reference is the library's earlier
+Fraction path: extension rows re-spanned one at a time, then `solve_square`
+on the k x k system.
 """
 
 import math
@@ -28,10 +30,12 @@ from hadamix import (
     SubsetIndex,
     blocks_of,
     extend_rowspace,
+    masks_by_cardinality,
     masks_of_weight,
     nae_rows,
+    span,
 )
-from hadamix.exact_core import SUBSET_SCAN_LIMIT, as_vector
+from hadamix.exact_core import SUBSET_SCAN_LIMIT, as_vector, solve_square
 from hadamix.nae import COLUMN_SCAN_GUARD, NaeReport
 
 
@@ -147,6 +151,71 @@ def moment_values(moments):
     """The moments of a MomentVector as a dict of masks to Fractions."""
     return {mask: Fraction(num, den)
             for mask, (num, den) in enumerate(zip(moments.nums, moments.dens))}
+
+
+def extension_rows_reference(m):
+    """(mask, product row) for every row subset of m in canonical order,
+    over Fractions: the dict of products the library kept before its
+    subset-product table."""
+    products = {0: (Fraction(1),) * m.n_cols}
+    for mask in range(1, 1 << m.n_rows):
+        low = mask & -mask
+        row = m.entries[low.bit_length() - 1]
+        products[mask] = tuple(a * b for a, b in zip(products[mask ^ low], row))
+    return [(mask, products[mask]) for mask in masks_by_cardinality(m.n_rows)]
+
+
+def solve_pi_reference(m, moments):
+    """The weights solved from the first k independent extension rows of
+    the greedy certificate, over Fractions, before any check of them.
+
+    Each candidate row is tested by re-spanning the rows taken so far, and
+    the k x k Fraction system goes to `solve_square`, as `recover_pi` did
+    before it solved on integer rows.
+    """
+    n, k = m.n_rows, m.n_cols
+    if moments.n != n:
+        raise DomainError(f"moments are over {moments.n} observables, matrix has {n}")
+    certificate = greedy_min_rows_reference(m)
+    if isinstance(certificate, NotFullRank):
+        raise DomainError(
+            f"extension rank {certificate.rank} < {k}; weights are not identifiable",
+            witness={"extension_rank": certificate.rank},
+        )
+    members = certificate.members()
+    space, system, rhs = span([], k), [], []
+    for local, values in extension_rows_reference(m.restrict_rows(certificate)):
+        if len(system) == k:
+            break
+        grown = space.extend([values])
+        if grown.dim == space.dim:
+            continue
+        space = grown
+        system.append(values)
+        rhs.append(moments[sum(1 << t for i, t in enumerate(members) if local >> i & 1)])
+    if len(system) < k:
+        raise InternalInvariantError(
+            f"certificate rows {certificate.mask:#x} failed to span k = {k} dimensions"
+        )
+    return solve_square(RMatrix.from_rows(system, k), rhs)
+
+
+def recover_pi_reference(m, moments):
+    """`solve_pi_reference`, then the weights' sum and all 2^n moments
+    checked over Fractions, with recover_pi's messages and witnesses."""
+    pi = solve_pi_reference(m, moments)
+    if sum(pi) != 1:
+        raise DomainError(
+            f"recovered weights sum to {sum(pi)}, not 1; moments are inconsistent"
+        )
+    forward = forward_moments_reference(m, pi)
+    for mask in range(1 << m.n_rows):
+        if forward[mask] != moments[mask]:
+            raise DomainError(
+                "moments are inconsistent with every weight vector",
+                witness={"subset_mask": mask},
+            )
+    return pi
 
 
 def restrict_cols(m, cols):

@@ -23,10 +23,10 @@ from hadamix import (
     SubsetIndex,
     exhaustive_min_rows,
     extend_rowspace,
-    extension_rows,
     full_extension_rank,
     greedy_min_rows,
     hadamard_extension,
+    masks_by_cardinality,
     matrix_rank,
     span,
 )
@@ -66,13 +66,30 @@ def test_extension_repeated_row():
 
 def test_extension_row_order_golden():
     m = random_matrix(random.Random(0), 3, 2, SMALL_POOL)
-    subs = [hrow.subset.mask for hrow in extension_rows(m)]
-    assert subs == [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
-    for hrow in extension_rows(m):
+    masks = [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
+    assert list(masks_by_cardinality(3)) == masks
+    ext = hadamard_extension(m)
+    assert len(ext.entries) == len(masks)
+    for mask, values in zip(masks, ext.entries):
         expected = (Fraction(1),) * 2
-        for i in hrow.subset:
+        for i in SubsetIndex(3, mask):
             expected = tuple(a * b for a, b in zip(expected, m.row(i)))
-        assert hrow.values == expected
+        assert values == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 6), st.integers(0, 4), st.data())
+def test_extension_matches_per_mask_products(n, k, data):
+    pool = st.sampled_from(SMALL_POOL + [Fraction(-7, 3), Fraction(5, 11)])
+    m = RMatrix.from_rows([[data.draw(pool) for _ in range(k)] for _ in range(n)], k)
+    ext = hadamard_extension(m)
+    assert (ext.n_rows, ext.n_cols) == (1 << n, k)
+    assert ext.entries == tuple(
+        tuple(math.prod((m.entries[i][j] for i in SubsetIndex(n, mask)), start=Fraction(1))
+              for j in range(k))
+        for mask in masks_by_cardinality(n)
+    )
+    assert all(type(x) is Fraction for row in ext.entries for x in row)
 
 
 def test_extension_guard():

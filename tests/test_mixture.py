@@ -4,7 +4,6 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +16,8 @@ from conftest import (
     moment_values,
     moment_vector,
     random_matrix,
+    recover_pi_reference,
+    solve_pi_reference,
 )
 from hadamix import (
     DomainError,
@@ -29,7 +30,6 @@ from hadamix import (
     identifiability_gate,
     is_separated,
     matrix_to_json,
-    mixture,
     moment_map,
     recover_pi,
 )
@@ -344,18 +344,11 @@ def test_perturbed_moments_fail_like_the_fraction_references(params, data):
         return
     # recover_pi verifies the weights it solved for against every moment;
     # the empty-set row is in its system, so they sum to moments[0] = 1
-    solved, solve = [], mixture.solve_square
-
-    def solve_spy(a, b):
-        solved.append(solve(a, b))
-        return solved[-1]
-
-    with mock.patch.object(mixture, "solve_square", solve_spy):
-        try:
-            got, error = recover_pi(m, moments), None
-        except DomainError as exc:
-            got, error = None, exc
-    (pi,) = solved
+    try:
+        got, error = recover_pi(m, moments), None
+    except DomainError as exc:
+        got, error = None, exc
+    pi = solve_pi_reference(m, moments)
     forward = forward_moments_reference(m, pi)
     mismatches = [mask for mask in range(1 << n) if forward[mask] != values[mask]]
     if mismatches:
@@ -363,6 +356,57 @@ def test_perturbed_moments_fail_like_the_fraction_references(params, data):
         assert str(error) == "moments are inconsistent with every weight vector"
     else:
         assert got == tuple(pi)
+
+
+@moment_oracle
+@given(mixtures(), st.data())
+def test_recover_pi_matches_the_fraction_reference(params, data):
+    m, pi = params.m, params.pi
+    if m.n_rows and data.draw(st.booleans()):
+        # with 1 - row 0 as row 1, the extension row of {1} lies in
+        # span{1, row 0}: the solve must skip it
+        first = m.entries[0]
+        m = RMatrix.from_rows([first, [1 - x for x in first], *m.entries[1:]], m.n_cols)
+    n = m.n_rows
+    values = moment_values(moment_map(MixtureParams(m, pi)))
+    perturb = data.draw(st.booleans())
+    if perturb:
+        values = perturbed(values, data.draw(st.integers(0, (1 << n) - 1)), data)
+    if moment_checks_reference(n, values) is not None:
+        return
+    moments = moment_vector(n, values)
+    outcomes = []
+    for solve in (recover_pi, recover_pi_reference):
+        try:
+            outcomes.append(solve(m, moments))
+        except DomainError as exc:
+            outcomes.append((str(exc), exc.witness))
+    assert outcomes[0] == outcomes[1]
+    if not perturb and identifiability_gate(m).full_rank:
+        assert outcomes[0] == pi
+
+
+@pytest.mark.parametrize("n, k", [(10, 4), (8, 6), (12, 5)])
+def test_recover_pi_builds_at_most_3k_fractions(n, k, monkeypatch):
+    rng = random.Random(101 * n + k)
+    m = random_matrix(rng, n, k, PROB_POOL)
+    while not identifiability_gate(m).full_rank:
+        m = random_matrix(rng, n, k, PROB_POOL)
+    pi = random_distribution(rng, k)
+    moments = moment_map(MixtureParams(m, pi))
+    built = Counter()
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    recovered = recover_pi(m, moments)
+    monkeypatch.undo()
+    # the weights and their running sum, 2k + 1 in all
+    assert built["Fraction"] <= 3 * k, built
+    assert recovered == pi
 
 
 def test_moment_map_does_no_fraction_arithmetic_per_mask(monkeypatch):
