@@ -228,6 +228,8 @@ def gen_stairstep(k: int) -> RMatrix:
 
 
 def _cmd_gen(args, stdin):
+    # each family has its own parser, which requires its flags and
+    # refuses those of the other families
     if args.family == "vandermonde":
         row = None
         if args.row is not None:
@@ -235,17 +237,11 @@ def _cmd_gen(args, stdin):
                 row = tuple(as_rational(part) for part in args.row.split(","))
             except (InputFormatError, ValueError) as exc:
                 raise UsageError(f"--row is not a rational list: {args.row!r}") from exc
-        if args.k is None:
-            raise UsageError("vandermonde requires --k")
         copies = args.copies if args.copies is not None else args.k - 1
         matrix = gen_vandermonde(args.k, copies, row)
     elif args.family == "hamming":
-        if args.l is None:
-            raise UsageError("hamming requires --l")
         matrix = gen_hamming(args.l)
-    else:  # stairstep, the last of the argparse choices
-        if args.k is None:
-            raise UsageError("stairstep requires --k")
+    else:  # stairstep, the last family parser
         matrix = gen_stairstep(args.k)
     return matrix_to_json(matrix)
 
@@ -261,6 +257,8 @@ def _cmd_rank(args, stdin):
 
 
 def _cmd_minrows(args, stdin):
+    if args.size is not None and not args.exhaustive:
+        raise UsageError("--size requires --exhaustive")
     matrix = _load_matrix(args, stdin)
     found = greedy_min_rows(matrix)
     if isinstance(found, NotFullRank):
@@ -541,13 +539,17 @@ def _build_parser() -> _Parser:
         return p
 
     p = add("gen", _cmd_gen, "generate an example-family matrix", with_input=False)
-    p.add_argument("family", choices=["vandermonde", "hamming", "stairstep"])
-    p.add_argument("--k", type=integer, default=None, help="number of columns")
-    p.add_argument("--copies", type=integer, default=None,
-                   help="vandermonde: number of identical rows (default k-1)")
-    p.add_argument("--row", default=None,
-                   help="vandermonde: comma-separated distinct entries (default 0..k-1)")
-    p.add_argument("--l", type=integer, default=None, help="hamming: rows (k = 2^l)")
+    family = p.add_subparsers(dest="family", required=True)
+    f = family.add_parser("vandermonde", help="copies of one distinct-entry row")
+    f.add_argument("--k", type=integer, required=True, help="number of columns")
+    f.add_argument("--copies", type=integer, default=None,
+                   help="number of identical rows (default k-1)")
+    f.add_argument("--row", default=None,
+                   help="comma-separated distinct entries (default 0..k-1)")
+    f = family.add_parser("hamming", help="l x 2^l sign matrix")
+    f.add_argument("--l", type=integer, required=True, help="rows (k = 2^l)")
+    f = family.add_parser("stairstep", help="(k-1) x k staircase")
+    f.add_argument("--k", type=integer, required=True, help="number of columns")
 
     add("hadext", _cmd_hadext, "matrix -> its 2^n x k extension")
     add("rank", _cmd_rank, "matrix -> extension column rank")

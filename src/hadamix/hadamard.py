@@ -6,18 +6,13 @@ the entrywise products of every subset of the rows of m (the empty subset
 contributing the all-ones row). `_subset_products` is the one table of
 products over subsets: `hadamard_extension` builds it once per column, and
 the mixture module uses it for the forward moments and the equations of
-`recover_pi`. The column rank of the extension can be computed without
-materializing the 2^n rows: adjoining a row t to a chosen set replaces the
-current rowspace U by span(U union t*U), which only touches basis vectors.
-
-That fold is `Subspace.extend_odot`; it returns U itself, copying nothing,
-when t adds nothing. The functions below fold only while the rank can
-still change: `full_extension_rank` stops at rank k; the greedy scales the
-rows of m to primitive integer rows once per call and builds a
-`RowspaceState` only for a row it accepts; `exhaustive_min_rows` does the
-same scaling and folds each prefix of a subset once, shared by every
-subset that extends it, stopping at rank k and dropping prefixes that
-cannot reach it.
+`recover_pi`. The column rank needs no 2^n rows: adjoining a row t to a
+chosen set replaces the rowspace U by span(U union t*U), which only
+touches basis vectors. That fold is `Subspace.extend_odot`; it returns U
+itself, copying nothing, when t adds nothing. `_fold` runs it once over the
+rows in index order for the rank and the greedy certificate;
+`exhaustive_min_rows` folds each prefix of a subset once, shared by every
+subset that extends it.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Sequence, Union
+from typing import Sequence
 
 from .exact_core import (
     SUBSET_SCAN_LIMIT,
@@ -117,58 +112,62 @@ def extend_rowspace(state: RowspaceState, m: RMatrix, t: int) -> RowspaceState:
     return RowspaceState(state.chosen_rows.add(t), state.space.extend_odot(m.row(t)))
 
 
-def full_extension_rank(m: RMatrix) -> int:
-    """Column rank of the extension of m, without materializing it.
+def _fold(m: RMatrix) -> tuple[int, Subspace]:
+    """(mask, U) after folding the rows in index order, adjoining (and
+    setting the bit of) each row that grows U, until U has dimension k.
 
-    Folds the rows in order and stops once the rank is k, the most it can be.
+    Each row is folded at most once, so `extend_odot` scales it once.
     """
+    k = m.n_cols
+    chosen, space = 0, RowspaceState.initial(m.n_rows, k).space
+    for t, row in enumerate(m.entries):
+        if space.dim == k:
+            break
+        grown = space.extend_odot(row)
+        if grown.dim > space.dim:
+            chosen, space = chosen | 1 << t, grown
+    return chosen, space
+
+
+def full_extension_rank(m: RMatrix) -> int:
+    """Column rank of the extension of m, without materializing it."""
     if m.n_rows > EXTENSION_ROW_GUARD:
         raise DomainError(
             f"extension guard: at most {EXTENSION_ROW_GUARD} rows (got {m.n_rows})"
         )
-    k = m.n_cols
-    space = RowspaceState.initial(m.n_rows, k).space
-    for row in m.entries:
-        if space.dim == k:
-            break
-        space = space.extend_odot(row)
-    return space.dim
+    return _fold(m)[1].dim
 
 
 @dataclass(frozen=True)
 class NotFullRank:
     """Greedy outcome when no row subset certifies full column rank.
 
-    `rank` is the exact rank of the full extension: the greedy only stops
-    once no single remaining row grows the space, and a single row always
-    suffices to grow a rowspace that is still below the full extension's.
+    `rank` is the exact rank of the full extension: no row outside the
+    greedy's chosen rows grows its final space U (see `greedy_min_rows`),
+    so adjoining them one at a time never grows U, and U is the rowspace
+    of the whole extension.
     """
 
     rank: int
 
 
-def greedy_min_rows(m: RMatrix) -> Union[SubsetIndex, NotFullRank]:
+def greedy_min_rows(m: RMatrix) -> SubsetIndex | NotFullRank:
     """Small row subset whose extension already has full column rank.
 
-    Starting from the empty set (dimension 1), repeatedly adds the
-    smallest-index row that strictly grows the rowspace. Stops at
-    dimension k with at most k-1 rows chosen, or returns NotFullRank
-    carrying the extension's exact rank.
+    The rows that grow the rowspace in one pass in index order (`_fold`):
+    at most k-1 of them once the dimension is k, else NotFullRank with the
+    extension's exact rank. This is the greedy that restarts at row 0 and
+    takes the smallest-index row that grows the space. Lemma: if row s does
+    not grow U_C, the rowspace over rows C, it grows no U_C' with C in C'
+    and s not in C'. Each product over S in C' is P_A*P_B with A in C and
+    B in C' minus C; s*P_A lies in U_C, so s*P_A*P_B lies in U_C'. So a
+    restart skips every row the pass skipped. Only the final state is built
+    as a `RowspaceState`: a fold only adds basis rows, so every state holds
+    the initial span(ones), which `RowspaceState.initial` checks.
     """
-    k = m.n_cols
-    rows = [_integer_row(row) for row in m.entries]
-    state = RowspaceState.initial(m.n_rows, k)
-    while state.space.dim < k:
-        for t, row in enumerate(rows):
-            if t in state.chosen_rows:
-                continue
-            grown = state.space.extend_odot(row)
-            if grown.dim > state.space.dim:
-                state = RowspaceState(state.chosen_rows.add(t), grown)
-                break
-        else:
-            return NotFullRank(state.space.dim)
-    return state.chosen_rows
+    chosen, space = _fold(m)
+    state = RowspaceState(SubsetIndex(m.n_rows, chosen), space)
+    return state.chosen_rows if space.dim == m.n_cols else NotFullRank(space.dim)
 
 
 def exhaustive_min_rows(m: RMatrix, size: int) -> list[SubsetIndex]:

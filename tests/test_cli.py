@@ -100,6 +100,18 @@ def test_gen_rejects_bad_parameters():
         assert peak < 64 * 1024, (argv, peak)
 
 
+def test_gen_refuses_flags_of_other_families():
+    for argv in [
+        ["gen", "hamming", "--l", "2", "--k", "9"],
+        ["gen", "stairstep", "--k", "3", "--copies", "5", "--row", "1,2,3"],
+        ["gen", "vandermonde", "--k", "2", "--l", "4"],
+        ["gen", "--k", "3", "stairstep"],
+        ["gen", "vandermonde", "--copies", "2"],
+    ]:
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "" and "usage:" in err, argv
+
+
 # ---------------------------------------------------------------------------
 # pipeline commands
 
@@ -130,6 +142,14 @@ def test_minrows_greedy_and_exhaustive():
     assert data["exhaustive"] == [[1, 2], [1, 3], [2, 3]]
     data = run_json(["minrows", "--exhaustive", "--size", "3"], matrix)
     assert data["exhaustive"] == [[1, 2, 3]]
+
+
+def test_minrows_size_requires_exhaustive():
+    matrix = '{"rows":3,"cols":3,"data":[[0,1,2],[0,1,2],[0,1,2]]}'
+    for stdin_text in [matrix, "not json"]:
+        code, out, err = run_cli(["minrows", "--size", "2"], stdin_text)
+        assert (code, out) == (2, "")
+        assert err == "hadamix minrows: --size requires --exhaustive\n"
 
 
 def test_minrows_not_full_rank():
@@ -366,7 +386,7 @@ def test_parser_is_built_once_per_process(monkeypatch):
     for argv in [["rank", "--help"], ["frobnicate"], ["selftest"], ["gen", "stairstep", "--k", "3"]]:
         run_cli(argv)
     assert progs.count("hadamix") == 1
-    assert len(progs) == built  # the root parser and its 13 subparsers, once
+    assert len(progs) == built  # the root parser and all its subparsers, once
 
 
 def test_internal_invariant_error_names_its_shape(monkeypatch):

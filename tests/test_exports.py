@@ -1,6 +1,8 @@
-"""The package's export list stays in step with what `__init__` imports."""
+"""The package's export list stays in step with what `__init__` imports,
+and the README's Python example runs against it."""
 
 import ast
+import re
 from pathlib import Path
 
 import hadamix
@@ -23,3 +25,30 @@ def test_all_lists_every_public_import():
     public = {name for name in imported if not name.startswith("_")}
     assert public
     assert sorted(public - set(hadamix.__all__)) == []
+
+
+def test_readme_python_example_runs_and_shows_its_results():
+    # each `expr  # result` line must evaluate to the result written after
+    # it: a Python literal, or the value's type name followed by its str
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    checked = 0
+    for block in blocks:
+        namespace = {}
+        lines = block.splitlines()
+        for node in ast.parse(block).body:
+            code = ast.get_source_segment(block, node)
+            if not isinstance(node, ast.Expr):
+                exec(code, namespace)
+                continue
+            value = eval(code, namespace)
+            comment = lines[node.end_lineno - 1].partition("# ")[2]
+            if not comment:
+                continue
+            try:
+                assert value == eval(comment, namespace), code
+            except SyntaxError:
+                assert comment.startswith(f"{type(value).__name__} {value}"), code
+            checked += 1
+    assert checked

@@ -182,6 +182,32 @@ def test_rowspace_monotone_under_more_rows():
         assert all(big.contains(r) for r in small.basis.entries)
 
 
+def test_a_row_that_fails_to_grow_fails_on_every_superset():
+    # the lemma behind the one-pass greedy: if s leaves U_C unchanged, it
+    # leaves U_C' unchanged for every C' containing C but not s
+    rng = random.Random(61)
+    hits = 0
+    for _ in range(150):
+        n, k = rng.randint(2, 6), rng.randint(1, 5)
+        m = random_matrix(rng, n, k, SMALL_POOL)
+        s = rng.randrange(n)
+        others = (1 << n) - 1 & ~(1 << s)
+        c_mask = rng.randrange(1 << n) & others
+
+        def grows(mask):
+            chosen = SubsetIndex(n, mask)
+            state = RowspaceState(chosen, fold_rowspace(m, chosen))
+            return extend_rowspace(state, m, s).space != state.space
+
+        if grows(c_mask):
+            continue
+        for _ in range(4):
+            big_mask = c_mask | rng.randrange(1 << n) & others
+            assert not grows(big_mask), (m, s, c_mask, big_mask)
+            hits += big_mask != c_mask
+    assert hits >= 50
+
+
 # ---------------------------------------------------------------------------
 # rank of the full extension
 
@@ -211,6 +237,19 @@ def test_greedy_examples():
 
     const = RMatrix.from_rows([[7, 7]])
     assert greedy_min_rows(const) == NotFullRank(1)
+
+
+@pytest.mark.parametrize("k", [8, 16])
+def test_greedy_folds_each_row_at_most_once(fold_dims, k):
+    # k constant rows grow nothing; then k-1 copies of a distinct-entry row
+    # grow the space by one each. Restarting at row 0 after each accepted
+    # row re-probes every constant row: (k + 1)(k - 1) folds
+    rows = [[c] * k for c in range(1, k + 1)] + [list(range(k))] * (k - 1)
+    m = RMatrix.from_rows(rows, k)
+    found = greedy_min_rows(m)
+    assert len(fold_dims) <= m.n_rows == 2 * k - 1
+    assert found == SubsetIndex(m.n_rows, (1 << m.n_rows) - (1 << k))
+    assert found == greedy_min_rows_reference(m)
 
 
 def test_greedy_trivial_cases():
