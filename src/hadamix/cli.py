@@ -71,6 +71,18 @@ class _Parser(argparse.ArgumentParser):
             (self.out if file is sys.stdout else self.err).write(message)
 
 
+class _FamilyParser(_Parser):
+    """Parser of one `gen` family that refuses its own unrecognized
+    arguments. argparse hands a subparser's extras back to its parent, whose
+    error would show the root usage line and not the family's flags."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 # ---------------------------------------------------------------------------
 # encoding helpers (CLI JSON is 1-based)
 
@@ -539,7 +551,7 @@ def _build_parser() -> _Parser:
         return p
 
     p = add("gen", _cmd_gen, "generate an example-family matrix", with_input=False)
-    family = p.add_subparsers(dest="family", required=True)
+    family = p.add_subparsers(dest="family", required=True, parser_class=_FamilyParser)
     f = family.add_parser("vandermonde", help="copies of one distinct-entry row")
     f.add_argument("--k", type=integer, required=True, help="number of columns")
     f.add_argument("--copies", type=integer, default=None,

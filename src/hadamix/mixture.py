@@ -70,10 +70,31 @@ def _check_moments(n: int, nums: Sequence[int], dens: Sequence[int]) -> None:
     """Raise the first DomainError that the moment tables of a MomentVector earn.
 
     In order: the guard on n, the cover of all 2^n masks, the empty-set
-    moment, then mask by mask in ascending order the range [0, 1] and no
-    increase over each subset one member smaller. Comparisons are integer
-    cross-multiplications; a common denominator of all 2^n values could
-    grow to 2^n times the size of one of them.
+    moment, then mask by mask in ascending order a positive denominator,
+    the range [0, 1] and no increase over each subset one member smaller
+    (`_raise_first_moment_fault`).
+
+    That ordered loop runs only when one bulk pass over the tables has found
+    a fault. The pass checks denominators and range with min and map, then
+    reads every moment once as a float, vals = nums / dens. For each bit b
+    it compares the masks with b set against the same masks with b clear,
+    as slice pairs: stride slices while 4^b < 2^n, contiguous blocks after
+    that. A pair of slices needs the exact cross-products only where some
+    float moment with b set is >= its partner; elsewhere the floats already
+    prove a strict decrease:
+
+    - CPython's int / int is correctly rounded for integers of any size,
+      and after the range check every quotient lies in [0, 1], so it does
+      not overflow; underflow rounds to a subnormal or 0.0 like any other
+      value.
+    - Rounding to nearest is monotone: a <= b implies fl(a) <= fl(b). So
+      fl(a) < fl(b) proves a < b exactly, and an edge the floats pass is a
+      strict decrease.
+
+    Ties, near-ties that no float tells apart, and moments that underflow
+    to the same float are decided on integers, so the result is exact. A
+    common denominator of all 2^n values could grow to 2^n times the size
+    of one of them, so each comparison cross-multiplies one pair.
     """
     if not 0 <= n <= EXTENSION_ROW_GUARD:
         raise DomainError(f"moment guard: 0 <= n <= {EXTENSION_ROW_GUARD} (got {n})")
@@ -82,7 +103,49 @@ def _check_moments(n: int, nums: Sequence[int], dens: Sequence[int]) -> None:
         raise DomainError(f"moments must cover all {total} subsets of [{n}]")
     if nums[0] != dens[0]:
         raise DomainError("the empty-set moment must be exactly 1")
+    if _moments_pass_in_bulk(n, nums, dens):
+        return
+    _raise_first_moment_fault(nums, dens)
+    raise InternalInvariantError(
+        f"the bulk moment check refused moments over [{n}] that the ordered check accepts"
+    )
+
+
+def _moments_pass_in_bulk(n: int, nums: Sequence[int], dens: Sequence[int]) -> bool:
+    """Whether the moment tables pass the denominator, range and superset
+    checks; `_check_moments` holds the proof."""
+    if min(dens) <= 0 or min(nums) < 0 or not all(map(operator.le, nums, dens)):
+        return False
+    vals = list(map(operator.truediv, nums, dens))
+    total = 1 << n
+    for b in range(n):
+        step = 1 << b
+        if step * step < total:
+            runs = [(slice(r + step, total, 2 * step), slice(r, total, 2 * step))
+                    for r in range(step)]
+        else:
+            runs = [(slice(lo + step, lo + 2 * step), slice(lo, lo + step))
+                    for lo in range(0, total, 2 * step)]
+        for hi, lo in runs:
+            if any(map(operator.ge, vals[hi], vals[lo])) and any(map(
+                operator.gt,
+                map(operator.mul, nums[hi], dens[lo]),
+                map(operator.mul, nums[lo], dens[hi]),
+            )):
+                return False
+    return True
+
+
+def _raise_first_moment_fault(nums: Sequence[int], dens: Sequence[int]) -> None:
+    """Raise the DomainError of the first mask, in ascending order, with a
+    non-positive denominator, a moment outside [0, 1] or a moment above that
+    of a subset one member smaller; return if there is none."""
     for mask, (num, den) in enumerate(zip(nums, dens)):
+        if den <= 0:
+            raise DomainError(
+                f"moment denominator {den} for mask {mask} is not positive",
+                witness={"subset_mask": mask},
+            )
         if not 0 <= num <= den:
             raise DomainError(
                 f"moment {Fraction(num, den)} for mask {mask} is outside [0, 1]",
@@ -106,9 +169,10 @@ class MomentVector:
 
     The moment of the subset `mask` is nums[mask] / dens[mask], in lowest
     terms with a positive denominator. The constructor takes tables in that
-    form and checks that the empty-set moment is exactly 1, every value
-    lies in [0, 1], and values never increase when the subset grows. A
-    Fraction is built only when one moment is read by indexing.
+    form and checks that the empty-set moment is exactly 1, every
+    denominator is positive, every value lies in [0, 1], and values never
+    increase when the subset grows. A Fraction is built only when one
+    moment is read by indexing.
     """
 
     n: int

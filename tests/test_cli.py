@@ -112,6 +112,22 @@ def test_gen_refuses_flags_of_other_families():
         assert code == 2 and out == "" and "usage:" in err, argv
 
 
+def test_gen_family_usage_errors_show_the_family_usage():
+    # the root parser reported these with its own usage line, which lists
+    # the thirteen commands and none of the family's flags
+    for argv, usage, extras in [
+        (["gen", "hamming", "--l", "2", "--k", "9"], "gen hamming [-h] --l L", "--k 9"),
+        (["gen", "vandermonde", "--k", "2", "--l", "4"],
+         "gen vandermonde [-h] --k K [--copies COPIES] [--row ROW]", "--l 4"),
+        (["gen", "stairstep", "--k", "3", "--copies", "5", "--row", "1,2,3"],
+         "gen stairstep [-h] --k K", "--copies 5 --row 1,2,3"),
+    ]:
+        family = " ".join(argv[:2])
+        assert run_cli(argv) == (
+            2, "", f"usage: hadamix {usage}\n"
+                   f"hadamix {family}: error: unrecognized arguments: {extras}\n"), argv
+
+
 # ---------------------------------------------------------------------------
 # pipeline commands
 

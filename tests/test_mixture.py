@@ -30,6 +30,7 @@ from hadamix import (
     identifiability_gate,
     is_separated,
     matrix_to_json,
+    mixture,
     moment_map,
     recover_pi,
 )
@@ -118,6 +119,23 @@ def test_moment_vector_refuses_the_smallest_increase():
         moment_vector(2, {0: 1, 1: HALF, 2: 1, 3: 1})
     assert (str(err.value), err.value.witness) == (
         "moments must not increase on supersets", {"subset_mask": 3})
+
+
+def test_moment_vector_refuses_a_non_positive_denominator():
+    # (1, 0) / (1, 0) was accepted, and reading mask 1 raised a bare
+    # ZeroDivisionError from Fraction(0, 0)
+    for nums, dens, message, mask in [
+        ((1, 0), (1, 0), "moment denominator 0 for mask 1 is not positive", 1),
+        ((0, 0), (0, 1), "moment denominator 0 for mask 0 is not positive", 0),
+        ((-2, -1), (-2, -3), "moment denominator -2 for mask 0 is not positive", 0),
+        ((1, 5, 1, 0), (1, 0, -2, 1), "moment denominator 0 for mask 1 is not positive", 1),
+        # mask by mask: the range of mask 1 before the denominator of mask 2
+        ((1, 3, 1, 0), (1, 2, -2, 1), "moment 3/2 for mask 1 is outside [0, 1]", 1),
+        ((1, 1, 1, 0), (1, 2, 0, 1), "moment denominator 0 for mask 2 is not positive", 2),
+    ]:
+        with pytest.raises(DomainError) as err:
+            MomentVector(len(nums).bit_length() - 1, nums, dens)
+        assert (str(err.value), err.value.witness) == (message, {"subset_mask": mask})
 
 
 def test_moment_vector_index_names_one_of_its_masks():
@@ -482,3 +500,86 @@ def test_moment_json_codec_matches_the_fraction_reference(params, data):
     assert obj == {"n": n, "moments": reference}
     assert list(obj["moments"]) == [str(mask) for mask in range(1 << n)]
     assert MomentVector.from_json_obj(obj) == moments
+
+
+# ---------------------------------------------------------------------------
+# the bulk moment check: floats settle strict decreases, integers the rest
+
+
+def near(value):
+    """1/(b 2^70) for value = a/b: a step no float tells from a/b."""
+    return Fraction(1, Fraction(value).denominator * 2**70)
+
+
+@st.composite
+def moment_tables(draw):
+    """(n, values, scales) for a moment table built mask by mask from the
+    smallest moment one member smaller: an exact tie, a near-tie below, a
+    moment that is subnormal or underflows to 0.0 as a float, or a plain
+    drop. Then one mask may be nudged by a near-tie either way, or set a
+    near-tie above its smallest subset. scales[mask] multiplies both
+    integers of the mask, so most tables are not in lowest terms."""
+    n = draw(st.integers(0, 6))
+    values = {0: Fraction(1)}
+    below = {}
+    for mask in range(1, 1 << n):
+        parent = below[mask] = min(values[mask & ~(1 << i)] for i in range(n) if mask >> i & 1)
+        step = draw(st.sampled_from(["tie", "near", "subnormal", "underflow", "drop"]))
+        if step == "tie":
+            values[mask] = parent
+        elif step == "near":
+            values[mask] = max(parent - near(parent), Fraction(0))
+        elif step == "subnormal":  # 2^-1074 <= value < 2^-1022
+            values[mask] = min(parent, Fraction(draw(st.integers(1, 7)), 2**1060))
+        elif step == "underflow":  # rounds to 0.0
+            values[mask] = min(parent, Fraction(draw(st.integers(1, 7)),
+                                                2**1100 + draw(st.integers(0, 3))))
+        else:
+            values[mask] = parent * draw(st.sampled_from([0, HALF, Fraction(6, 7)]))
+    if n and draw(st.booleans()):
+        mask = draw(st.integers(1, (1 << n) - 1))
+        value = values[mask]
+        values[mask] = draw(st.sampled_from([
+            value + near(value), value - near(value), below[mask] + near(below[mask])]))
+    scales = draw(st.lists(st.sampled_from([1, 2, 3**40]), min_size=1 << n, max_size=1 << n))
+    return n, values, scales
+
+
+@settings(deadline=None, max_examples=150)
+@given(moment_tables())
+def test_bulk_moment_check_matches_the_fraction_reference(table):
+    n, values, scales = table
+    expected = moment_checks_reference(n, values)
+    nums = tuple(values[mask].numerator * c for mask, c in enumerate(scales))
+    dens = tuple(values[mask].denominator * c for mask, c in enumerate(scales))
+    try:
+        moments = MomentVector(n, nums, dens)
+    except DomainError as exc:
+        assert (str(exc), exc.witness) == expected
+        return
+    assert expected is None
+    assert moment_values(moments) == values
+
+
+def test_the_ordered_moment_check_runs_only_on_a_fault(monkeypatch):
+    runs = Counter()
+    ordered = mixture._raise_first_moment_fault
+
+    def counted(nums, dens):
+        runs["ordered"] += 1
+        return ordered(nums, dens)
+
+    monkeypatch.setattr(mixture, "_raise_first_moment_fault", counted)
+    rng = random.Random(103)
+    # PROB_POOL holds 0 and 1, so these tables are full of exact ties
+    tables = [moment_map(MixtureParams(random_matrix(rng, n, k, PROB_POOL),
+                                       random_distribution(rng, k)))
+              for n, k in [(0, 1), (4, 2), (8, 3), (11, 4)]]
+    assert runs["ordered"] == 0
+    values = moment_values(tables[-1])
+    values[(1 << 11) - 1] = values[(1 << 10) - 1] + near(values[(1 << 10) - 1])
+    with pytest.raises(DomainError) as err:
+        moment_vector(11, values)
+    assert (str(err.value), err.value.witness) == (
+        "moments must not increase on supersets", {"subset_mask": (1 << 11) - 1})
+    assert runs["ordered"] == 1
