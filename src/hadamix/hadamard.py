@@ -40,6 +40,16 @@ from .exact_core import (
 
 # Materializing 2^n rows is inherent to the object; refuse past this.
 EXTENSION_ROW_GUARD = 20
+# Every fold and every extension row holds k entries, and a fold's work
+# grows faster than k^2; refuse past this before anything of size k is built.
+EXTENSION_COLUMN_GUARD = 1024
+
+
+def _check_columns(k: int) -> None:
+    if k > EXTENSION_COLUMN_GUARD:
+        raise DomainError(
+            f"extension guard: at most {EXTENSION_COLUMN_GUARD} columns (got {k})"
+        )
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,7 @@ def hadamard_extension(m: RMatrix) -> RMatrix:
         raise DomainError(
             f"extension guard: at most {EXTENSION_ROW_GUARD} rows (got {n})"
         )
+    _check_columns(k)
     columns = [_subset_products(Fraction(1), [row[j] for row in m.entries])
                for j in range(k)]
     # with no columns, zip() yields nothing: each row is then empty
@@ -135,6 +146,7 @@ def full_extension_rank(m: RMatrix) -> int:
         raise DomainError(
             f"extension guard: at most {EXTENSION_ROW_GUARD} rows (got {m.n_rows})"
         )
+    _check_columns(m.n_cols)
     return _fold(m)[1].dim
 
 
@@ -165,6 +177,7 @@ def greedy_min_rows(m: RMatrix) -> SubsetIndex | NotFullRank:
     as a `RowspaceState`: a fold only adds basis rows, so every state holds
     the initial span(ones), which `RowspaceState.initial` checks.
     """
+    _check_columns(m.n_cols)
     chosen, space = _fold(m)
     state = RowspaceState(SubsetIndex(m.n_rows, chosen), space)
     return state.chosen_rows if space.dim == m.n_cols else NotFullRank(space.dim)
@@ -188,6 +201,7 @@ def exhaustive_min_rows(m: RMatrix, size: int) -> list[SubsetIndex]:
     `left` members still to pick is dropped when d * 2^left < k.
     """
     n, k = m.n_rows, m.n_cols
+    _check_columns(k)
     if size < 0 or size > n:
         raise DomainError(f"subset size {size} out of range for {n} rows")
     count = math.comb(n, size)

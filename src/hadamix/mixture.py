@@ -70,31 +70,9 @@ def _check_moments(n: int, nums: Sequence[int], dens: Sequence[int]) -> None:
     """Raise the first DomainError that the moment tables of a MomentVector earn.
 
     In order: the guard on n, the cover of all 2^n masks, the empty-set
-    moment, then mask by mask in ascending order a positive denominator,
-    the range [0, 1] and no increase over each subset one member smaller
-    (`_raise_first_moment_fault`).
-
-    That ordered loop runs only when one bulk pass over the tables has found
-    a fault. The pass checks denominators and range with min and map, then
-    reads every moment once as a float, vals = nums / dens. For each bit b
-    it compares the masks with b set against the same masks with b clear,
-    as slice pairs: stride slices while 4^b < 2^n, contiguous blocks after
-    that. A pair of slices needs the exact cross-products only where some
-    float moment with b set is >= its partner; elsewhere the floats already
-    prove a strict decrease:
-
-    - CPython's int / int is correctly rounded for integers of any size,
-      and after the range check every quotient lies in [0, 1], so it does
-      not overflow; underflow rounds to a subnormal or 0.0 like any other
-      value.
-    - Rounding to nearest is monotone: a <= b implies fl(a) <= fl(b). So
-      fl(a) < fl(b) proves a < b exactly, and an edge the floats pass is a
-      strict decrease.
-
-    Ties, near-ties that no float tells apart, and moments that underflow
-    to the same float are decided on integers, so the result is exact. A
-    common denominator of all 2^n values could grow to 2^n times the size
-    of one of them, so each comparison cross-multiplies one pair.
+    moment, then at the smallest faulty mask (`_first_moment_fault`) a
+    non-positive denominator, a value outside [0, 1] or an increase over a
+    subset one member smaller, in that order.
     """
     if not 0 <= n <= EXTENSION_ROW_GUARD:
         raise DomainError(f"moment guard: 0 <= n <= {EXTENSION_ROW_GUARD} (got {n})")
@@ -103,21 +81,67 @@ def _check_moments(n: int, nums: Sequence[int], dens: Sequence[int]) -> None:
         raise DomainError(f"moments must cover all {total} subsets of [{n}]")
     if nums[0] != dens[0]:
         raise DomainError("the empty-set moment must be exactly 1")
-    if _moments_pass_in_bulk(n, nums, dens):
+    mask = _first_moment_fault(n, nums, dens)
+    if mask is None:
         return
-    _raise_first_moment_fault(nums, dens)
-    raise InternalInvariantError(
-        f"the bulk moment check refused moments over [{n}] that the ordered check accepts"
+    num, den = nums[mask], dens[mask]
+    if den <= 0:
+        raise DomainError(
+            f"moment denominator {den} for mask {mask} is not positive",
+            witness={"subset_mask": mask},
+        )
+    if not 0 <= num <= den:
+        raise DomainError(
+            f"moment {Fraction(num, den)} for mask {mask} is outside [0, 1]",
+            witness={"subset_mask": mask},
+        )
+    raise DomainError(
+        "moments must not increase on supersets", witness={"subset_mask": mask}
     )
 
 
-def _moments_pass_in_bulk(n: int, nums: Sequence[int], dens: Sequence[int]) -> bool:
-    """Whether the moment tables pass the denominator, range and superset
-    checks; `_check_moments` holds the proof."""
+def _first_moment_fault(n: int, nums: Sequence[int], dens: Sequence[int]) -> int | None:
+    """The smallest mask with a non-positive denominator, a value outside
+    [0, 1] or a value above that of a subset one member smaller; None if
+    there is none.
+
+    One bulk pass. If the denominators or the range fail at some mask, both
+    tables are cut there, and the answer is the smaller of that mask and the
+    first increase below it. That is exact: every subset of a mask is a
+    smaller mask, so each mask below the cut is compared only with valid
+    moments, and at the cut itself the denominator and range come first.
+
+    Every moment left is read once as a float, vals = nums / dens. For each
+    bit b the masks with b set are compared with the same masks with b
+    clear, as slice pairs: stride slices while 4^b < 2^n, contiguous blocks
+    after that. A pair of slices needs the exact cross-products only where
+    some float moment with b set is >= its partner; elsewhere the floats
+    already prove a strict decrease:
+
+    - CPython's int / int is correctly rounded for integers of any size,
+      and every quotient left lies in [0, 1], so it does not overflow;
+      underflow rounds to a subnormal or 0.0 like any other value.
+    - Rounding to nearest is monotone: a <= b implies fl(a) <= fl(b). So
+      fl(a) < fl(b) proves a < b exactly, and an edge the floats pass is a
+      strict decrease.
+
+    Ties, near-ties that no float tells apart, and moments that underflow
+    to the same float are decided on integers, so the result is exact. A
+    common denominator of all 2^n values could grow to 2^n times the size
+    of one of them, so each comparison cross-multiplies one pair. Only a run
+    with an increase is compared again, to map its first increase to a mask.
+    """
+    total = first = 1 << n
     if min(dens) <= 0 or min(nums) < 0 or not all(map(operator.le, nums, dens)):
-        return False
+        first = next(mask for mask, (num, den) in enumerate(zip(nums, dens))
+                     if den <= 0 or not 0 <= num <= den)
+        nums, dens = nums[:first], dens[:first]
     vals = list(map(operator.truediv, nums, dens))
-    total = 1 << n
+
+    def rises(hi: slice, lo: slice):
+        return map(operator.gt, map(operator.mul, nums[hi], dens[lo]),
+                   map(operator.mul, nums[lo], dens[hi]))
+
     for b in range(n):
         step = 1 << b
         if step * step < total:
@@ -127,40 +151,11 @@ def _moments_pass_in_bulk(n: int, nums: Sequence[int], dens: Sequence[int]) -> b
             runs = [(slice(lo + step, lo + 2 * step), slice(lo, lo + step))
                     for lo in range(0, total, 2 * step)]
         for hi, lo in runs:
-            if any(map(operator.ge, vals[hi], vals[lo])) and any(map(
-                operator.gt,
-                map(operator.mul, nums[hi], dens[lo]),
-                map(operator.mul, nums[lo], dens[hi]),
-            )):
-                return False
-    return True
-
-
-def _raise_first_moment_fault(nums: Sequence[int], dens: Sequence[int]) -> None:
-    """Raise the DomainError of the first mask, in ascending order, with a
-    non-positive denominator, a moment outside [0, 1] or a moment above that
-    of a subset one member smaller; return if there is none."""
-    for mask, (num, den) in enumerate(zip(nums, dens)):
-        if den <= 0:
-            raise DomainError(
-                f"moment denominator {den} for mask {mask} is not positive",
-                witness={"subset_mask": mask},
-            )
-        if not 0 <= num <= den:
-            raise DomainError(
-                f"moment {Fraction(num, den)} for mask {mask} is outside [0, 1]",
-                witness={"subset_mask": mask},
-            )
-        rest = mask
-        while rest:
-            low = rest & -rest
-            sub = mask ^ low
-            if num * dens[sub] > nums[sub] * den:
-                raise DomainError(
-                    "moments must not increase on supersets",
-                    witness={"subset_mask": mask},
-                )
-            rest ^= low
+            # in a cut table map stops at the shorter slice, and position i
+            # of both still pairs a mask with its subset
+            if any(map(operator.ge, vals[hi], vals[lo])) and any(rises(hi, lo)):
+                first = min(first, range(total)[hi][list(rises(hi, lo)).index(True)])
+    return None if first == total else first
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -327,6 +330,65 @@ def test_wrong_shape_is_usage_error():
     assert code == 2 and "missing field" in err
 
 
+ONE_ROW = {"rows": 1, "cols": 2, "data": [["1/4", "3/4"]]}
+
+
+@pytest.mark.parametrize("argv, document, message", [
+    (["recover-pi"], {"m": ONE_ROW, "moments": [1]},
+     "moment JSON must be an object with 'n' and 'moments'"),
+    (["recover-pi"], {"m": ONE_ROW, "moments": {"n": True, "moments": {"0": 1, "1": "1/2"}}},
+     "'n' must be a nonnegative integer"),
+    (["recover-pi"], {"m": ONE_ROW, "moments": {"n": -1, "moments": {"0": 1}}},
+     "'n' must be a nonnegative integer"),
+    (["recover-pi"], {"m": ONE_ROW, "moments": {"n": 1, "moments": {"1": "1/2"}}},
+     "'moments' must be an object with the '0' entry"),
+    (["recover-pi"], [ONE_ROW], "recover-pi input must be a JSON object"),
+    (["recover-pi"], {"m": ONE_ROW}, "recover-pi input missing field 'moments'"),
+    (["moments"], [1], "moments input must be a JSON object"),
+    (["moments"], {"m": ONE_ROW}, "moments input missing field 'pi'"),
+    (["moments"], {"m": ONE_ROW, "pi": {"0": 1}}, "'pi' must be a JSON array"),
+    (["project", "--block", "1"], [2, 1], "project input must be a JSON object"),
+    (["project", "--block", "1"], {"w": [2, 1]}, "project input missing field 'v'"),
+    (["project", "--block", "1"], {"v": "2,1"}, "'v' must be a JSON array"),
+    (["gen", "vandermonde", "--k", "0"], None, "--k must be at least 1"),
+    (["gen", "vandermonde", "--k", "3", "--row", "1,2"], None, "--row must have 3 entries"),
+    (["gen", "vandermonde", "--k", "2", "--row", "1,x"], None,
+     "--row is not a rational list: '1,x'"),
+    (["gen", "stairstep", "--k", "0"], None, "--k must be at least 1"),
+])
+def test_input_format_and_usage_errors(argv, document, message):
+    text = json.dumps(document) if document is not None else ""
+    assert run_cli(argv, text) == (2, "", f"hadamix {argv[0]}: {message}\n")
+
+
+def test_input_file_reads_like_stdin(tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text(DUP_COLS, encoding="utf-8")
+    piped = run_cli(["rank"], DUP_COLS)
+    assert piped[0] == 0
+    assert run_cli(["rank", "--input", str(path)]) == piped
+    assert run_cli(["rank", "-i", str(path)]) == piped
+    code, out, err = run_cli(["rank", "--input", str(tmp_path / "missing.json")])
+    assert code == 2 and out == ""
+    assert err.startswith(f"hadamix rank: cannot read {tmp_path / 'missing.json'}: ")
+
+
+def test_module_runs_as_a_process():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv, text, code in [
+        (["rank"], DUP_COLS, 0),
+        (["nae-restrict"], DUP_COLS, 1),
+        (["rank"], "{not json", 2),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-m", "hadamix.cli", *argv], input=text, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == run_cli(argv, text)
+        assert done.returncode == code
+
+
 def test_domain_error_object_and_exit_code():
     code, out, _ = run_cli(["nae-restrict"], DUP_COLS)
     assert code == 1
@@ -341,6 +403,25 @@ def test_guard_error_exit_code():
     code, out, _ = run_cli(["hadext"], big)
     assert code == 1
     assert "guard" in json.loads(out)["error"]
+    # the column guard refuses before a fold holds a tuple of 10^6 entries
+    wide = json.dumps({"rows": 0, "cols": 1000000, "data": []})
+    refusal = ('{"error": "extension guard: at most 1024 columns (got 1000000)", '
+               '"witness": null}\n')
+    run_cli(["rank"], DUP_COLS)  # the parser's own allocations
+    for argv, text in [
+        (["rank"], wide),
+        (["minrows"], wide),
+        (["hadext"], wide),
+        (["recover-pi"], '{"m": %s, "moments": {"n": 0, "moments": {"0": 1}}}' % wide),
+    ]:
+        tracemalloc.start()
+        try:
+            got = run_cli(argv, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (1, refusal, ""), argv
+        assert peak < 64 * 1024, (argv, peak)
 
 
 def test_unknown_command_is_usage_error():

@@ -98,6 +98,14 @@ def test_extension_guard():
         hadamard_extension(m)
     with pytest.raises(DomainError, match="guard"):
         full_extension_rank(m)
+    wide = RMatrix(0, 1025, ())
+    for refuse in [hadamard_extension, full_extension_rank, greedy_min_rows,
+                   lambda m: exhaustive_min_rows(m, 0)]:
+        with pytest.raises(DomainError) as err:
+            refuse(wide)
+        assert str(err.value) == "extension guard: at most 1024 columns (got 1025)"
+    # 1024 columns still fold
+    assert full_extension_rank(RMatrix.from_rows([range(1024)])) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from hadamix import (
     identifiability_gate,
     is_separated,
     matrix_to_json,
-    mixture,
     moment_map,
     recover_pi,
 )
@@ -561,25 +560,60 @@ def test_bulk_moment_check_matches_the_fraction_reference(table):
     assert moment_values(moments) == values
 
 
-def test_the_ordered_moment_check_runs_only_on_a_fault(monkeypatch):
-    runs = Counter()
-    ordered = mixture._raise_first_moment_fault
+def as_tables(values):
+    """(nums, dens) of a list of moments, one per mask."""
+    fractions = list(map(Fraction, values))
+    return [q.numerator for q in fractions], [q.denominator for q in fractions]
 
-    def counted(nums, dens):
-        runs["ordered"] += 1
-        return ordered(nums, dens)
 
-    monkeypatch.setattr(mixture, "_raise_first_moment_fault", counted)
+def high_bit_rise_below_bit_0_rise():
+    # bit 0 finds 7 above 6 first; bit 2 finds the smaller 6 above 2 last
+    values = [1, HALF, Fraction(1, 4), Fraction(1, 4), HALF, Fraction(1, 4), HALF, Fraction(3, 4)]
+    return 3, *as_tables(values), moment_checks_reference(3, dict(enumerate(values)))
+
+
+def range_fault_below_rises():
+    # 3 rises above the negative moment of 2; 5 rises above 1 and 4
+    values = [1, HALF, Fraction(-1, 3), Fraction(1, 4), HALF, Fraction(3, 4), HALF, Fraction(1, 4)]
+    return 3, *as_tables(values), moment_checks_reference(3, dict(enumerate(values)))
+
+
+def rise_below_zero_denominator():
+    # 3 rises above 2; mask 4 has denominator 0
+    nums, dens = [1, 1, 1, 1, 0, 0, 0, 0], [1, 2, 4, 2, 0, 1, 1, 1]
+    return 3, nums, dens, ("moments must not increase on supersets", {"subset_mask": 3})
+
+
+def negative_denominator_below_rises():
+    # mask 2 has denominator -2; 3 rises above 1, 5 above 4
+    nums, dens = [1, 1, 1, 1, 1, 1, 0, 0], [1, 4, -2, 2, 4, 2, 1, 1]
+    return 3, nums, dens, ("moment denominator -2 for mask 2 is not positive",
+                           {"subset_mask": 2})
+
+
+def near_tie_rises_at_n_11():
+    # the fourth table drawn from seed 103, full of exact ties (PROB_POOL
+    # holds 0 and 1), with near-tie rises at 2047 above 1023 and at 2046
+    # above 1022
     rng = random.Random(103)
-    # PROB_POOL holds 0 and 1, so these tables are full of exact ties
-    tables = [moment_map(MixtureParams(random_matrix(rng, n, k, PROB_POOL),
-                                       random_distribution(rng, k)))
-              for n, k in [(0, 1), (4, 2), (8, 3), (11, 4)]]
-    assert runs["ordered"] == 0
-    values = moment_values(tables[-1])
-    values[(1 << 11) - 1] = values[(1 << 10) - 1] + near(values[(1 << 10) - 1])
+    for n, k in [(0, 1), (4, 2), (8, 3), (11, 4)]:
+        params = MixtureParams(random_matrix(rng, n, k, PROB_POOL), random_distribution(rng, k))
+    values = moment_values(moment_map(params))
+    for mask in (2047, 2046):
+        values[mask] = values[mask - 1024] + near(values[mask - 1024])
+    nums, dens = as_tables(values[mask] for mask in range(1 << 11))
+    return 11, nums, dens, moment_checks_reference(11, values)
+
+
+@pytest.mark.parametrize("table", [
+    high_bit_rise_below_bit_0_rise,
+    range_fault_below_rises,
+    rise_below_zero_denominator,
+    negative_denominator_below_rises,
+    near_tie_rises_at_n_11,
+])
+def test_the_check_names_the_first_of_several_faults(table):
+    n, nums, dens, expected = table()
     with pytest.raises(DomainError) as err:
-        moment_vector(11, values)
-    assert (str(err.value), err.value.witness) == (
-        "moments must not increase on supersets", {"subset_mask": (1 << 11) - 1})
-    assert runs["ordered"] == 1
+        MomentVector(n, tuple(nums), tuple(dens))
+    assert (str(err.value), err.value.witness) == expected
