@@ -288,10 +288,11 @@ def _cmd_minrows(args, stdin):
 def _cmd_eps(args, stdin):
     matrix = _load_matrix(args, stdin)
     cols = _parse_indices(args.cols, matrix.n_cols, "--cols")
+    rows = nae_rows(matrix, cols)
     return {
         "cols": _subset_to_list(cols),
-        "eps": nae_eps(matrix, cols),
-        "nae_rows": _subset_to_list(nae_rows(matrix, cols)),
+        "eps": len(rows) - len(cols),
+        "nae_rows": _subset_to_list(rows),
     }
 
 

@@ -28,6 +28,10 @@ GROUND_SET_LIMIT = 62
 # Exhaustive subset scans refuse to enumerate more than this many subsets.
 SUBSET_SCAN_LIMIT = 10**6
 
+# The exhaustive NAE restriction scans 2^k column sets per (k-1)-row subset;
+# it refuses more than this many in total (about a third of a second).
+SUBSET_FIELD_LIMIT = 10**7
+
 
 class DomainError(ValueError):
     """A documented precondition or size guard was violated."""

@@ -14,6 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from typing import Sequence
 
 from .exact_core import (
@@ -128,8 +129,10 @@ def _first_moment_fault(n: int, nums: Sequence[int], dens: Sequence[int]) -> int
     Ties, near-ties that no float tells apart, and moments that underflow
     to the same float are decided on integers, so the result is exact. A
     common denominator of all 2^n values could grow to 2^n times the size
-    of one of them, so each comparison cross-multiplies one pair. Only a run
-    with an increase is compared again, to map its first increase to a mask.
+    of one of them, so each comparison cross-multiplies one pair, once: a
+    run is compared up to its first increase, and that increase cuts both
+    tables at its mask, as a range fault does, so every later run looks
+    only below the smallest fault found so far.
     """
     total = first = 1 << n
     if min(dens) <= 0 or min(nums) < 0 or not all(map(operator.le, nums, dens)):
@@ -153,8 +156,11 @@ def _first_moment_fault(n: int, nums: Sequence[int], dens: Sequence[int]) -> int
         for hi, lo in runs:
             # in a cut table map stops at the shorter slice, and position i
             # of both still pairs a mask with its subset
-            if any(map(operator.ge, vals[hi], vals[lo])) and any(rises(hi, lo)):
-                first = min(first, range(total)[hi][list(rises(hi, lo)).index(True)])
+            if any(map(operator.ge, vals[hi], vals[lo])):
+                i = next(compress(count(), rises(hi, lo)), None)
+                if i is not None:  # an increase: cut both tables at its mask
+                    first = range(total)[hi][i]
+                    nums, dens, vals = nums[:first], dens[:first], vals[:first]
     return None if first == total else first
 
 

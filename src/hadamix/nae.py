@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 from .exact_core import (
+    SUBSET_FIELD_LIMIT,
     SUBSET_SCAN_LIMIT,
     DomainError,
     InternalInvariantError,
@@ -25,6 +27,13 @@ from .exact_core import (
 
 # eps_bar scans all 2^k nonempty column subsets.
 COLUMN_SCAN_GUARD = 20
+
+# A rational's exact key: ints and Fractions give (numerator, denominator).
+_pair = attrgetter("numerator", "denominator")
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+
+# (row mask, classes of equal values as column masks) per distinct row pattern
+Classes = list[tuple[int, tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -61,8 +70,7 @@ def nae_rows(m: RMatrix, cols: SubsetIndex) -> SubsetIndex:
         raise DomainError("column set must be nonempty")
     mask = 0
     for i, row in enumerate(m.entries):
-        first = row[idx[0]]
-        if any(row[j] != first for j in idx[1:]):
+        if len(set(map(_pair, map(row.__getitem__, idx)))) > 1:
             mask |= 1 << i
     return SubsetIndex(m.n_rows, mask)
 
@@ -81,15 +89,25 @@ def _check_columns(k: int) -> None:
         )
 
 
-def _row_classes(m: RMatrix) -> list[tuple[int, ...]]:
-    """Each row's classes of equal values, as column masks."""
-    out = []
-    for row in m.entries:
-        classes: dict[object, int] = {}
-        for j, value in enumerate(row):
-            classes[value] = classes.get(value, 0) | (1 << j)
-        out.append(tuple(classes.values()))
-    return out
+def _row_classes(m: RMatrix) -> Classes:
+    """The rows' classes of equal values, as column masks, one entry per
+    distinct pattern: (mask of the rows with that pattern, their classes).
+
+    Values are keyed by their (numerator, denominator) pair, which is equal
+    exactly when the rationals are, for ints and Fractions alike, and hashes
+    in C where a Fraction's hash is Python code. Classes are listed by their
+    first column, so rows with the same pattern give the same tuple.
+    """
+    groups: dict[tuple[int, ...], int] = {}
+    for i, row in enumerate(m.entries):
+        classes: dict[tuple[int, int], int] = {}
+        bit = 1
+        for value in map(_pair, row):
+            classes[value] = classes.get(value, 0) | bit
+            bit <<= 1
+        pattern = tuple(classes.values())
+        groups[pattern] = groups.get(pattern, 0) | 1 << i
+    return [(rows, pattern) for pattern, rows in groups.items()]
 
 
 def _members(mask: int) -> Iterator[int]:
@@ -106,42 +124,113 @@ def _spread(local: int, cols: int) -> int:
     return sum(1 << j for b, j in enumerate(_members(cols)) if local >> b & 1)
 
 
-def _constant_counts(classes: list[tuple[int, ...]], rows: int, cols: int) -> list[int]:
-    """counts[S] = number of rows in `rows` constant on the column set S.
+def _restrict_classes(classes: Classes, cols: int) -> Classes:
+    """The classes on the columns of `cols`, numbered within `cols`."""
+    positions = list(_members(cols))
+    groups: dict[tuple[int, ...], int] = {}
+    for rows, pattern in classes:
+        local = tuple(
+            sum(1 << b for b, j in enumerate(positions) if cmask >> j & 1)
+            for cmask in pattern
+            if cmask & cols
+        )
+        groups[local] = groups.get(local, 0) | rows
+    return [(rows, pattern) for pattern, rows in groups.items()]
 
-    S ranges over the subsets of `cols`, numbered by their bits within
-    `cols` (the submatrix's own column order). A row is constant on S iff
-    S sits inside one of the row's classes of equal values, so marking
-    every nonempty submask of every class covers each S once per row.
+
+def _constant_table(classes: Classes, rows: int, width: int, size: int) -> int:
+    """Packed counts: field S holds the number of rows in `rows` constant on S.
+
+    `classes` cover the columns 0..width-1 and S ranges over their subsets;
+    field S is the `size`-byte slice of the int at byte `size * S`. A row
+    is constant on S iff S sits inside one of its classes of equal values,
+    so the counts are the superset sums of the histogram of class masks:
+    one shift, mask and add per column (the zeta transform), each over the
+    whole packed table. `size` must hold rows.bit_count() * width, which
+    bounds the empty set's field while the sums run.
     """
-    counts = [0] * (1 << cols.bit_count())
-    local = None
-    if cols & (cols + 1):
-        local = {1 << j: 1 << b for b, j in enumerate(_members(cols))}
-    for i in _members(rows):
-        for cmask in classes[i]:
-            cmask &= cols
-            if local is not None:
-                bits, cmask = cmask, 0
-                while bits:
-                    low = bits & -bits
-                    cmask |= local[low]
-                    bits ^= low
-            s = cmask
-            while s:
-                counts[s] += 1
-                s = (s - 1) & cmask
-    return counts
+    hist: dict[int, int] = {}
+    for group, pattern in classes:
+        copies = (group & rows).bit_count()
+        if copies:
+            for cmask in pattern:
+                hist[cmask] = hist.get(cmask, 0) + copies
+    packed = bytearray(size << width)
+    for cmask, count in hist.items():
+        if count < 256:  # its low byte; the field's others stay zero
+            packed[size * cmask] = count
+        else:
+            packed[size * cmask:size * (cmask + 1)] = count.to_bytes(size, "little")
+    table = int.from_bytes(packed, "little")
+    step = 8 * size
+    keep = (1 << (step << (width - 1))) - 1  # the fields whose top bit is clear
+    for b in reversed(range(width)):
+        shift = step << b
+        table += (table >> shift) & keep
+        if b:  # the fields with bit b - 1 clear, from those with bit b clear
+            half = keep & (keep >> (shift >> 1))
+            keep = half | (half << shift)
+    # the empty set's field summed every class; every row is constant on it
+    return table - sum(hist.values()) + rows.bit_count()
 
 
-def _min_deficiency(counts: list[int], n: int) -> tuple[int, int]:
-    """(eps_bar, smallest-bitmask minimizer) of a constant-count table over n rows."""
-    best, best_mask = n, 0
-    for cmask in range(1, len(counts)):
-        e = (n - counts[cmask]) - cmask.bit_count()
-        if e < best:
-            best, best_mask = e, cmask
-    return best, best_mask
+def _popcounts(width: int, size: int) -> int:
+    """Packed like `_constant_table`: field S holds |S|."""
+    counts = b"\0"
+    for _ in range(width):
+        counts += counts.translate(_PLUS_ONE)
+    if size > 1:
+        wide = bytearray(size << width)
+        wide[::size] = counts
+        counts = wide
+    return int.from_bytes(counts, "little")
+
+
+def _find(data: bytes, size: int, value: int) -> int:
+    """The first field of a packed table's bytes that holds `value`, or -1."""
+    pattern = value.to_bytes(size, "little")
+    at = data.find(pattern)
+    while at > 0 and at % size:  # a match across two fields
+        at = data.find(pattern, at + 1)
+    return at // size
+
+
+def _field_bytes(largest: int) -> int:
+    """The fewest bytes that hold 0..largest."""
+    return max(1, (largest.bit_length() + 7) // 8)
+
+
+def _scan(
+    classes: Classes, rows: int, width: int, largest: bool = False
+) -> tuple[int, int, int]:
+    """(eps_bar, its witness, a largest deficiency -1 set or 0), as column
+    masks, of the submatrix on `rows` and the `width` columns of `classes`.
+
+    With V(S) = |rows constant on S| + |S|, eps(S) = n - V(S), so eps_bar
+    is n minus the largest V, and the witness is the first field holding
+    it. Singletons have V = n + 1, and dropping a column from S lowers V
+    by at most one, so the values of V on nonempty sets fill n+1..max V:
+    the search climbs until a value is missing. The largest set is looked
+    for only when asked and eps_bar == -1, as the first field with the
+    largest key V(S)(w+1) + |S| = (n+1)(w+1) + |S|: largest size, smallest
+    bitmask on ties.
+    """
+    n = rows.bit_count()
+    top_key = (n + 1) * (width + 1) + width
+    size = _field_bytes(max(n * width, top_key if largest else n + width))
+    pops = _popcounts(width, size)
+    fields = _constant_table(classes, rows, width, size) + pops
+    data = fields.to_bytes(size << width, "little")
+    most, witness = n, 0
+    while (at := _find(data, size, most + 1)) >= 0:
+        most, witness = most + 1, at
+    if not largest or most != n + 1:
+        return n - most, witness, 0
+    data = (fields * (width + 1) + pops).to_bytes(size << width, "little")
+    for key in range(top_key, top_key - width, -1):
+        if (at := _find(data, size, key)) >= 0:
+            return -1, witness, at
+    return -1, witness, 0
 
 
 def eps_bar(m: RMatrix) -> NaeReport:
@@ -152,9 +241,7 @@ def eps_bar(m: RMatrix) -> NaeReport:
     """
     n, k = m.n_rows, m.n_cols
     _check_columns(k)
-    best, best_mask = _min_deficiency(
-        _constant_counts(_row_classes(m), (1 << n) - 1, (1 << k) - 1), n
-    )
+    best, best_mask, _ = _scan(_row_classes(m), (1 << n) - 1, k)
     witness = SubsetIndex(k, best_mask)
     return NaeReport(best, witness, nae_rows(m, witness))
 
@@ -166,11 +253,12 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
     rows.
 
     A subproblem is the submatrix on a row mask and a column mask of m;
-    the recursion and the scans it makes are memoised on that pair for the
-    duration of one call. `restrict(rows, cols)` returns the row mask (in
-    m's indices) of |cols|-1 rows of the subproblem with eps_bar -1,
-    assuming its eps_bar >= -1 and |rows| >= |cols|-1. While there are
-    more rows, it deletes one deletable row and continues on the rest.
+    the recursion and the scans it makes are memoised on that pair, and the
+    colour classes on each column mask, for the duration of one call.
+    `restrict(rows, cols)` returns the row mask (in m's indices) of
+    |cols|-1 rows of the subproblem with eps_bar -1, assuming its
+    eps_bar >= -1 and |rows| >= |cols|-1. While there are more rows, it
+    deletes one deletable row and continues on the rest.
 
       * If eps_bar >= 0, any single deletion keeps eps_bar >= -1, so the
         highest-indexed row that re-verifies is removed.
@@ -191,6 +279,7 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
     classes = _row_classes(m)
     scans: dict[tuple[int, int], tuple[int, int, int]] = {}
     kept: dict[tuple[int, int], int] = {}
+    on_cols: dict[int, Classes] = {(1 << k) - 1: classes}
 
     def where(rows: int, cols: int) -> str:
         return f"matrix {n}x{k}, rows {rows:#x}, columns {cols:#x}"
@@ -203,15 +292,12 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
         """
         key = (rows, cols)
         if key not in scans:
-            n_sub, width = rows.bit_count(), cols.bit_count()
-            counts = _constant_counts(classes, rows, cols)
-            best, witness = _min_deficiency(counts, n_sub)
-            largest = largest_size = 0
-            if best == -1 and n_sub >= width > 1:
-                for cmask in range(1, len(counts)):
-                    size = cmask.bit_count()
-                    if size > largest_size and (n_sub - counts[cmask]) - size == -1:
-                        largest, largest_size = cmask, size
+            if cols not in on_cols:
+                on_cols[cols] = _restrict_classes(classes, cols)
+            width = cols.bit_count()
+            best, witness, largest = _scan(
+                on_cols[cols], rows, width, rows.bit_count() >= width > 1
+            )
             scans[key] = (best, _spread(witness, cols), _spread(largest, cols))
         return scans[key]
 
@@ -232,8 +318,8 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
                     f" ({where(rows, cols)})"
                 )
             forbidden = sum(
-                1 << i for i in _members(rows)
-                if not any(cmask & largest == largest for cmask in classes[i])
+                group & rows for group, pattern in classes
+                if not any(cmask & largest == largest for cmask in pattern)
             )
             if largest != cols:
                 forbidden |= restrict(rows, cols & ~largest)
@@ -258,12 +344,12 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
         )
     # Passing the NAE check implies n >= k-1: with n < k-1 rows, the set of
     # all columns has eps <= n - k <= -2, so the check above refuses first.
-    rows = SubsetIndex(n, restrict(all_rows, all_cols))
-    if len(rows) != k - 1 or eps_bar(m.restrict_rows(rows)).eps_bar != -1:
+    rows = restrict(all_rows, all_cols)
+    if rows.bit_count() != k - 1 or scan(rows, all_cols)[0] != -1:
         raise InternalInvariantError(
-            f"restriction {rows.mask:#x} does not certify eps_bar == -1 on a {n}x{k} matrix"
+            f"restriction {rows:#x} does not certify eps_bar == -1 on a {n}x{k} matrix"
         )
-    return rows
+    return SubsetIndex(n, rows)
 
 
 def exhaustive_nae_restrict(m: RMatrix) -> list[SubsetIndex]:
@@ -282,10 +368,15 @@ def exhaustive_nae_restrict(m: RMatrix) -> list[SubsetIndex]:
             f"subset scan guard: C({n},{k - 1}) exceeds {SUBSET_SCAN_LIMIT}"
         )
     _check_columns(k)
+    fields = math.comb(n, k - 1) << k
+    if fields > SUBSET_FIELD_LIMIT:
+        raise DomainError(
+            f"exhaustive scan guard: C({n},{k - 1}) * 2^{k} = {fields}"
+            f" column sets exceeds {SUBSET_FIELD_LIMIT}"
+        )
     classes = _row_classes(m)
-    all_cols = (1 << k) - 1
     return [
         SubsetIndex(n, mask)
         for mask in masks_of_weight(n, k - 1)
-        if _min_deficiency(_constant_counts(classes, mask, all_cols), k - 1)[0] == -1
+        if _scan(classes, mask, k)[0] == -1
     ]

@@ -403,6 +403,11 @@ def test_guard_error_exit_code():
     code, out, _ = run_cli(["hadext"], big)
     assert code == 1
     assert "guard" in json.loads(out)["error"]
+    # nae-restrict answers; --exhaustive then refuses C(20,13) * 2^14 column sets
+    copies = json.dumps({"rows": 20, "cols": 14, "data": [list(range(14))] * 20})
+    code, out, _ = run_cli(["nae-restrict", "--exhaustive"], copies)
+    assert code == 1
+    assert json.loads(out)["error"].startswith("exhaustive scan guard: C(20,13) * 2^14")
     # the column guard refuses before a fold holds a tuple of 10^6 entries
     wide = json.dumps({"rows": 0, "cols": 1000000, "data": []})
     refusal = ('{"error": "extension guard: at most 1024 columns (got 1000000)", '
@@ -500,14 +505,18 @@ def test_internal_invariant_error_names_its_shape(monkeypatch):
 
 
 def test_nae_invariant_error_names_the_submatrix(monkeypatch):
-    real = nae._constant_counts
+    real = nae._constant_table
 
-    def deficient_below_three_rows(classes, rows, cols):
-        counts = real(classes, rows, cols)
-        # every scan over fewer than 3 rows now reports eps_bar < -1
-        return counts if rows.bit_count() >= 3 else [c + 5 for c in counts]
+    def deficient_below_three_rows(classes, rows, width, size):
+        n = rows.bit_count()
+        if n >= 3:
+            return real(classes, rows, width, size)
+        # every scan over fewer than 3 rows now reports eps_bar < -1: each
+        # row counts as constant on every column set, so eps(cols) = -|cols|
+        field = n.to_bytes(size, "little")
+        return int.from_bytes(field * (1 << width), "little")
 
-    monkeypatch.setattr(nae, "_constant_counts", deficient_below_three_rows)
+    monkeypatch.setattr(nae, "_constant_table", deficient_below_three_rows)
     vandermonde = '{"rows":4,"cols":3,"data":[[0,1,2],[0,1,2],[0,1,2],[0,1,2]]}'
     code, out, _ = run_cli(["nae-restrict"], vandermonde)
     assert code == 1

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     SMALL_POOL,
+    _constant_counts_reference,
+    _largest_deficient_columns_reference,
     drop_row,
     eps_bar_reference,
     nae_restrict_reference,
     random_matrix,
+    restrict_cols,
 )
 from hadamix import (
     DomainError,
@@ -25,6 +28,7 @@ from hadamix import (
     nae_restrict,
     nae_rows,
 )
+from hadamix.cli import gen_stairstep
 
 STAIRSTEP_3 = RMatrix.from_rows(
     [[Fraction(1, 2), 1, 1], [Fraction(1, 2), Fraction(1, 2), 1]]
@@ -244,6 +248,26 @@ def test_exhaustive_nae_restrict_guards():
         exhaustive_nae_restrict(RMatrix(2, 0, ((), ())))
 
 
+def test_exhaustive_nae_restrict_refuses_before_scanning(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(nae, "_constant_table", no_scan)
+    # each (k-1)-row subset costs a scan of 2^k column sets
+    for n, subsets in [(17, 2380), (20, 77520)]:
+        m = RMatrix.from_rows([list(range(14))] * n, 14)
+        with pytest.raises(DomainError) as err:
+            exhaustive_nae_restrict(m)
+        assert str(err.value) == (
+            f"exhaustive scan guard: C({n},13) * 2^14 = {subsets << 14}"
+            " column sets exceeds 10000000"
+        )
+    monkeypatch.undo()
+    # C(16,13) * 2^14 = 9,175,040 is within the guard
+    m = RMatrix.from_rows([list(range(14))] * 16, 14)
+    assert len(exhaustive_nae_restrict(m)) == 560
+
+
 COLOURS = [0, 1, Fraction(1, 2), -3]
 
 
@@ -286,7 +310,7 @@ def test_nae_restrict_matches_the_recursive_reference(m):
 
 
 def test_nae_restrict_builds_few_count_tables(monkeypatch):
-    real = nae._constant_counts
+    real = nae._constant_table
     builds = 0
 
     def counting(*args):
@@ -294,7 +318,7 @@ def test_nae_restrict_builds_few_count_tables(monkeypatch):
         builds += 1
         return real(*args)
 
-    monkeypatch.setattr(nae, "_constant_counts", counting)
+    monkeypatch.setattr(nae, "_constant_table", counting)
     k, n = 8, 12
     rows = nae_restrict(RMatrix.from_rows([list(range(k))] * n, k))
     # the recursion without memoised subproblems made over 36,000 scans
@@ -305,3 +329,107 @@ def test_nae_restrict_builds_few_count_tables(monkeypatch):
     k, n = 10, 14
     m = RMatrix.from_rows([list(range(k))] * n, k)
     assert nae_restrict(m) in exhaustive_nae_restrict(m)
+
+
+# ---------------------------------------------------------------------------
+# the packed subset-count table against the list-based references
+
+
+def _fields(table, width, size):
+    """The fields of a packed table, as a list indexed by column set."""
+    mask = (1 << (8 * size)) - 1
+    return [table >> (8 * size * s) & mask for s in range(1 << width)]
+
+
+@st.composite
+def table_cases(draw):
+    """A matrix (Fraction or plain-int entries; each row random, constant,
+    all-distinct or a staircase step; sometimes enough rows for multi-byte
+    fields) with a row mask that may skip rows and a nonempty column mask
+    that may skip columns."""
+    k = draw(st.integers(1, 7))
+    n = draw(st.sampled_from([draw(st.integers(0, 9)), draw(st.integers(40, 62))]))
+    pool = [0, 1, 2, -3, 5][: draw(st.integers(1, 5))]
+    shapes = draw(st.lists(st.sampled_from("rcds"), min_size=1, max_size=4))
+    rows = []
+    for i in range(n):
+        shape = shapes[i % len(shapes)]
+        if shape == "r":
+            rows.append([draw(st.sampled_from(pool)) for _ in range(k)])
+        elif shape == "c":
+            rows.append([draw(st.sampled_from(pool))] * k)
+        elif shape == "d":
+            rows.append(list(draw(st.permutations(range(k)))))
+        else:
+            step = draw(st.integers(0, k))
+            rows.append([0] * step + [1] * (k - step))
+    if draw(st.booleans()):
+        m = RMatrix(n, k, tuple(tuple(row) for row in rows))  # plain ints
+    else:
+        m = RMatrix.from_rows([[Fraction(v, 2) for v in row] for row in rows], k)
+    row_mask = draw(st.integers(0, (1 << n) - 1))
+    col_mask = draw(st.integers(1, (1 << k) - 1))
+    return m, row_mask, col_mask
+
+
+@settings(deadline=None, max_examples=200)
+@given(table_cases(), st.integers(0, 2))
+def test_packed_scan_matches_the_list_references(case, extra_bytes):
+    m, row_mask, col_mask = case
+    sub = restrict_cols(m, SubsetIndex(m.n_cols, col_mask)).restrict_rows(
+        SubsetIndex(m.n_rows, row_mask)
+    )
+    n, width = sub.n_rows, sub.n_cols
+    classes = nae._restrict_classes(nae._row_classes(m), col_mask)
+    # every field width that holds the sums, one to three bytes wider
+    size = nae._field_bytes(n * width + width) + extra_bytes
+    counts = _constant_counts_reference(sub)
+    table = _fields(nae._constant_table(classes, row_mask, width, size), width, size)
+    assert table[0] == n  # every row is constant on the empty set
+    assert table[1:] == counts[1:]
+
+    best, witness, largest = nae._scan(classes, row_mask, width, n >= width > 1)
+    reference = eps_bar_reference(sub)
+    assert (best, witness) == (reference.eps_bar, reference.witness_columns.mask)
+    if best == -1 and n >= width > 1:
+        assert largest == _largest_deficient_columns_reference(sub).mask
+    else:
+        assert largest == 0
+
+
+def test_packed_scan_reads_two_byte_fields():
+    # 62 rows on 8 columns, column 5 a copy of column 2: the empty set's
+    # field sums more than 255 classes while the transform runs, so the
+    # fields take two bytes
+    k, n = 8, 62
+    rng = random.Random(59)
+    rows = [[rng.randrange(8) for _ in range(k)] for _ in range(n)]
+    for row in rows:
+        row[4] = row[1]
+    m = RMatrix(n, k, tuple(tuple(row) for row in rows))
+    classes = nae._row_classes(m)
+    assert sum(len(p) * group.bit_count() for group, p in classes) > 255
+    assert nae._field_bytes(n * k) == 2
+    report = eps_bar(m)
+    assert report == eps_bar_reference(m)
+    assert (report.eps_bar, report.witness_columns.mask) == (-2, 0b10010)
+
+
+def test_eps_bar_at_the_column_guard():
+    k = 20
+    m = RMatrix.from_rows(
+        [
+            list(range(k)),
+            [j // 10 for j in range(k)],
+            [0] * (k - 1) + [1],
+            [j % 2 for j in range(k)],
+        ],
+        k,
+    )
+    report = eps_bar(m)
+    assert report == eps_bar_reference(m)
+    # row 2 is constant on the first 19 columns: 3 - 19, as low as all 20
+    assert (report.eps_bar, report.witness_columns.mask) == (-16, (1 << 19) - 1)
+    # 19 rows: two-byte fields over 2^20 column sets
+    report = eps_bar(gen_stairstep(k))
+    assert (report.eps_bar, report.witness_columns.mask) == (-1, 1)
