@@ -102,22 +102,13 @@ def _vector_from_json(obj: object, what: str) -> tuple[Fraction, ...]:
 
 
 def _witness_to_json(witness: object) -> object:
-    if witness is None or isinstance(witness, (bool, int, str)):
+    """A DomainError's witness: None, an int, a SubsetIndex, or a dict or NaeReport of them."""
+    if witness is None or isinstance(witness, int):
         return witness
-    if isinstance(witness, Fraction):
-        return rational_to_json(witness)
     if isinstance(witness, SubsetIndex):
         return _subset_to_list(witness)
-    if isinstance(witness, dict):
-        return {str(k): _witness_to_json(v) for k, v in witness.items()}
-    if isinstance(witness, (list, tuple)):
-        return [_witness_to_json(v) for v in witness]
-    if hasattr(witness, "__dataclass_fields__"):
-        return {
-            name: _witness_to_json(getattr(witness, name))
-            for name in witness.__dataclass_fields__
-        }
-    return str(witness)
+    fields = witness if isinstance(witness, dict) else vars(witness)
+    return {name: _witness_to_json(value) for name, value in fields.items()}
 
 
 def integer(text: str) -> int:
@@ -360,9 +351,18 @@ def _cmd_invariant(args, stdin):
 
 def _cmd_moments(args, stdin):
     obj = _require_object(_load_json(args, stdin), ["m", "pi"], "moments")
-    params = MixtureParams(
-        matrix_from_json(obj["m"]), _vector_from_json(obj["pi"], "'pi'")
-    )
+    matrix = matrix_from_json(obj["m"])
+    try:
+        params = MixtureParams(matrix, _vector_from_json(obj["pi"], "'pi'"))
+    except DomainError as exc:
+        if exc.witness is None:
+            raise
+        # the library's message names the entry 0-based; restate it 1-based
+        row, col = exc.witness["row"], exc.witness["col"]
+        raise DomainError(
+            f"entry ({row + 1},{col + 1}) = {matrix.entries[row][col]} is not a probability",
+            witness={"row": row + 1, "col": col + 1},
+        ) from None
     return moment_map(params).to_json_obj()
 
 

@@ -162,17 +162,10 @@ class SubsetIndex:
         return 0 <= i < self.size and (self.mask >> i) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return _members(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self) + "}"
@@ -184,6 +177,21 @@ class SubsetIndex:
         if not 0 <= i < self.size:
             raise DomainError(f"member {i} out of range for size {self.size}")
         return SubsetIndex(self.size, self.mask | (1 << i))
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The set bits of a mask, in increasing index order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _spread(local: int, cols: int) -> int:
+    """The subset of `cols` whose bits, numbered within `cols`, are `local`."""
+    if cols & (cols + 1) == 0:  # cols is 0..w-1: the numbering is the identity
+        return local
+    return sum(1 << j for b, j in enumerate(_members(cols)) if local >> b & 1)
 
 
 def masks_of_weight(n: int, weight: int) -> Iterator[int]:
@@ -424,25 +432,16 @@ class Subspace:
         """span(U union v*U), the Hadamard fold step; `self` if that is U.
 
         Only the dim products v*b of the basis rows b are reduced, and U is
-        never re-reduced. The products are reduced against the unchanged
-        basis until one leaves the span; only then is the basis copied, once,
-        and that residue and the remaining products are inserted into it.
-        So a fold that does not grow U copies nothing.
+        never re-reduced.
         """
         self._check_length(v)
         t = _integer_row(v)
-        rows, pivots = self.rows, self.pivots
-        for i, row in enumerate(rows):
-            vec = _reduce(rows, pivots, [a * b for a, b in zip(row, t)])
-            if any(vec):
-                break
-        else:
+        rows, pivots = list(self.rows), list(self.pivots)
+        for row in self.rows:
+            _insert(rows, pivots, [a * b for a, b in zip(row, t)])
+        if len(rows) == self.dim:
             return self
-        grown, grown_pivots = list(rows), list(pivots)
-        _adjoin(grown, grown_pivots, vec)
-        for row in rows[i + 1:]:
-            _insert(grown, grown_pivots, [a * b for a, b in zip(row, t)])
-        return Subspace(self.ambient_dim, tuple(map(tuple, grown)), tuple(grown_pivots))
+        return Subspace(self.ambient_dim, tuple(map(tuple, rows)), tuple(pivots))
 
     def _check_length(self, vec: Sequence[object]) -> None:
         if len(vec) != self.ambient_dim:

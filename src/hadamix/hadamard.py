@@ -9,10 +9,10 @@ the mixture module uses it for the forward moments and the equations of
 `recover_pi`. The column rank needs no 2^n rows: adjoining a row t to a
 chosen set replaces the rowspace U by span(U union t*U), which only
 touches basis vectors. That fold is `Subspace.extend_odot`; it returns U
-itself, copying nothing, when t adds nothing. `_fold` runs it once over the
-rows in index order for the rank and the greedy certificate;
-`exhaustive_min_rows` folds each prefix of a subset once, shared by every
-subset that extends it.
+itself when t adds nothing. `_fold` runs it once over the rows in index
+order for the rank and the greedy certificate; `exhaustive_min_rows`
+folds each prefix of a subset once, shared by every subset that extends
+it.
 """
 
 from __future__ import annotations
@@ -43,6 +43,13 @@ EXTENSION_ROW_GUARD = 20
 # Every fold and every extension row holds k entries, and a fold's work
 # grows faster than k^2; refuse past this before anything of size k is built.
 EXTENSION_COLUMN_GUARD = 1024
+
+
+def _check_rows(n: int) -> None:
+    if n > EXTENSION_ROW_GUARD:
+        raise DomainError(
+            f"extension guard: at most {EXTENSION_ROW_GUARD} rows (got {n})"
+        )
 
 
 def _check_columns(k: int) -> None:
@@ -96,10 +103,7 @@ def hadamard_extension(m: RMatrix) -> RMatrix:
     all-ones row comes first and single rows of m come next.
     """
     n, k = m.n_rows, m.n_cols
-    if n > EXTENSION_ROW_GUARD:
-        raise DomainError(
-            f"extension guard: at most {EXTENSION_ROW_GUARD} rows (got {n})"
-        )
+    _check_rows(n)
     _check_columns(k)
     columns = [_subset_products(Fraction(1), [row[j] for row in m.entries])
                for j in range(k)]
@@ -142,10 +146,7 @@ def _fold(m: RMatrix) -> tuple[int, Subspace]:
 
 def full_extension_rank(m: RMatrix) -> int:
     """Column rank of the extension of m, without materializing it."""
-    if m.n_rows > EXTENSION_ROW_GUARD:
-        raise DomainError(
-            f"extension guard: at most {EXTENSION_ROW_GUARD} rows (got {m.n_rows})"
-        )
+    _check_rows(m.n_rows)
     _check_columns(m.n_cols)
     return _fold(m)[1].dim
 

@@ -24,6 +24,7 @@ from .exact_core import (
     RMatrix,
     SubsetIndex,
     _solve_rows,
+    _spread,
     as_vector,
     masks_by_cardinality,
     rational_pair,
@@ -339,18 +340,17 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
             f"extension rank {certificate.rank} < {k}; weights are not identifiable",
             witness={"extension_rank": certificate.rank},
         )
-    members = certificate.members()
     # Row i of m times the lcm d_i of its denominators, then d_i itself: the
     # product over a subset S is [D_S P_S | D_S], for the product row P_S of
     # the extension and D_S = prod_{i in S} d_i. Equation S, P_S pi = num/den,
     # becomes the integer row [den D_S P_S | D_S num].
-    scaled = [(*row, d) for d, row in map(scale_to_integers, map(m.row, members))]
+    scaled = [(*row, d) for d, row in map(scale_to_integers, map(m.row, certificate))]
     products = list(zip(*(_subset_products(1, [row[j] for row in scaled])
                           for j in range(k + 1))))
 
     def equations():
-        for local in masks_by_cardinality(len(members)):
-            mask = sum(1 << t for i, t in enumerate(members) if local >> i & 1)
+        for local in masks_by_cardinality(len(certificate)):
+            mask = _spread(local, certificate.mask)
             den = moments.dens[mask]
             *coefficients, scale = products[local]
             yield [den * p for p in coefficients] + [scale * moments.nums[mask]]

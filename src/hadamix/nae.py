@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator
 
 from .exact_core import (
     SUBSET_FIELD_LIMIT,
@@ -22,6 +21,8 @@ from .exact_core import (
     InternalInvariantError,
     RMatrix,
     SubsetIndex,
+    _members,
+    _spread,
     masks_of_weight,
 )
 
@@ -80,13 +81,14 @@ def eps(m: RMatrix, cols: SubsetIndex) -> int:
     return len(nae_rows(m, cols)) - len(cols)
 
 
-def _check_columns(k: int) -> None:
+def _check_shape(n: int, k: int) -> None:
     if k < 1:
         raise DomainError("matrix must have at least one column")
     if k > COLUMN_SCAN_GUARD:
         raise DomainError(
             f"column scan guard: at most {COLUMN_SCAN_GUARD} columns (got {k})"
         )
+    SubsetIndex(n)  # refuses more than GROUND_SET_LIMIT rows, before any scan
 
 
 def _row_classes(m: RMatrix) -> Classes:
@@ -110,18 +112,12 @@ def _row_classes(m: RMatrix) -> Classes:
     return [(rows, pattern) for pattern, rows in groups.items()]
 
 
-def _members(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _spread(local: int, cols: int) -> int:
-    """The subset of `cols` whose bits, numbered within `cols`, are `local`."""
-    if cols & (cols + 1) == 0:  # cols is 0..w-1: the numbering is the identity
-        return local
-    return sum(1 << j for b, j in enumerate(_members(cols)) if local >> b & 1)
+def _nonconstant(classes: Classes, rows: int, cols: int) -> int:
+    """The rows of the mask `rows` that are not constant on the column mask `cols`."""
+    return sum(
+        group & rows for group, pattern in classes
+        if not any(cmask & cols == cols for cmask in pattern)
+    )
 
 
 def _restrict_classes(classes: Classes, cols: int) -> Classes:
@@ -157,10 +153,8 @@ def _constant_table(classes: Classes, rows: int, width: int, size: int) -> int:
                 hist[cmask] = hist.get(cmask, 0) + copies
     packed = bytearray(size << width)
     for cmask, count in hist.items():
-        if count < 256:  # its low byte; the field's others stay zero
-            packed[size * cmask] = count
-        else:
-            packed[size * cmask:size * (cmask + 1)] = count.to_bytes(size, "little")
+        # at most 62 rows: the count is the field's low byte, its others stay zero
+        packed[size * cmask] = count
     table = int.from_bytes(packed, "little")
     step = 8 * size
     keep = (1 << (step << (width - 1))) - 1  # the fields whose top bit is clear
@@ -240,10 +234,11 @@ def eps_bar(m: RMatrix) -> NaeReport:
     NAE condition holds iff the reported eps_bar is >= -1.
     """
     n, k = m.n_rows, m.n_cols
-    _check_columns(k)
-    best, best_mask, _ = _scan(_row_classes(m), (1 << n) - 1, k)
-    witness = SubsetIndex(k, best_mask)
-    return NaeReport(best, witness, nae_rows(m, witness))
+    _check_shape(n, k)
+    classes, all_rows = _row_classes(m), (1 << n) - 1
+    best, witness, _ = _scan(classes, all_rows, k)
+    nonconstant = _nonconstant(classes, all_rows, witness)
+    return NaeReport(best, SubsetIndex(k, witness), SubsetIndex(n, nonconstant))
 
 
 def nae_restrict(m: RMatrix) -> SubsetIndex:
@@ -275,7 +270,7 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
     m's columns too.
     """
     n, k = m.n_rows, m.n_cols
-    _check_columns(k)
+    _check_shape(n, k)
     classes = _row_classes(m)
     scans: dict[tuple[int, int], tuple[int, int, int]] = {}
     kept: dict[tuple[int, int], int] = {}
@@ -317,10 +312,7 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
                     "no deficiency -1 column set despite eps_bar == -1"
                     f" ({where(rows, cols)})"
                 )
-            forbidden = sum(
-                group & rows for group, pattern in classes
-                if not any(cmask & largest == largest for cmask in pattern)
-            )
+            forbidden = _nonconstant(classes, rows, largest)
             if largest != cols:
                 forbidden |= restrict(rows, cols & ~largest)
         for t in sorted(_members(rows & ~forbidden), reverse=True):
@@ -334,9 +326,9 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
         )
 
     all_rows, all_cols = (1 << n) - 1, (1 << k) - 1
-    best, witness_mask, _ = scan(all_rows, all_cols)
-    witness = SubsetIndex(k, witness_mask)
-    report = NaeReport(best, witness, nae_rows(m, witness))
+    best, witness, _ = scan(all_rows, all_cols)
+    nonconstant = _nonconstant(classes, all_rows, witness)
+    report = NaeReport(best, SubsetIndex(k, witness), SubsetIndex(n, nonconstant))
     if not report.satisfies_nae:
         raise DomainError(
             f"NAE condition fails: eps_bar = {report.eps_bar} < -1",
@@ -367,7 +359,7 @@ def exhaustive_nae_restrict(m: RMatrix) -> list[SubsetIndex]:
         raise DomainError(
             f"subset scan guard: C({n},{k - 1}) exceeds {SUBSET_SCAN_LIMIT}"
         )
-    _check_columns(k)
+    _check_shape(n, k)
     fields = math.comb(n, k - 1) << k
     if fields > SUBSET_FIELD_LIMIT:
         raise DomainError(

@@ -68,12 +68,6 @@ def blocks_of(v: Sequence[RationalLike]) -> Partition:
     return Partition(len(vec), values, blocks)
 
 
-def _block_projector(ambient: int, block: SubsetIndex) -> RMatrix:
-    return RMatrix.diagonal(
-        [Fraction(1) if j in block else Fraction(0) for j in range(ambient)]
-    )
-
-
 def lagrange_projection(v: Sequence[RationalLike], i: int) -> RMatrix:
     """Block-i projector obtained by polynomial evaluation on diag(v).
 
@@ -81,9 +75,9 @@ def lagrange_projection(v: Sequence[RationalLike], i: int) -> RMatrix:
     the others) is evaluated once per distinct value, over integers: with
     the values scaled to integers a_j by their common denominator,
     L_i(a_x) = prod_{j != i} (a_x - a_j) / prod_{j != i} (a_i - a_j). Each
-    block's value is then spread to its coordinates. The result is
-    cross-checked against the directly built 0/1 diagonal, failing loudly
-    on mismatch.
+    block's value is then spread to its coordinates. The k diagonal values
+    are cross-checked against the block's 0/1 indicator, failing loudly on
+    mismatch.
     """
     part = blocks_of(v)
     if not 0 <= i < len(part):
@@ -96,14 +90,13 @@ def lagrange_projection(v: Sequence[RationalLike], i: int) -> RMatrix:
         value = Fraction(math.prod(ax - b for b in others), denominator)
         for j in block:
             diag[j] = value
-    evaluated = RMatrix.diagonal(diag)
-    direct = _block_projector(part.ambient, part.blocks[i])
-    if evaluated != direct:
+    mask = part.blocks[i].mask
+    if diag != [mask >> j & 1 for j in range(part.ambient)]:
         raise InternalInvariantError(
             f"polynomial projector of block {i} (0-based) disagrees with the block diagonal"
             f" (len(v) = {part.ambient})"
         )
-    return evaluated
+    return RMatrix.diagonal(diag)
 
 
 def respects(u: Subspace, part: Partition) -> bool:

@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from hadamix import RMatrix, cli, nae, partition_algebra
+from hadamix import cli, nae, partition_algebra
 from hadamix.cli import main
 
 
@@ -398,11 +399,45 @@ def test_domain_error_object_and_exit_code():
     assert error["witness"]["witness_columns"] == [1, 2]
 
 
-def test_guard_error_exit_code():
+DUP_ROWS = {"rows": 2, "cols": 2, "data": [["1/4", "3/4"], ["1/4", "3/4"]]}
+
+
+@pytest.mark.parametrize("argv, document, error, witness", [
+    # CLI indices are 1-based: entry (0,1) of the library
+    (["moments"], {"m": {"rows": 1, "cols": 2, "data": [["1/2", "3/2"]]}, "pi": ["1/2", "1/2"]},
+     "entry (1,2) = 3/2 is not a probability", '{"col": 2, "row": 1}'),
+    (["recover-pi"], {"m": ONE_ROW, "moments": {"n": 1, "moments": {"0": 1, "1": "3/2"}}},
+     "moment 3/2 for mask 1 is outside [0, 1]", '{"subset_mask": 1}'),
+    (["recover-pi"], {"m": {"rows": 1, "cols": 2, "data": [[1, 1]]},
+                      "moments": {"n": 1, "moments": {"0": 1, "1": 1}}},
+     "extension rank 1 < 2; weights are not identifiable", '{"extension_rank": 1}'),
+    # row 1 alone fixes pi = (1/2, 1/2), whose moment for rows {1,2} is 5/16
+    (["recover-pi"], {"m": DUP_ROWS, "moments": {
+        "n": 2, "moments": {"0": 1, "1": "1/2", "2": "1/2", "3": "1/4"}}},
+     "moments are inconsistent with every weight vector", '{"subset_mask": 3}'),
+    (["nae-restrict"], {"rows": 1, "cols": 3, "data": [[1, 2, 3]]},
+     "NAE condition fails: eps_bar = -2 < -1",
+     '{"eps_bar": -2, "nae_rows_of_witness": [1], "witness_columns": [1, 2, 3]}'),
+], ids=["moments-entry", "recover-pi-moment-fault", "recover-pi-rank",
+        "recover-pi-inconsistent", "nae-restrict-fails-nae"])
+def test_witness_json_of_each_refusal(argv, document, error, witness):
+    assert run_cli(argv, json.dumps(document)) == (
+        1, '{"error": "%s", "witness": %s}\n' % (error, witness), "")
+
+
+def test_guard_error_exit_code(monkeypatch):
     big = json.dumps({"rows": 21, "cols": 1, "data": [[1]] * 21})
     code, out, _ = run_cli(["hadext"], big)
     assert code == 1
     assert "guard" in json.loads(out)["error"]
+    # more than 62 rows are refused before any colour class is built
+    tall = json.dumps({"rows": 63, "cols": 2, "data": [[1, 2]] * 63})
+    with monkeypatch.context() as patch:
+        patch.setattr(nae, "_row_classes", lambda m: pytest.fail("classes were built"))
+        for argv in [["nae-check"], ["nae-restrict"], ["nae-restrict", "--exhaustive"]]:
+            assert run_cli(argv, tall) == (
+                1, '{"error": "ground-set size guard: 0 <= size <= 62 (got 63)", '
+                   '"witness": null}\n', ""), argv
     # nae-restrict answers; --exhaustive then refuses C(20,13) * 2^14 column sets
     copies = json.dumps({"rows": 20, "cols": 14, "data": [list(range(14))] * 20})
     code, out, _ = run_cli(["nae-restrict", "--exhaustive"], copies)
@@ -492,9 +527,9 @@ def test_parser_is_built_once_per_process(monkeypatch):
 
 
 def test_internal_invariant_error_names_its_shape(monkeypatch):
+    # every block's evaluated value comes out one too large
     monkeypatch.setattr(
-        partition_algebra, "_block_projector",
-        lambda ambient, block: RMatrix.diagonal([0] * ambient),
+        partition_algebra, "Fraction", lambda num, den: Fraction(num, den) + 1
     )
     code, out, _ = run_cli(["project", "--block", "2"], '{"v":[2,1,2,1]}')
     assert code == 1

@@ -167,6 +167,14 @@ def test_moment_map_examples():
     assert skew[1] == Fraction(7, 12)
 
 
+def test_moment_map_guard():
+    params = MixtureParams(RMatrix.from_rows([[HALF, HALF]] * 21), (HALF, HALF))
+    with pytest.raises(DomainError) as err:
+        moment_map(params)
+    assert str(err.value) == "moment guard: at most 20 observables (got 21)"
+    assert err.value.witness is None
+
+
 def test_moment_map_invariants_on_random_params():
     rng = random.Random(71)
     for _ in range(60):

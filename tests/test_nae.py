@@ -262,6 +262,10 @@ def test_exhaustive_nae_restrict_refuses_before_scanning(monkeypatch):
             f"exhaustive scan guard: C({n},13) * 2^14 = {subsets << 14}"
             " column sets exceeds 10000000"
         )
+    # 63 rows pass the subset guard, C(63,1) = 63, but not the row guard
+    m = RMatrix.from_rows([[1, 1]] * 63, 2)
+    with pytest.raises(DomainError, match=r"^ground-set size guard: 0 <= size <= 62 \(got 63\)$"):
+        exhaustive_nae_restrict(m)
     monkeypatch.undo()
     # C(16,13) * 2^14 = 9,175,040 is within the guard
     m = RMatrix.from_rows([list(range(14))] * 16, 14)
@@ -395,6 +399,14 @@ def test_packed_scan_matches_the_list_references(case, extra_bytes):
         assert largest == _largest_deficient_columns_reference(sub).mask
     else:
         assert largest == 0
+
+
+def test_find_skips_matches_across_two_fields():
+    # two-byte fields 256 and 257: 257's bytes first match at byte 1, across
+    # fields 0 and 1, so the search goes on to field 1; fields 256 and 1
+    # hold no other match
+    assert nae._find(bytes([0, 1, 1, 1]), 2, 257) == 1
+    assert nae._find(bytes([0, 1, 1, 0]), 2, 257) == -1
 
 
 def test_packed_scan_reads_two_byte_fields():
