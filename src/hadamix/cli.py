@@ -23,10 +23,10 @@ from .exact_core import (
     InternalInvariantError,
     RMatrix,
     SubsetIndex,
+    _entry_reader,
     as_rational,
     matrix_from_json,
     matrix_to_json,
-    rational_from_json,
     rational_to_json,
     span,
 )
@@ -98,7 +98,7 @@ def _vector_to_json(vec: Sequence[Fraction]) -> list:
 def _vector_from_json(obj: object, what: str) -> tuple[Fraction, ...]:
     if not isinstance(obj, list):
         raise InputFormatError(f"{what} must be a JSON array")
-    return tuple(rational_from_json(x) for x in obj)
+    return tuple(map(_entry_reader(), obj))
 
 
 def _witness_to_json(witness: object) -> object:

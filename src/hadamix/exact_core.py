@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 # Exact rational scalar; Fraction keeps lowest terms and a positive
 # denominator by construction, which is exactly the invariant we need.
@@ -21,6 +22,10 @@ RationalLike = Union[Fraction, int, str]
 
 # Shared zero; a Fraction is immutable, so every zero entry can be this one.
 ZERO = Fraction(0)
+
+# A rational's exact key: ints and Fractions give (numerator, denominator),
+# hashed in C where a Fraction's hash is Python code.
+_pair = attrgetter("numerator", "denominator")
 
 # Bitmask ground sets stay inside a signed 64-bit word for any consumer.
 GROUND_SET_LIMIT = 62
@@ -280,11 +285,30 @@ class RMatrix:
 
 
 def matrix_to_json(m: RMatrix) -> dict:
+    # RMatrix.diagonal's off-diagonal entries are the shared ZERO: no call for them
     return {
         "rows": m.n_rows,
         "cols": m.n_cols,
-        "data": [[rational_to_json(x) for x in row] for row in m.entries],
+        "data": [[0 if x is ZERO else rational_to_json(x) for x in row]
+                 for row in m.entries],
     }
+
+
+def _entry_reader() -> Callable[[object], Fraction]:
+    """rational_from_json, parsing each distinct int or string once. `true`
+    (== 1, with hash 1) is never cached: it and every other type go to
+    rational_from_json, which refuses them."""
+    parsed: dict[int | str, Fraction] = {}
+
+    def entry(x: object) -> Fraction:
+        if type(x) is not int and type(x) is not str:
+            return rational_from_json(x)
+        q = parsed.get(x)
+        if q is None:
+            q = parsed[x] = rational_from_json(x)
+        return q
+
+    return entry
 
 
 def matrix_from_json(obj: object) -> RMatrix:
@@ -300,19 +324,7 @@ def matrix_from_json(obj: object) -> RMatrix:
         raise InputFormatError("'rows' and 'cols' must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows:
         raise InputFormatError(f"'data' must be a list of {rows} rows")
-    # Each distinct entry is parsed once. Only ints and strings are keys:
-    # True == 1 and hash(True) == hash(1), so `true` must never hit a
-    # cached 1; every other type goes to rational_from_json, which refuses it.
-    parsed: dict[int | str, Fraction] = {}
-
-    def entry(x: object) -> Fraction:
-        if type(x) is not int and type(x) is not str:
-            return rational_from_json(x)
-        q = parsed.get(x)
-        if q is None:
-            q = parsed[x] = rational_from_json(x)
-        return q
-
+    entry = _entry_reader()
     entries = []
     for r in data:
         if not isinstance(r, list) or len(r) != cols:

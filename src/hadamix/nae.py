@@ -10,9 +10,10 @@ on the values themselves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from typing import Callable
 
 from .exact_core import (
     SUBSET_FIELD_LIMIT,
@@ -22,6 +23,7 @@ from .exact_core import (
     RMatrix,
     SubsetIndex,
     _members,
+    _pair,
     _spread,
     masks_of_weight,
 )
@@ -29,8 +31,6 @@ from .exact_core import (
 # eps_bar scans all 2^k nonempty column subsets.
 COLUMN_SCAN_GUARD = 20
 
-# A rational's exact key: ints and Fractions give (numerator, denominator).
-_pair = attrgetter("numerator", "denominator")
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 # (row mask, classes of equal values as column masks) per distinct row pattern
@@ -69,6 +69,7 @@ def nae_rows(m: RMatrix, cols: SubsetIndex) -> SubsetIndex:
     idx = cols.members()
     if not idx:
         raise DomainError("column set must be nonempty")
+    SubsetIndex(m.n_rows)  # refuses more than GROUND_SET_LIMIT rows, before the walk
     mask = 0
     for i, row in enumerate(m.entries):
         if len(set(map(_pair, map(row.__getitem__, idx)))) > 1:
@@ -195,7 +196,8 @@ def _field_bytes(largest: int) -> int:
 
 
 def _scan(
-    classes: Classes, rows: int, width: int, largest: bool = False
+    classes: Classes, rows: int, width: int, largest: bool = False,
+    popcounts: Callable[[int, int], int] | None = None,
 ) -> tuple[int, int, int]:
     """(eps_bar, its witness, a largest deficiency -1 set or 0), as column
     masks, of the submatrix on `rows` and the `width` columns of `classes`.
@@ -207,12 +209,12 @@ def _scan(
     the search climbs until a value is missing. The largest set is looked
     for only when asked and eps_bar == -1, as the first field with the
     largest key V(S)(w+1) + |S| = (n+1)(w+1) + |S|: largest size, smallest
-    bitmask on ties.
+    bitmask on ties. `popcounts` may be a cached `_popcounts`.
     """
     n = rows.bit_count()
     top_key = (n + 1) * (width + 1) + width
     size = _field_bytes(max(n * width, top_key if largest else n + width))
-    pops = _popcounts(width, size)
+    pops = (popcounts or _popcounts)(width, size)
     fields = _constant_table(classes, rows, width, size) + pops
     data = fields.to_bytes(size << width, "little")
     most, witness = n, 0
@@ -367,8 +369,10 @@ def exhaustive_nae_restrict(m: RMatrix) -> list[SubsetIndex]:
             f" column sets exceeds {SUBSET_FIELD_LIMIT}"
         )
     classes = _row_classes(m)
+    # every scan has k-1 rows over k columns: one popcount table serves them all
+    popcounts = functools.cache(_popcounts)
     return [
         SubsetIndex(n, mask)
         for mask in masks_of_weight(n, k - 1)
-        if _scan(classes, mask, k)[0] == -1
+        if _scan(classes, mask, k, popcounts=popcounts)[0] == -1
     ]

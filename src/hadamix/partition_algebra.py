@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 from .exact_core import (
@@ -23,6 +24,9 @@ from .exact_core import (
     RMatrix,
     Subspace,
     SubsetIndex,
+    _integer_row,
+    _pair,
+    _reduce,
     as_vector,
     scale_to_integers,
 )
@@ -56,15 +60,17 @@ class Partition:
 
 
 def blocks_of(v: Sequence[RationalLike]) -> Partition:
-    """Partition of the coordinates of v by equal value."""
+    """Partition of the coordinates of v by equal value, keyed on integer
+    (numerator, denominator) pairs; only the distinct values are sorted."""
     vec = as_vector(v)
     if not vec:
         raise DomainError("vector must be nonempty")
-    masks: dict[Fraction, int] = {}
-    for j, value in enumerate(vec):
-        masks[value] = masks.get(value, 0) | (1 << j)
-    values = tuple(sorted(masks, reverse=True))
-    blocks = tuple(SubsetIndex(len(vec), masks[value]) for value in values)
+    keys = list(map(_pair, vec))
+    masks: dict[tuple[int, int], int] = {}
+    for j, key in enumerate(keys):
+        masks[key] = masks.get(key, 0) | 1 << j
+    values = tuple(sorted(dict(zip(keys, vec)).values(), reverse=True))
+    blocks = tuple(SubsetIndex(len(vec), masks[_pair(value)]) for value in values)
     return Partition(len(vec), values, blocks)
 
 
@@ -102,19 +108,22 @@ def lagrange_projection(v: Sequence[RationalLike], i: int) -> RMatrix:
 def respects(u: Subspace, part: Partition) -> bool:
     """Whether u is the direct sum of its block projections.
 
-    Equivalent to u having a basis of vectors each supported inside a
-    single block; the dimension count is the computable criterion.
+    Read off u's RREF rows, with no elimination: this holds iff every row
+    lies inside one block. If it does, each projection maps each row to
+    itself or 0. Conversely, if u is the direct sum of the spaces U_i of its
+    vectors inside block i, the RREF rows of all U_i, sorted by pivot, are
+    a basis of u in RREF: a pivot column is zero in the other rows of U_i
+    and outside block i. The RREF is unique, so these are u's rows.
     """
     if u.ambient_dim != part.ambient:
         raise DomainError(
             f"ambient mismatch: subspace {u.ambient_dim}, partition {part.ambient}"
         )
-    total = 0
-    for block in part.blocks:
-        projected = [[x if block.mask >> j & 1 else 0 for j, x in enumerate(row)]
-                     for row in u.rows]
-        total += Subspace(part.ambient, (), ()).extend(projected).dim
-    return total == u.dim
+    label = [0] * part.ambient
+    for i, block in enumerate(part.blocks):
+        for j in block:
+            label[j] = i
+    return all(len(set(compress(label, row))) == 1 for row in u.rows)
 
 
 def bar_odot(v: Sequence[RationalLike], u: Subspace) -> Subspace:
@@ -124,5 +133,15 @@ def bar_odot(v: Sequence[RationalLike], u: Subspace) -> Subspace:
 
 
 def is_invariant(v: Sequence[RationalLike], u: Subspace) -> bool:
-    """Whether span(U union v*U) = U; agrees with respects(u, blocks_of(v))."""
-    return bar_odot(v, u) == u
+    """Whether span(U union v*U) = U; agrees with respects(u, blocks_of(v)).
+
+    Each product v*b of a basis row b is reduced against the unchanged
+    basis, stopping at the first one outside U; no space is built.
+    """
+    vec = as_vector(v)
+    u._check_length(vec)
+    t = _integer_row(vec)
+    return not any(
+        any(_reduce(u.rows, u.pivots, [a * b for a, b in zip(row, t)]))
+        for row in u.rows
+    )

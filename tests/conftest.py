@@ -8,7 +8,8 @@ recursing on explicit submatrices, and the block projectors by evaluating
 the Lagrange polynomial at every entry in Fractions, so they can certify
 the fast implementations. The Hadamard-fold references are the library's
 earlier loops, one `extend_rowspace` state per fold, with no early stop and
-no shared prefixes. The mixture-weight reference is the library's earlier
+no shared prefixes. The block-respect reference eliminates once per block,
+and the invariance reference builds span(U union v*U) in full. The mixture-weight reference is the library's earlier
 Fraction path: extension rows re-spanned one at a time, then `solve_square`
 on the k x k system.
 """
@@ -28,6 +29,7 @@ from hadamix import (
     RowspaceState,
     Subspace,
     SubsetIndex,
+    bar_odot,
     blocks_of,
     extend_rowspace,
     masks_by_cardinality,
@@ -250,6 +252,28 @@ def orthogonal_complement(u):
             vec[p] = -row[f] * (scale // row[p])
         kernel.append(vec)
     return Subspace(k, (), ()).extend(kernel)
+
+
+def respects_reference(u, part):
+    """Whether u is the direct sum of its block projections, by the
+    dimension count: one elimination per block, as respects did before it
+    read the supports of the RREF rows."""
+    if u.ambient_dim != part.ambient:
+        raise DomainError(
+            f"ambient mismatch: subspace {u.ambient_dim}, partition {part.ambient}"
+        )
+    total = 0
+    for block in part.blocks:
+        projected = [[x if block.mask >> j & 1 else 0 for j, x in enumerate(row)]
+                     for row in u.rows]
+        total += Subspace(part.ambient, (), ()).extend(projected).dim
+    return total == u.dim
+
+
+def is_invariant_reference(v, u):
+    """span(U union v*U) = U with the whole fold built, as is_invariant
+    decided it before it reduced the products one at a time."""
+    return bar_odot(v, u) == u
 
 
 def drop_row(m, i):

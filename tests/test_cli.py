@@ -232,6 +232,33 @@ def test_blocks_project_invariant():
     assert verdict == {"invariant": False, "respects": False}
 
 
+def test_vectors_key_equal_values_and_refuse_booleans():
+    blocks = run_json(["blocks"], '{"v": ["1/2", "2/4", 0, "-0/5", 3, "6/2", 1]}')
+    assert blocks == {"blocks": [[5, 6], [7], [1, 2], [3, 4]], "values": [3, 1, "1/2", 0]}
+    # entries are parsed once per distinct int or string; `true` == 1 must
+    # not be answered from that cache
+    basis = '{"rows": 1, "cols": 3, "data": [[1, 0, 0]]}'
+    for argv, text in [
+        (["blocks"], '{"v": [1, true]}'),
+        (["blocks"], '{"v": [true, 1]}'),
+        (["project", "--block", "1"], '{"v": [1, 2, true]}'),
+        (["invariant"], '{"basis": %s, "v": [1, true, 1]}' % basis),
+        (["invariant"], '{"basis": %s, "v": [0, false, 1]}' % basis),
+    ]:
+        code, out, err = run_cli(argv, text)
+        bad = "False" if "false" in text else "True"
+        assert (code, out) == (2, ""), (argv, text)
+        assert err == f"hadamix {argv[0]}: entry must be an integer or 'a/b' string: {bad}\n"
+
+
+def test_eps_refuses_many_rows_before_the_entry_walk(monkeypatch):
+    tall = json.dumps({"rows": 63, "cols": 3, "data": [[1, 2, 2]] * 63})
+    monkeypatch.setattr(nae, "_pair", lambda x: pytest.fail("entries were walked"))
+    assert run_cli(["eps", "--cols", "1,2"], tall) == (
+        1, '{"error": "ground-set size guard: 0 <= size <= 62 (got 63)", '
+           '"witness": null}\n', "")
+
+
 def test_project_block_out_of_range_names_the_typed_index():
     for block, v in [("5", "[2,1]"), ("3", "[2,1]"), ("2", "[7,7,7]")]:
         code, out, err = run_cli(["project", "--block", block], '{"v":%s}' % v)

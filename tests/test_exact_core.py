@@ -30,6 +30,7 @@ from hadamix import (
     matrix_to_json,
     span,
 )
+from hadamix import exact_core
 from hadamix.exact_core import as_rational, as_vector, rational_from_json, rational_to_json, solve_square
 
 rationals = st.fractions(
@@ -354,6 +355,47 @@ def test_diagonal_shares_its_zero_and_serialises_entrywise():
             [entry[r] if r == c else 0 for c in range(n)] for r in range(n)
         ]}
         assert json.dumps(matrix_to_json(m)) == json.dumps(expected)
+
+
+def test_matrix_to_json_calls_the_encoder_only_off_the_shared_zero(monkeypatch):
+    calls = 0
+    real = exact_core.rational_to_json
+
+    def counted(q):
+        nonlocal calls
+        calls += 1
+        return real(q)
+
+    monkeypatch.setattr(exact_core, "rational_to_json", counted)
+    diag = [Fraction(7, 3), 0, -2, Fraction(0), 5]
+    obj = matrix_to_json(RMatrix.diagonal(diag))
+    # one call per diagonal entry; a diagonal zero is a distinct Fraction
+    assert calls == len(diag)
+    assert obj["data"][1] == [0] * 5 and obj["data"][0] == ["7/3", 0, 0, 0, 0]
+    calls = 0
+    m = RMatrix.from_rows([[0, Fraction(1, 2)], [Fraction(0, 5), -1]])
+    assert matrix_to_json(m)["data"] == [[0, "1/2"], [0, -1]]
+    assert calls == 4
+
+
+def test_entry_reader_parses_each_distinct_entry_once(monkeypatch):
+    parses = []
+    real = exact_core.rational_from_json
+
+    def counted(x):
+        parses.append(x)
+        return real(x)
+
+    monkeypatch.setattr(exact_core, "rational_from_json", counted)
+    entry = exact_core._entry_reader()
+    got = [entry(x) for x in ["1/2", 3, "1/2", "2/4", 3, "3"]]
+    assert got == [Fraction(1, 2), 3, Fraction(1, 2), Fraction(1, 2), 3, 3]
+    assert parses == ["1/2", 3, "2/4", "3"]
+    # `true` is never answered from a cached 1, nor `false` from a cached 0
+    assert entry(1) == 1 and entry(0) == 0
+    for bad in (True, False, 1.0, 0.0):
+        with pytest.raises(InputFormatError):
+            entry(bad)
 
 
 def test_rmatrix_validation():

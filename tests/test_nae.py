@@ -24,6 +24,7 @@ from hadamix import (
     eps_bar,
     exhaustive_nae_restrict,
     full_extension_rank,
+    masks_of_weight,
     nae,
     nae_restrict,
     nae_rows,
@@ -235,6 +236,45 @@ def test_exhaustive_nae_restrict_matches_definitional_enumeration():
             if brute_eps_bar(m.restrict_rows(SubsetIndex.from_members(n, subset)))[0] == -1
         )
         assert [s.mask for s in exhaustive_nae_restrict(m)] == expected, m
+
+
+def test_nae_rows_refuses_many_rows_before_the_entry_walk(monkeypatch):
+    m = RMatrix.from_rows([[1, 2, 3]] * 63, 3)
+    monkeypatch.setattr(nae, "_pair", lambda x: pytest.fail("entries were walked"))
+    # the column checks come first
+    with pytest.raises(DomainError, match="column set must be nonempty"):
+        nae_rows(m, SubsetIndex(3))
+    with pytest.raises(DomainError, match="does not match 3 columns"):
+        nae_rows(m, SubsetIndex(2, 1))
+    for fn in (nae_rows, eps):
+        with pytest.raises(DomainError) as err:
+            fn(m, SubsetIndex(3, 0b011))
+        assert str(err.value) == "ground-set size guard: 0 <= size <= 62 (got 63)"
+    monkeypatch.undo()
+    assert nae_rows(RMatrix.from_rows([[1, 2, 3]] * 62, 3), SubsetIndex(3, 3)) \
+        == SubsetIndex(62, (1 << 62) - 1)
+
+
+def test_exhaustive_nae_restrict_builds_one_popcount_table(monkeypatch):
+    real = nae._popcounts
+    calls = []
+
+    def counted(width, size):
+        calls.append((width, size))
+        return real(width, size)
+
+    monkeypatch.setattr(nae, "_popcounts", counted)
+    for m in (RMatrix.from_rows([list(range(6))] * 9, 6), STAIRSTEP_3,
+              random_matrix(random.Random(5), 8, 5, SMALL_POOL)):
+        calls.clear()
+        got = exhaustive_nae_restrict(m)
+        assert len(calls) == 1, calls
+        # the same answer with one table per scan
+        assert got == [
+            SubsetIndex(m.n_rows, mask)
+            for mask in masks_of_weight(m.n_rows, m.n_cols - 1)
+            if eps_bar(m.restrict_rows(SubsetIndex(m.n_rows, mask))).eps_bar == -1
+        ]
 
 
 def test_exhaustive_nae_restrict_guards():

@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lagrange_projection_reference, orthogonal_complement
+from conftest import (
+    is_invariant_reference,
+    lagrange_projection_reference,
+    orthogonal_complement,
+    respects_reference,
+)
 from hadamix import (
     DomainError,
+    InputFormatError,
     RMatrix,
+    Subspace,
     SubsetIndex,
     bar_odot,
     blocks_of,
@@ -17,6 +24,7 @@ from hadamix import (
     respects,
     span,
 )
+from hadamix import exact_core, partition_algebra
 
 
 def e(i, k):
@@ -261,3 +269,153 @@ def test_bar_odot_iteration_stabilizes_and_respects():
             steps += 1
             assert steps <= k, "closure must stabilize within k steps"
         assert respects(u, blocks_of(v))
+
+
+# ---------------------------------------------------------------------------
+# the RREF readings against the elimination references
+
+
+def _both_answers(v, u):
+    part = blocks_of(v)
+    got = (is_invariant(v, u), respects(u, part))
+    assert got == (is_invariant_reference(v, u), respects_reference(u, part))
+    assert got[0] == got[1]
+    return got[0]
+
+
+def test_rref_readings_match_the_references_on_seeded_subspaces():
+    rng = random.Random(71)
+    seen = set()
+    for trial in range(300):
+        k = rng.randint(1, 12)
+        v = random_partition_vector(rng, k)
+        u = random_block_respecting(rng, v) if trial % 2 == 0 else random_generic(rng, k)
+        seen.add(_both_answers(v, u))
+        empty, full = span([], k), span([e(i, k) for i in range(k)], k)
+        # a constant or zero v, and an empty or full U, always answer yes
+        assert all(_both_answers(w, space) for w in ([Fraction(-7, 3)] * k, [0] * k)
+                   for space in (u, empty, full))
+        assert _both_answers(v, empty) and _both_answers(v, full)
+    assert seen == {True, False}
+
+
+@st.composite
+def subspaces(draw):
+    """(v, U) with k <= 12: U spanned by vectors inside one block each, by
+    generic vectors, or by a mix, so both answers occur."""
+    k = draw(st.integers(1, 12))
+    pool = draw(st.lists(VALUES, min_size=1, max_size=min(4, k), unique=True))
+    v = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    part = blocks_of(v)
+    entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 7]))
+    vectors = []
+    for _ in range(draw(st.integers(0, k))):
+        vec = draw(st.lists(entries, min_size=k, max_size=k))
+        if draw(st.booleans()):
+            mask = part.blocks[draw(st.integers(0, len(part) - 1))].mask
+            vec = [x if mask >> j & 1 else 0 for j, x in enumerate(vec)]
+        vectors.append(vec)
+    return v, span(vectors, k)
+
+
+@settings(deadline=None, max_examples=200)
+@given(subspaces())
+def test_rref_readings_match_the_references_on_hypothesis_subspaces(case):
+    v, u = case
+    k = u.ambient_dim
+    _both_answers(v, u)
+    for w in ([0] * k, [Fraction(2, 3)] * k):
+        _both_answers(w, u)
+    for space in (span([], k), span([e(i, k) for i in range(k)], k)):
+        _both_answers(v, space)
+
+
+def test_respects_runs_no_elimination(monkeypatch):
+    v = [2, 1, 2, 1, 3]
+    part = blocks_of(v)
+    yes = span([e(0, 5), [0, 1, 0, -4, 0], e(4, 5)], 5)
+    no = span([[1, 1, 0, 0, 0]], 5)
+
+    def no_elimination(*args):
+        raise AssertionError("respects eliminated")
+
+    for module in (exact_core, partition_algebra):
+        monkeypatch.setattr(module, "_reduce", no_elimination)
+    monkeypatch.setattr(Subspace, "extend", no_elimination)
+    monkeypatch.setattr(Subspace, "extend_odot", no_elimination)
+    assert respects(yes, part) and not respects(no, part)
+
+
+def test_is_invariant_stops_at_the_first_product_outside(monkeypatch):
+    reductions = 0
+    real = partition_algebra._reduce
+
+    def counted(*args):
+        nonlocal reductions
+        reductions += 1
+        return real(*args)
+
+    monkeypatch.setattr(partition_algebra, "_reduce", counted)
+    monkeypatch.setattr(Subspace, "extend_odot", lambda *args: pytest.fail("a fold was built"))
+    k = 6
+    v = [1, 1, 2, 2, 3, 3]
+    # the products of the first RREF rows stay in U, the last one leaves it
+    u = span([e(0, k), e(1, k), e(2, k), [0, 0, 0, 1, 1, 0]], k)
+    for space, expected, count in [
+        (u, False, 4),
+        (span([e(0, k), [0, 0, 1, 0, 1, 0]], k), False, 2),
+        # the first product leaves U; the rows after it are never reduced
+        (span([[1, 0, 1, 0, 0, 0], e(1, k), e(4, k)], k), False, 1),
+        (span([[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, -1]], k), True, 2),
+        (span([], k), True, 0),
+    ]:
+        reductions = 0
+        assert is_invariant(v, space) is expected
+        assert reductions == count, space
+
+
+def test_is_invariant_length_mismatch_matches_the_fold():
+    u = span([[1, 2, 3]], 3)
+    with pytest.raises(DomainError) as fold:
+        bar_odot([1, 2], u)
+    with pytest.raises(DomainError) as direct:
+        is_invariant([1, 2], u)
+    assert str(direct.value) == str(fold.value) == "vector length 2 does not match ambient 3"
+    with pytest.raises(InputFormatError):
+        is_invariant([True, 1, 2], u)
+
+
+# ---------------------------------------------------------------------------
+# blocks keyed on integer pairs
+
+
+def test_blocks_of_keys_equal_values_written_differently():
+    part = blocks_of(["1/2", "2/4", 0, "-0/5", 3, Fraction(6, 2), "-0", Fraction(1, 2)])
+    assert part.values == (Fraction(3), Fraction(1, 2), Fraction(0))
+    assert [b.members() for b in part.blocks] == [(4, 5), (0, 1, 7), (2, 3, 6)]
+    mixed = blocks_of([1, Fraction(1), "1", Fraction(2, 2), -1, Fraction(-3, 3)])
+    assert mixed.values == (1, -1)
+    assert [b.members() for b in mixed.blocks] == [(0, 1, 2, 3), (4, 5)]
+    assert all(type(x) is Fraction for x in mixed.values)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4), st.integers(1, 3),
+                          st.sampled_from(["str", "int", "fraction"])),
+                min_size=1, max_size=40))
+def test_blocks_of_values_decrease_and_blocks_collect_equal_values(entries):
+    v = []
+    for num, den, scale, form in entries:
+        q = Fraction(num, den)
+        if form == "str":
+            v.append(f"{num * scale}/{den * scale}")
+        elif form == "int" and q.denominator == 1:
+            v.append(q.numerator)
+        else:
+            v.append(q)
+    part = blocks_of(v)
+    exact = [Fraction(num, den) for num, den, _, _ in entries]
+    assert all(a > b for a, b in zip(part.values, part.values[1:]))
+    assert set(part.values) == set(exact)
+    for value, block in zip(part.values, part.blocks):
+        assert block.members() == tuple(j for j, q in enumerate(exact) if q == value)
