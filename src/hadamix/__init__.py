@@ -8,15 +8,12 @@ from .exact_core import (
     DomainError,
     InputFormatError,
     InternalInvariantError,
-    Rational,
     RMatrix,
     Subspace,
     SubsetIndex,
-    hadamard_product,
     masks_by_cardinality,
     masks_of_weight,
     matrix_from_json,
-    matrix_rank,
     matrix_to_json,
     span,
 )
@@ -48,7 +45,6 @@ from .nae import (
 )
 from .partition_algebra import (
     Partition,
-    bar_odot,
     blocks_of,
     is_invariant,
     lagrange_projection,
@@ -67,12 +63,10 @@ __all__ = [
     "NaeReport",
     "NotFullRank",
     "Partition",
-    "Rational",
     "RMatrix",
     "RowspaceState",
     "Subspace",
     "SubsetIndex",
-    "bar_odot",
     "blocks_of",
     "eps",
     "eps_bar",
@@ -82,7 +76,6 @@ __all__ = [
     "full_extension_rank",
     "greedy_min_rows",
     "hadamard_extension",
-    "hadamard_product",
     "identifiability_gate",
     "is_invariant",
     "is_separated",
@@ -90,7 +83,6 @@ __all__ = [
     "masks_by_cardinality",
     "masks_of_weight",
     "matrix_from_json",
-    "matrix_rank",
     "matrix_to_json",
     "moment_map",
     "nae_restrict",

@@ -139,7 +139,7 @@ def _load_json(args: argparse.Namespace, stdin: IO[str]) -> object:
         try:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputFormatError(f"cannot read {args.input}: {exc}") from exc
     else:
         text = stdin.read()
@@ -340,7 +340,7 @@ def _cmd_invariant(args, stdin):
     basis = matrix_from_json(obj["basis"])
     u = span(basis.entries, basis.n_cols)
     invariant = is_invariant(v, u)
-    respected = respects(u, blocks_of(v))
+    respected = respects(u, v)
     if invariant != respected:
         raise InternalInvariantError(
             "invariance and block-respect disagree; they are provably equivalent"
@@ -394,14 +394,10 @@ def _cmd_selftest(args, stdin):
 
 
 def _selftest_checks():
-    from .exact_core import hadamard_product, matrix_rank
     from .mixture import identifiability_gate, is_separated
 
     def check_fourier_character_product():
-        got = hadamard_product(
-            (Fraction(1), Fraction(-1), Fraction(1), Fraction(-1)),
-            (Fraction(1), Fraction(1), Fraction(-1), Fraction(-1)),
-        )
+        got = hadamard_extension(gen_hamming(2)).row(0b11)
         assert got == (Fraction(1), Fraction(-1), Fraction(-1), Fraction(1)), got
         return "sign-vector product gives the fourth character row"
 
@@ -412,7 +408,7 @@ def _selftest_checks():
             [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
         )
         assert extension == expected, "extension is not the 4x4 sign character table"
-        assert matrix_rank(extension) == 4, "character table must be invertible"
+        assert span(extension.entries, 4).dim == 4, "character table must be invertible"
         assert full_extension_rank(matrix) == 4
         return "2-row sign matrix extends to the invertible 4x4 character table"
 

@@ -14,10 +14,6 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-# Exact rational scalar; Fraction keeps lowest terms and a positive
-# denominator by construction, which is exactly the invariant we need.
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 # Shared zero; a Fraction is immutable, so every zero entry can be this one.
@@ -64,7 +60,7 @@ def rational_pair(value: object) -> tuple[int, int]:
 
     Strings must match -?[0-9]+(/[0-9]+)? in ASCII digits: no whitespace,
     underscores, plus sign or signed denominator. This is the one parser
-    of the rational grammar; as_rational and rational_from_json build
+    of the rational grammar; as_rational and the JSON entry reader build
     their Fractions from it.
     """
     if isinstance(value, str):
@@ -92,15 +88,9 @@ def rational_pair(value: object) -> tuple[int, int]:
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or string (as rational_pair reads it) to an
     exact rational."""
-    if isinstance(value, bool):
-        raise InputFormatError("booleans are not rational entries")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(*rational_pair(value))
-    raise InputFormatError(f"not a rational: {value!r}")
+    return Fraction(*rational_pair(value))
 
 
 def as_vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
@@ -111,24 +101,11 @@ def ones(k: int) -> tuple[Fraction, ...]:
     return (Fraction(1),) * k
 
 
-def hadamard_product(
-    u: Sequence[Fraction], v: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    """Entrywise product of two equal-length vectors."""
-    if len(u) != len(v):
-        raise DomainError(f"length mismatch: {len(u)} vs {len(v)}")
-    return tuple(a * b for a, b in zip(u, v))
-
-
 def rational_to_json(q: Fraction) -> int | str:
     """Bare integer when the denominator is 1, else the string 'a/b'."""
     if q.denominator == 1:
         return q.numerator
     return f"{q.numerator}/{q.denominator}"
-
-
-def rational_from_json(value: object) -> Fraction:
-    return Fraction(*rational_pair(value))
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +272,17 @@ def matrix_to_json(m: RMatrix) -> dict:
 
 
 def _entry_reader() -> Callable[[object], Fraction]:
-    """rational_from_json, parsing each distinct int or string once. `true`
-    (== 1, with hash 1) is never cached: it and every other type go to
-    rational_from_json, which refuses them."""
+    """A JSON entry as a Fraction, parsing each distinct int or string once.
+    `true` (== 1, with hash 1) is never cached: it and every other type go
+    to rational_pair, which refuses them."""
     parsed: dict[int | str, Fraction] = {}
 
     def entry(x: object) -> Fraction:
         if type(x) is not int and type(x) is not str:
-            return rational_from_json(x)
+            return Fraction(*rational_pair(x))
         q = parsed.get(x)
         if q is None:
-            q = parsed[x] = rational_from_json(x)
+            q = parsed[x] = Fraction(*rational_pair(x))
         return q
 
     return entry
@@ -463,11 +440,6 @@ class Subspace:
 def span(vectors: Iterable[Sequence[RationalLike]], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by the given vectors of length ambient_dim."""
     return Subspace(ambient_dim, (), ()).extend(as_vector(v) for v in vectors)
-
-
-def matrix_rank(a: RMatrix) -> int:
-    """Exact rank of a matrix."""
-    return Subspace(a.n_cols, (), ()).extend(a.entries).dim
 
 
 def _solve_rows(rows: Iterable[Sequence[int]], k: int) -> tuple[Fraction, ...] | None:

@@ -34,26 +34,12 @@ from .exact_core import (
 
 @dataclass(frozen=True)
 class Partition:
-    """Blocks of equal coordinates, indexed by strictly decreasing value."""
+    """Blocks of equal coordinates, indexed by strictly decreasing value:
+    the result of blocks_of."""
 
     ambient: int
     values: tuple[Fraction, ...]
     blocks: tuple[SubsetIndex, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.blocks) or not self.values:
-            raise DomainError("values and blocks must be nonempty and aligned")
-        if any(a <= b for a, b in zip(self.values, self.values[1:])):
-            raise DomainError("values must be strictly decreasing")
-        union = 0
-        for block in self.blocks:
-            if block.size != self.ambient or len(block) == 0:
-                raise DomainError("each block must be a nonempty subset of [k]")
-            if union & block.mask:
-                raise DomainError("blocks must be pairwise disjoint")
-            union |= block.mask
-        if union != (1 << self.ambient) - 1:
-            raise DomainError("blocks must cover all coordinates")
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -105,8 +91,8 @@ def lagrange_projection(v: Sequence[RationalLike], i: int) -> RMatrix:
     return RMatrix.diagonal(diag)
 
 
-def respects(u: Subspace, part: Partition) -> bool:
-    """Whether u is the direct sum of its block projections.
+def respects(u: Subspace, v: Sequence[RationalLike]) -> bool:
+    """Whether u is the direct sum of its projections onto the blocks of v.
 
     Read off u's RREF rows, with no elimination: this holds iff every row
     lies inside one block. If it does, each projection maps each row to
@@ -114,26 +100,20 @@ def respects(u: Subspace, part: Partition) -> bool:
     vectors inside block i, the RREF rows of all U_i, sorted by pivot, are
     a basis of u in RREF: a pivot column is zero in the other rows of U_i
     and outside block i. The RREF is unique, so these are u's rows.
+    Coordinates are keyed on their values' integer pairs, as in blocks_of.
     """
-    if u.ambient_dim != part.ambient:
+    keys = list(map(_pair, as_vector(v)))
+    if not keys:
+        raise DomainError("vector must be nonempty")
+    if u.ambient_dim != len(keys):
         raise DomainError(
-            f"ambient mismatch: subspace {u.ambient_dim}, partition {part.ambient}"
+            f"ambient mismatch: subspace {u.ambient_dim}, partition {len(keys)}"
         )
-    label = [0] * part.ambient
-    for i, block in enumerate(part.blocks):
-        for j in block:
-            label[j] = i
-    return all(len(set(compress(label, row))) == 1 for row in u.rows)
-
-
-def bar_odot(v: Sequence[RationalLike], u: Subspace) -> Subspace:
-    """span(U union v*U): the smallest space containing u and its image
-    under entrywise multiplication by v."""
-    return u.extend_odot(as_vector(v))
+    return all(len(set(compress(keys, row))) == 1 for row in u.rows)
 
 
 def is_invariant(v: Sequence[RationalLike], u: Subspace) -> bool:
-    """Whether span(U union v*U) = U; agrees with respects(u, blocks_of(v)).
+    """Whether span(U union v*U) = U; agrees with respects(u, v).
 
     Each product v*b of a basis row b is reduced against the unchanged
     basis, stopping at the first one outside U; no space is built.

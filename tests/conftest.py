@@ -29,7 +29,6 @@ from hadamix import (
     RowspaceState,
     Subspace,
     SubsetIndex,
-    bar_odot,
     blocks_of,
     extend_rowspace,
     masks_by_cardinality,
@@ -273,7 +272,7 @@ def respects_reference(u, part):
 def is_invariant_reference(v, u):
     """span(U union v*U) = U with the whole fold built, as is_invariant
     decided it before it reduced the products one at a time."""
-    return bar_odot(v, u) == u
+    return u.extend_odot(as_vector(v)) == u
 
 
 def drop_row(m, i):

@@ -27,7 +27,6 @@ from hadamix import (
     identifiability_gate,
     is_invariant,
     lagrange_projection,
-    matrix_rank,
     moment_map,
     nae_restrict,
     recover_pi,
@@ -86,7 +85,8 @@ def test_criterion_1_small_certificates(rank_corpus):
 def test_criterion_2_fold_equals_materialized(rank_corpus):
     stalls = 0
     for m in rank_corpus:
-        materialized = matrix_rank(hadamard_extension(m))
+        extension = hadamard_extension(m)
+        materialized = span(extension.entries, extension.n_cols).dim
         assert full_extension_rank(m) == materialized, m
         found = greedy_min_rows(m)
         if isinstance(found, NotFullRank):
@@ -161,7 +161,7 @@ def test_criterion_4_invariance_characterization():
                 [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(count)],
                 k,
             )
-        assert is_invariant(v, u) == respects(u, part), (v, u)
+        assert is_invariant(v, u) == respects(u, v), (v, u)
         # lagrange_projection raises internally if polynomial evaluation
         # mismatches the block diagonal
         projectors = [lagrange_projection(v, i) for i in range(len(part))]

@@ -232,6 +232,33 @@ def test_blocks_project_invariant():
     assert verdict == {"invariant": False, "respects": False}
 
 
+def test_invariant_builds_no_partition(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a partition was built")
+
+    for module in (cli, partition_algebra):
+        monkeypatch.setattr(module, "blocks_of", refuse)
+    monkeypatch.setattr(partition_algebra, "Partition", refuse)
+    basis = '{"rows": 2, "cols": 4, "data": [[1, 0, 0, 0], [0, 1, 0, 1]]}'
+    for v, answer in [('[2, 1, 2, 1]', True), ('["1/2", "2/4", 1, 1]', False)]:
+        verdict = run_json(["invariant"], '{"basis": %s, "v": %s}' % (basis, v))
+        assert verdict == {"invariant": answer, "respects": answer}
+
+
+def test_invariant_reports_a_disagreement_as_an_internal_error(monkeypatch):
+    real = cli.respects
+    monkeypatch.setattr(cli, "respects", lambda u, v: not real(u, v))
+    code, out, _ = run_cli(
+        ["invariant"], '{"basis":{"rows":1,"cols":4,"data":[[1,1,0,0]]},"v":[2,1,2,1]}'
+    )
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "internal invariant violated: invariance and block-respect disagree;"
+                 " they are provably equivalent (k = 4, dim = 1)",
+        "witness": None,
+    }
+
+
 def test_vectors_key_equal_values_and_refuse_booleans():
     blocks = run_json(["blocks"], '{"v": ["1/2", "2/4", 0, "-0/5", 3, "6/2", 1]}')
     assert blocks == {"blocks": [[5, 6], [7], [1, 2], [3, 4]], "values": [3, 1, "1/2", 0]}
@@ -396,9 +423,12 @@ def test_input_file_reads_like_stdin(tmp_path):
     assert piped[0] == 0
     assert run_cli(["rank", "--input", str(path)]) == piped
     assert run_cli(["rank", "-i", str(path)]) == piped
-    code, out, err = run_cli(["rank", "--input", str(tmp_path / "missing.json")])
-    assert code == 2 and out == ""
-    assert err.startswith(f"hadamix rank: cannot read {tmp_path / 'missing.json'}: ")
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    for path in (tmp_path / "missing.json", bad):
+        code, out, err = run_cli(["rank", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"hadamix rank: cannot read {path}: ")
 
 
 def test_module_runs_as_a_process():
@@ -613,6 +643,27 @@ def test_selftest_passes():
     report = json.loads(out)
     assert report["ok"] is True and report["failed"] == 0
     assert len(report["checks"]) >= 10
+
+
+@pytest.mark.parametrize("message, detail", [("", "assertion failed"), ("rank 3", "rank 3")])
+def test_selftest_reports_a_failed_check(monkeypatch, message, detail):
+    real = cli._selftest_checks
+
+    def fail():
+        raise AssertionError(message)
+
+    def one_failing():
+        (name, _), *rest = real()
+        return [(name, fail), *rest]
+
+    monkeypatch.setattr(cli, "_selftest_checks", one_failing)
+    code, out, _ = run_cli(["selftest"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False and report["failed"] == 1
+    assert report["checks"][0] == {"name": "fourier-character-product", "ok": False,
+                                   "detail": detail}
+    assert all(check["ok"] for check in report["checks"][1:])
 
 
 def test_repeat_invocations_are_byte_identical():

@@ -22,16 +22,15 @@ from hadamix import (
     InputFormatError,
     RMatrix,
     SubsetIndex,
-    hadamard_product,
+    hadamard_extension,
     masks_by_cardinality,
     masks_of_weight,
     matrix_from_json,
-    matrix_rank,
     matrix_to_json,
     span,
 )
 from hadamix import exact_core
-from hadamix.exact_core import as_rational, as_vector, rational_from_json, rational_to_json, solve_square
+from hadamix.exact_core import as_rational, as_vector, rational_to_json, solve_square
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -101,46 +100,55 @@ def test_as_rational_strict_grammar(text, message):
 def test_rational_json_encoding():
     assert rational_to_json(Fraction(3)) == 3
     assert rational_to_json(Fraction(-1, 2)) == "-1/2"
-    assert rational_from_json("-1/2") == Fraction(-1, 2)
-    assert rational_from_json(4) == 4
-    with pytest.raises(InputFormatError):
-        rational_from_json(0.5)
-    with pytest.raises(InputFormatError):
-        rational_from_json(True)
+    assert as_rational("-1/2") == Fraction(-1, 2)
+    assert as_rational(4) == 4
+    for bad in (0.5, True):
+        with pytest.raises(InputFormatError, match="entry must be an integer or 'a/b' string"):
+            as_rational(bad)
 
 
 # ---------------------------------------------------------------------------
-# hadamard product
+# hadamard product: the rows of the extension
+
+
+def extension_rows(rows):
+    """Row of the extension of `rows` for each subset mask."""
+    m = RMatrix.from_rows(rows)
+    return dict(zip(masks_by_cardinality(m.n_rows), hadamard_extension(m).entries))
 
 
 def test_hadamard_product_examples():
-    one = (Fraction(1), Fraction(1), Fraction(1))
     v = (Fraction(5), Fraction(-2), Fraction(1, 3))
-    assert hadamard_product(one, v) == v
     w = (Fraction(0), Fraction(1), Fraction(2))
-    assert hadamard_product(w, w) == (Fraction(0), Fraction(1), Fraction(4))
+    rows = extension_rows([v, w, w])
+    assert rows[0b000] == (Fraction(1),) * 3
+    assert rows[0b001] == v
+    assert rows[0b011] == (Fraction(0), Fraction(-2), Fraction(2, 3))
+    assert rows[0b110] == (Fraction(0), Fraction(1), Fraction(4))
     # fourth character row of the 4x4 sign table
     a = (Fraction(1), Fraction(-1), Fraction(1), Fraction(-1))
     b = (Fraction(1), Fraction(1), Fraction(-1), Fraction(-1))
-    assert hadamard_product(a, b) == (Fraction(1), Fraction(-1), Fraction(-1), Fraction(1))
+    assert extension_rows([a, b])[0b11] == (Fraction(1), Fraction(-1), Fraction(-1), Fraction(1))
 
 
 def test_hadamard_product_length_mismatch():
     with pytest.raises(DomainError):
-        hadamard_product((Fraction(1),), (Fraction(1), Fraction(2)))
+        span([(1,)], 1).extend_odot((Fraction(1), Fraction(2)))
 
 
 @given(st.lists(rationals, min_size=1, max_size=6), st.data())
 def test_hadamard_product_laws(u, data):
+    # row(S | T) = row(S) * row(T) for disjoint S and T; the all-ones row
+    # of the empty set is the identity
     k = len(u)
-    v = data.draw(st.lists(rationals, min_size=k, max_size=k))
-    w = data.draw(st.lists(rationals, min_size=k, max_size=k))
-    u, v, w = tuple(u), tuple(v), tuple(w)
-    assert hadamard_product(u, v) == hadamard_product(v, u)
-    assert hadamard_product(hadamard_product(u, v), w) == hadamard_product(
-        u, hadamard_product(v, w)
-    )
-    assert hadamard_product((Fraction(1),) * k, v) == v
+    others = data.draw(st.lists(st.lists(rationals, min_size=k, max_size=k), max_size=3))
+    rows = extension_rows([u, *others])
+    full = len(rows) - 1
+    s = data.draw(st.integers(0, full))
+    t = data.draw(st.integers(0, full)) & ~s
+    assert rows[s | t] == tuple(a * b for a, b in zip(rows[s], rows[t]))
+    assert rows[0] == (Fraction(1),) * k
+    assert tuple(a * b for a, b in zip(rows[0], rows[s])) == rows[s]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +213,7 @@ def test_extend_odot_is_the_span_of_the_products(k, data):
     ))
     u = span(vecs, k)
     grown = u.extend_odot(v)
-    products = [hadamard_product(b, as_vector(v)) for b in u.basis.entries]
+    products = [tuple(a * b for a, b in zip(row, as_vector(v))) for row in u.basis.entries]
     assert grown == u.extend(products) == span(list(vecs) + products, k)
     # a fold that stays in U hands back U itself
     assert (grown is u) == (grown.dim == u.dim)
@@ -246,6 +254,10 @@ def test_orthogonal_complement_involution_and_dims():
 # rank
 
 
+def matrix_rank(m):
+    return span(m.entries, m.n_cols).dim
+
+
 def test_matrix_rank_examples():
     assert matrix_rank(RMatrix.diagonal([1] * 3)) == 3
     two_identical_cols = RMatrix.from_rows([[1, 1], [2, 2], [5, 5]])
@@ -263,7 +275,6 @@ def test_matrix_rank_against_minor_oracle_and_transpose():
         r = matrix_rank(m)
         assert r == minor_rank([list(row) for row in m.entries], k)
         assert r == matrix_rank(RMatrix.from_rows(zip(*m.entries), n))
-        assert r == span(m.entries, k).dim
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +391,13 @@ def test_matrix_to_json_calls_the_encoder_only_off_the_shared_zero(monkeypatch):
 
 def test_entry_reader_parses_each_distinct_entry_once(monkeypatch):
     parses = []
-    real = exact_core.rational_from_json
+    real = exact_core.rational_pair
 
     def counted(x):
         parses.append(x)
         return real(x)
 
-    monkeypatch.setattr(exact_core, "rational_from_json", counted)
+    monkeypatch.setattr(exact_core, "rational_pair", counted)
     entry = exact_core._entry_reader()
     got = [entry(x) for x in ["1/2", 3, "1/2", "2/4", 3, "3"]]
     assert got == [Fraction(1, 2), 3, Fraction(1, 2), Fraction(1, 2), 3, 3]

@@ -1,5 +1,6 @@
 """The package's export list stays in step with what `__init__` imports,
-and the README's Python example runs against it."""
+every export is used inside the package, and the README's Python example
+runs against it."""
 
 import ast
 import re
@@ -52,3 +53,34 @@ def test_readme_python_example_runs_and_shows_its_results():
                 assert comment.startswith(f"{type(value).__name__} {value}"), code
             checked += 1
     assert checked
+
+
+# Traced by the benchmark harness (clibench/tracer.py) but called by no module.
+UNUSED_EXPORTS_ALLOWED = {"extend_rowspace"}
+
+
+def _references_outside_own_definition(tree):
+    """Names loaded in a module outside the top-level definition of the
+    same name, under the names they were imported as. Annotations are
+    expressions in the tree, so a name used only as a type counts."""
+    found = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                found.add((node.attr, owner))
+    imported_as = {alias.asname: alias.name for node in tree.body
+                   if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
+    return {imported_as.get(name, name) for name, owner in found if name != owner}
+
+
+def test_every_export_is_used_inside_the_package():
+    package = Path(hadamix.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _references_outside_own_definition(ast.parse(path.read_text()))
+    unused = sorted(set(hadamix.__all__) - used - UNUSED_EXPORTS_ALLOWED)
+    assert unused == []

@@ -17,7 +17,6 @@ from hadamix import (
     RMatrix,
     Subspace,
     SubsetIndex,
-    bar_odot,
     blocks_of,
     is_invariant,
     lagrange_projection,
@@ -25,6 +24,7 @@ from hadamix import (
     span,
 )
 from hadamix import exact_core, partition_algebra
+from hadamix.exact_core import as_vector
 
 
 def e(i, k):
@@ -195,19 +195,24 @@ def test_lagrange_projection_evaluates_once_per_value(monkeypatch):
 # respects / bar_odot / invariance
 
 
+def bar_odot(v, u):
+    """span(U union v*U), the fold step of the paper's bar-odot."""
+    return u.extend_odot(as_vector(v))
+
+
 def test_respects_examples():
     u = span([e(0, 4), tuple(a + b for a, b in zip(e(1, 4), e(3, 4)))], 4)
-    part = blocks_of([2, 1, 2, 1])
-    assert respects(u, part)
+    v = [2, 1, 2, 1]
+    assert respects(u, v)
 
     w = span([tuple(a + b for a, b in zip(e(0, 4), e(1, 4)))], 4)
-    assert not respects(w, part)
+    assert not respects(w, v)
 
     full = span([e(i, 4) for i in range(4)], 4)
-    assert respects(full, part)
+    assert respects(full, v)
 
     with pytest.raises(DomainError):
-        respects(span([], 3), part)
+        respects(span([], 3), v)
 
 
 def test_bar_odot_examples():
@@ -240,7 +245,7 @@ def test_invariance_equals_block_respect():
         k = rng.randint(1, 8)
         v = random_partition_vector(rng, k)
         u = random_block_respecting(rng, v) if trial % 2 == 0 else random_generic(rng, k)
-        assert is_invariant(v, u) == respects(u, blocks_of(v))
+        assert is_invariant(v, u) == respects(u, v)
 
 
 def test_complement_of_respecting_space_respects():
@@ -249,9 +254,8 @@ def test_complement_of_respecting_space_respects():
         k = rng.randint(1, 7)
         v = random_partition_vector(rng, k)
         u = random_block_respecting(rng, v)
-        part = blocks_of(v)
-        assert respects(u, part)
-        assert respects(orthogonal_complement(u), part)
+        assert respects(u, v)
+        assert respects(orthogonal_complement(u), v)
 
 
 def test_bar_odot_iteration_stabilizes_and_respects():
@@ -268,7 +272,7 @@ def test_bar_odot_iteration_stabilizes_and_respects():
             u = grown
             steps += 1
             assert steps <= k, "closure must stabilize within k steps"
-        assert respects(u, blocks_of(v))
+        assert respects(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +280,8 @@ def test_bar_odot_iteration_stabilizes_and_respects():
 
 
 def _both_answers(v, u):
-    part = blocks_of(v)
-    got = (is_invariant(v, u), respects(u, part))
-    assert got == (is_invariant_reference(v, u), respects_reference(u, part))
+    got = (is_invariant(v, u), respects(u, v))
+    assert got == (is_invariant_reference(v, u), respects_reference(u, blocks_of(v)))
     assert got[0] == got[1]
     return got[0]
 
@@ -330,9 +333,57 @@ def test_rref_readings_match_the_references_on_hypothesis_subspaces(case):
         _both_answers(v, space)
 
 
+# Each value in several spellings: ints, Fractions and unreduced strings.
+SPELLINGS = [
+    [Fraction(1, 2), "1/2", "2/4", "3/6"],
+    [0, Fraction(0), "0", "-0/5", "-0"],
+    [3, Fraction(6, 2), "6/2", "3"],
+    [Fraction(-2, 3), "-2/3", "-4/6"],
+    [-1, Fraction(-3, 3), "-1", "-7/7"],
+]
+
+
+@st.composite
+def spelled_subspaces(draw):
+    """(v, U) with k <= 12 and each coordinate of v in a random spelling of
+    its value; U as in `subspaces`, over the blocks of the exact values."""
+    k = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(0, len(SPELLINGS) - 1), min_size=k, max_size=k))
+    v = [draw(st.sampled_from(SPELLINGS[label])) for label in labels]
+    masks = sorted({sum(1 << j for j, b in enumerate(labels) if b == a) for a in labels})
+    entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 7]))
+    vectors = []
+    for _ in range(draw(st.integers(0, k))):
+        vec = draw(st.lists(entries, min_size=k, max_size=k))
+        if draw(st.booleans()):
+            mask = draw(st.sampled_from(masks))
+            vec = [x if mask >> j & 1 else 0 for j, x in enumerate(vec)]
+        vectors.append(vec)
+    return v, span(vectors, k)
+
+
+@settings(deadline=None, max_examples=200)
+@given(spelled_subspaces())
+def test_respects_matches_the_per_block_reference_on_spelled_values(case):
+    v, u = case
+    assert respects(u, v) == respects_reference(u, blocks_of(v)) == is_invariant(v, u)
+
+
+def test_respects_error_texts():
+    for u, v, message in [
+        (span([], 0), [], "vector must be nonempty"),
+        # an empty v is refused before the lengths are compared
+        (span([], 3), [], "vector must be nonempty"),
+        (span([], 3), [1, 2], "ambient mismatch: subspace 3, partition 2"),
+        (span([[1, 1]], 2), ["1/2", "2/4", 0], "ambient mismatch: subspace 2, partition 3"),
+    ]:
+        with pytest.raises(DomainError) as error:
+            respects(u, v)
+        assert str(error.value) == message
+
+
 def test_respects_runs_no_elimination(monkeypatch):
     v = [2, 1, 2, 1, 3]
-    part = blocks_of(v)
     yes = span([e(0, 5), [0, 1, 0, -4, 0], e(4, 5)], 5)
     no = span([[1, 1, 0, 0, 0]], 5)
 
@@ -343,7 +394,7 @@ def test_respects_runs_no_elimination(monkeypatch):
         monkeypatch.setattr(module, "_reduce", no_elimination)
     monkeypatch.setattr(Subspace, "extend", no_elimination)
     monkeypatch.setattr(Subspace, "extend_odot", no_elimination)
-    assert respects(yes, part) and not respects(no, part)
+    assert respects(yes, v) and not respects(no, v)
 
 
 def test_is_invariant_stops_at_the_first_product_outside(monkeypatch):
