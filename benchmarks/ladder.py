@@ -1,0 +1,128 @@
+"""Fold ladder: the extension kernels timed on fixed seeded inputs.
+
+    PYTHONPATH=src python3 benchmarks/ladder.py
+
+Times `greedy_min_rows`, `full_extension_rank`, `exhaustive_min_rows` and
+`hadamard_extension` on each input of CASES, best of REPEATS runs, and
+writes the times with a digest of each answer to BENCH_<n>.json in the
+current directory, n being the first unused run number. Pointing
+PYTHONPATH at another checkout's src times that code on the same inputs,
+and equal digests show that both gave the same answers. The whole ladder
+runs in well under a minute; it is not part of the tests.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import platform
+import random
+import sys
+import time
+from fractions import Fraction
+from itertools import count
+from pathlib import Path
+
+from hadamix import (
+    RMatrix,
+    exhaustive_min_rows,
+    full_extension_rank,
+    greedy_min_rows,
+    hadamard_extension,
+)
+from hadamix.cli import gen_hamming, gen_stairstep, gen_vandermonde
+
+# Each time is the best of REPEATS runs; a run repeats the call until it
+# has taken at least MIN_RUN_S, so that sub-millisecond cases are not
+# read off a single call.
+REPEATS = 5
+MIN_RUN_S = 0.05
+
+
+def random_matrix(seed: int, n: int, k: int, dups: int = 0) -> RMatrix:
+    """n x k rationals a/b with 1 <= a, b <= 999, whose extensions have
+    large entries; `dups` of the columns repeat others, so the rank stays
+    below k and every fold probes every row."""
+    rng = random.Random(seed)
+    base = [[Fraction(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(k - dups)]
+            for _ in range(n)]
+    cols = list(range(k - dups)) + [rng.randrange(k - dups) for _ in range(dups)]
+    rng.shuffle(cols)
+    return RMatrix.from_rows([[row[c] for c in cols] for row in base], k)
+
+
+def distinct_row(seed: int, k: int) -> list[Fraction]:
+    """k distinct rationals; entry j has denominator 1 + j % 4."""
+    rng = random.Random(seed)
+    values: list[Fraction] = []
+    while len(values) < k:
+        q = Fraction(rng.randint(-9, 9) * 4 + 1, 1 + len(values) % 4)
+        if q not in values:
+            values.append(q)
+    return values
+
+
+# (name, matrix, kernels besides greedy_min_rows; an int is the size of an
+# exhaustive_min_rows scan). full_extension_rank and hadamard_extension
+# refuse more than 20 rows.
+RANK, EXTENSION = "full_extension_rank", "hadamard_extension"
+CASES = [
+    ("random n=10 k=32", random_matrix(1, 10, 32), (RANK, EXTENSION)),
+    ("random n=10 k=48", random_matrix(2, 10, 48), (RANK, EXTENSION)),
+    ("duplicated columns n=10 k=32", random_matrix(3, 10, 32, dups=3), (RANK, EXTENSION)),
+    ("hamming l=9", gen_hamming(9), (RANK, EXTENSION)),
+    ("stairstep k=40", gen_stairstep(40), ()),
+    ("vandermonde k=40 n=39", gen_vandermonde(40, 39, distinct_row(4, 40)), ()),
+    ("vandermonde k=6 n=12", gen_vandermonde(6, 12, distinct_row(5, 6)),
+     (RANK, EXTENSION, 5)),
+]
+KERNELS = {RANK: full_extension_rank, EXTENSION: hadamard_extension}
+
+
+def digest(answer: object) -> str:
+    return hashlib.sha256(repr(answer).encode()).hexdigest()[:16]
+
+
+def timed(kernel, *args) -> tuple[float, str]:
+    """Best time per call over REPEATS runs, and the digest of the answer."""
+    start = time.perf_counter()
+    answer = kernel(*args)
+    calls = max(1, round(MIN_RUN_S / (time.perf_counter() - start)))
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(calls):
+            kernel(*args)
+        best = min(best, (time.perf_counter() - start) / calls)
+    return best, digest(answer)
+
+
+def main() -> None:
+    results = []
+    for name, m, extra in CASES:
+        runs = [("greedy_min_rows", greedy_min_rows, (m,))]
+        for kernel in extra:
+            if isinstance(kernel, int):
+                runs.append((f"exhaustive_min_rows size={kernel}", exhaustive_min_rows,
+                             (m, kernel)))
+            else:
+                runs.append((kernel, KERNELS[kernel], (m,)))
+        for kernel, call, args in runs:
+            seconds, answer = timed(call, *args)
+            results.append({"case": name, "kernel": kernel, "best_s": seconds,
+                            "answer_sha256": answer})
+            print(f"{name:30} {kernel:32} {seconds * 1e3:10.2f} ms  {answer}")
+    path = next(Path(f"BENCH_{n}.json") for n in count(1)
+                if not Path(f"BENCH_{n}.json").exists())
+    path.write_text(json.dumps({
+        "python": sys.version.split()[0],
+        "machine": platform.machine(),
+        "repeats": REPEATS,
+        "min_run_s": MIN_RUN_S,
+        "results": results,
+    }, indent=1) + "\n")
+    print(f"wrote {path}")
+
+
+if __name__ == "__main__":
+    main()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import IO, Sequence
@@ -32,6 +33,7 @@ from .exact_core import (
 )
 from .hadamard import (
     NotFullRank,
+    _extension_table,
     exhaustive_min_rows,
     full_extension_rank,
     greedy_min_rows,
@@ -250,7 +252,13 @@ def _cmd_gen(args, stdin):
 
 
 def _cmd_hadext(args, stdin):
-    return matrix_to_json(hadamard_extension(_load_matrix(args, stdin)))
+    # each entry in lowest terms, as rational_to_json writes it
+    matrix = _load_matrix(args, stdin)
+    data = []
+    for nums, dens in _extension_table(matrix):
+        data.append([x // g if g == d else f"{x // g}/{d // g}"
+                     for x, d, g in zip(nums, dens, map(math.gcd, nums, dens))])
+    return {"rows": 1 << matrix.n_rows, "cols": matrix.n_cols, "data": data}
 
 
 def _cmd_rank(args, stdin):

@@ -420,17 +420,40 @@ class Subspace:
     def extend_odot(self, v: Sequence[Fraction | int]) -> "Subspace":
         """span(U union v*U), the Hadamard fold step; `self` if that is U.
 
-        Only the dim products v*b of the basis rows b are reduced, and U is
-        never re-reduced.
+        With t the integer multiple of v, each basis row b with pivot p gives
+        the pivot-shifted product r = (t - t_p)*b = t*b - t_p*b. The residues
+        are reduced only among themselves, the old rows are cleared of the
+        new pivots, and the two sets of rows are merged by pivot. This is
+        exact:
+
+        - Same span: b lies in U, so span(U union {t*b}) = span(U union {r}).
+        - No reduction against U is needed: r is zero at p, and b (so r) is
+          zero on every other pivot of U. A nonzero vector of U is nonzero at
+          some pivot of U, so dim grows by exactly the rank of the residues,
+          and their reduced rows are zero on U's pivots.
+        - U does not grow iff every r is 0, that is iff t is constant on the
+          support of every basis row: the block-respect condition of
+          `respects`, decided in dim*k multiplications and no elimination.
+        - The result is the unique RREF: clearing a new pivot from an old row
+          leaves its (positive) pivot and its zeros on U's pivots, so the
+          merged rows are primitive RREF rows with positive pivots, the very
+          rows any other elimination of the same span gives.
         """
         self._check_length(v)
         t = _integer_row(v)
-        rows, pivots = list(self.rows), list(self.pivots)
-        for row in self.rows:
-            _insert(rows, pivots, [a * b for a, b in zip(row, t)])
-        if len(rows) == self.dim:
+        new: list[Sequence[int]] = []
+        at: list[int] = []
+        for row, p in zip(self.rows, self.pivots):
+            tp = t[p]
+            r = [(x - tp) * y for x, y in zip(t, row)]
+            if any(r):
+                _insert(new, at, r)
+        if not new:
             return self
-        return Subspace(self.ambient_dim, tuple(map(tuple, rows)), tuple(pivots))
+        old = [_reduce(new, at, row) for row in self.rows]
+        merged = sorted(zip(self.pivots + tuple(at), old + new))  # pivots are distinct
+        return Subspace(self.ambient_dim, tuple(tuple(row) for _, row in merged),
+                        tuple(p for p, _ in merged))
 
     def _check_length(self, vec: Sequence[object]) -> None:
         if len(vec) != self.ambient_dim:

@@ -4,15 +4,17 @@ rank-certifying row subsets.
 The extension of an n x k matrix m is the 2^n x k matrix whose rows are
 the entrywise products of every subset of the rows of m (the empty subset
 contributing the all-ones row). `_subset_products` is the one table of
-products over subsets: `hadamard_extension` builds it once per column, and
-the mixture module uses it for the forward moments and the equations of
-`recover_pi`. The column rank needs no 2^n rows: adjoining a row t to a
-chosen set replaces the rowspace U by span(U union t*U), which only
-touches basis vectors. That fold is `Subspace.extend_odot`; it returns U
-itself when t adds nothing. `_fold` runs it once over the rows in index
-order for the rank and the greedy certificate; `exhaustive_min_rows`
-folds each prefix of a subset once, shared by every subset that extends
-it.
+products over subsets. `_extension_table` builds it on integers, over the
+numerators and over the denominators of each column, with one gcd per
+entry; `hadamard_extension` and the `hadext` command both read the
+extension from that table. The mixture module uses it for the forward
+moments and the equations of `recover_pi`. The column rank needs no 2^n
+rows: adjoining a row t to a chosen set replaces the rowspace U by
+span(U union t*U), which only touches basis vectors. That fold is
+`Subspace.extend_odot`; it returns U itself when t adds nothing. `_fold`
+runs it once over the rows in index order for the rank and the greedy
+certificate; `exhaustive_min_rows` folds each prefix of a subset once,
+shared by every subset that extends it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ EXTENSION_ROW_GUARD = 20
 # Every fold and every extension row holds k entries, and a fold's work
 # grows faster than k^2; refuse past this before anything of size k is built.
 EXTENSION_COLUMN_GUARD = 1024
+# The extension is built whole before it is written; refuse more entries
+# than `gen hamming --l 20` emits, which gen accepts.
+EXTENSION_ENTRY_GUARD = 20 << 20
 
 
 def _check_rows(n: int) -> None:
@@ -96,20 +101,43 @@ def _subset_products(first: Fraction | int,
     return table
 
 
-def hadamard_extension(m: RMatrix) -> RMatrix:
-    """The 2^n x k extension matrix of m, rows in canonical order.
+def _extension_table(m: RMatrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(numerators, denominators) of each extension row of m, rows in
+    canonical order; entry j of row S is nums[j] / dens[j], not in lowest
+    terms.
 
-    Canonical order sorts subsets by (cardinality, bitmask value), so the
-    all-ones row comes first and single rows of m come next.
+    Two integer subset-product tables per column, one over the numerators
+    and one over the denominators of its entries; each reader then takes
+    one gcd per entry. A product of entry denominators divides the product
+    of the rows' lcms, so these integers are never larger than those of the
+    rows scaled to integers (on wide rows of distinct denominators they
+    are far smaller). Every guard is checked before any table is built.
     """
     n, k = m.n_rows, m.n_cols
     _check_rows(n)
     _check_columns(k)
-    columns = [_subset_products(Fraction(1), [row[j] for row in m.entries])
-               for j in range(k)]
+    if k << n > EXTENSION_ENTRY_GUARD:
+        raise DomainError(
+            f"extension guard: at most {EXTENSION_ENTRY_GUARD} entries (got {k << n})"
+        )
+    columns = [[row[j] for row in m.entries] for j in range(k)]
+    nums = [_subset_products(1, [x.numerator for x in column]) for column in columns]
+    dens = [_subset_products(1, [x.denominator for x in column]) for column in columns]
     # with no columns, zip() yields nothing: each row is then empty
-    products = list(zip(*columns)) if k else [()] * (1 << n)
-    return RMatrix(1 << n, k, tuple(products[mask] for mask in masks_by_cardinality(n)))
+    rows = list(zip(zip(*nums), zip(*dens))) if k else [((), ())] * (1 << n)
+    return [rows[mask] for mask in masks_by_cardinality(n)]
+
+
+def hadamard_extension(m: RMatrix) -> RMatrix:
+    """The 2^n x k extension matrix of m, rows in canonical order.
+
+    Canonical order sorts subsets by (cardinality, bitmask value), so the
+    all-ones row comes first and single rows of m come next. The entries
+    are read from `_extension_table`.
+    """
+    return RMatrix(1 << m.n_rows, m.n_cols, tuple(
+        tuple(map(Fraction, nums, dens)) for nums, dens in _extension_table(m)
+    ))
 
 
 def extend_rowspace(state: RowspaceState, m: RMatrix, t: int) -> RowspaceState:

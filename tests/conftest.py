@@ -8,7 +8,8 @@ recursing on explicit submatrices, and the block projectors by evaluating
 the Lagrange polynomial at every entry in Fractions, so they can certify
 the fast implementations. The Hadamard-fold references are the library's
 earlier loops, one `extend_rowspace` state per fold, with no early stop and
-no shared prefixes. The block-respect reference eliminates once per block,
+no shared prefixes, and the fold step that reduced every product against
+the growing basis. The block-respect reference eliminates once per block,
 and the invariance reference builds span(U union v*U) in full. The mixture-weight reference is the library's earlier
 Fraction path: extension rows re-spanned one at a time, then `solve_square`
 on the k x k system.
@@ -36,7 +37,13 @@ from hadamix import (
     nae_rows,
     span,
 )
-from hadamix.exact_core import SUBSET_SCAN_LIMIT, as_vector, solve_square
+from hadamix.exact_core import (
+    SUBSET_SCAN_LIMIT,
+    _insert,
+    _integer_row,
+    as_vector,
+    solve_square,
+)
 from hadamix.nae import COLUMN_SCAN_GUARD, NaeReport
 
 
@@ -273,6 +280,19 @@ def is_invariant_reference(v, u):
     """span(U union v*U) = U with the whole fold built, as is_invariant
     decided it before it reduced the products one at a time."""
     return u.extend_odot(as_vector(v)) == u
+
+
+def extend_odot_reference(u, v):
+    """span(U union v*U) with each product t*b of a basis row reduced against
+    the whole growing basis, as Subspace.extend_odot did before it shifted
+    each product by its pivot; `u` itself when U does not grow."""
+    t = _integer_row(v)
+    rows, pivots = list(u.rows), list(u.pivots)
+    for row in u.rows:
+        _insert(rows, pivots, [a * b for a, b in zip(row, t)])
+    if len(rows) == u.dim:
+        return u
+    return Subspace(u.ambient_dim, tuple(map(tuple, rows)), tuple(pivots))
 
 
 def drop_row(m, i):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -12,6 +12,7 @@ from conftest import (
     complement,
     det_cofactor,
     drop_row,
+    extend_odot_reference,
     minor_rank,
     orthogonal_complement,
     random_matrix,
@@ -217,6 +218,44 @@ def test_extend_odot_is_the_span_of_the_products(k, data):
     assert grown == u.extend(products) == span(list(vecs) + products, k)
     # a fold that stays in U hands back U itself
     assert (grown is u) == (grown.dim == u.dim)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 12), st.data())
+def test_extend_odot_matches_the_reference_fold(k, data):
+    # U is any span, or one reached by folds; v has zeros, negatives and
+    # repeats, so that products often stay inside U
+    entry = st.sampled_from([0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    vector = st.lists(entry, min_size=k, max_size=k)
+    u = span(data.draw(st.lists(vector, max_size=k + 1)), k)
+    for v in data.draw(st.lists(vector, max_size=2)):
+        u = u.extend_odot(v)
+    values = data.draw(st.lists(entry, min_size=1, max_size=3))
+    v = data.draw(st.one_of(vector, st.lists(st.sampled_from(values), min_size=k, max_size=k)))
+    grown, expected = u.extend_odot(v), extend_odot_reference(u, as_vector(v))
+    assert (grown.rows, grown.pivots) == (expected.rows, expected.pivots)
+    assert (grown is u) == (expected.dim == u.dim)
+
+
+def test_extend_odot_runs_no_elimination_when_v_is_constant_on_each_row(monkeypatch):
+    # every RREF row lies inside one block of v = (3, 3, -1, -1, 0, 0, 5, 5, 7)
+    v = (3, 3, -1, -1, 0, 0, 5, 5, 7)
+    u = span([(1, 2, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, -1, 0, 0, 0, 0, 0),
+              (0, 0, 0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 2, 7, 0),
+              (0, 0, 0, 0, 0, 0, 0, 0, Fraction(1, 3))], 9)
+    calls = []
+    reduce = exact_core._reduce
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(exact_core, "_reduce", counted)
+    assert u.extend_odot(v) is u
+    assert calls == []
+    # a v that splits a row's support does reduce
+    assert u.extend_odot((3, 1, -1, -1, 0, 0, 5, 5, 7)).dim == u.dim + 1
+    assert calls
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import io
+import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ from conftest import (
     SMALL_POOL,
     det_cofactor,
     exhaustive_min_rows_reference,
+    extension_rows_reference,
     folded_rank_reference,
     greedy_min_rows_reference,
     random_matrix,
@@ -27,8 +31,11 @@ from hadamix import (
     greedy_min_rows,
     hadamard_extension,
     masks_by_cardinality,
+    matrix_to_json,
     span,
 )
+from hadamix import hadamard
+from hadamix.cli import main
 
 FOURIER_4 = RMatrix.from_rows(
     [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
@@ -105,6 +112,59 @@ def test_extension_guard():
         assert str(err.value) == "extension guard: at most 1024 columns (got 1025)"
     # 1024 columns still fold
     assert full_extension_rank(RMatrix.from_rows([range(1024)])) == 2
+
+
+def hadext(m):
+    out = io.StringIO()
+    code = main(["hadext"], io.StringIO(json.dumps(matrix_to_json(m))), out, io.StringIO())
+    return code, out.getvalue()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 5), st.integers(0, 4), st.data())
+def test_extension_matches_the_materialized_reference(n, k, data):
+    # integer-only rows and rational rows whose denominators cancel (2/3, 3/2)
+    integers = st.sampled_from([0, 1, -1, 3, -4])
+    rationals = st.sampled_from([0, -1, Fraction(2, 3), Fraction(3, 2), Fraction(-5, 6),
+                                 Fraction(9, 4), Fraction(-4, 9)])
+    m = RMatrix.from_rows(
+        [[data.draw(pool) for _ in range(k)]
+         for pool in data.draw(st.lists(st.sampled_from([integers, rationals]),
+                                        min_size=n, max_size=n))], k)
+    expected = RMatrix(1 << n, k, tuple(row for _, row in extension_rows_reference(m)))
+    assert hadamard_extension(m) == expected
+    # hadext writes each entry as rational_to_json does
+    assert hadext(m) == (0, json.dumps(matrix_to_json(expected), sort_keys=True) + "\n")
+
+
+def test_extension_entry_guard():
+    # 21 * 2^20 entries: the row and column guards pass, the entry guard refuses
+    m = RMatrix.from_rows([range(21)] * 20)
+    refusal = "extension guard: at most 20971520 entries (got 22020096)"
+    hadext(m)  # the parser's own allocations
+    for refuse in [hadamard_extension, hadext]:
+        tracemalloc.start()
+        try:
+            try:
+                got = refuse(m)
+            except DomainError as exc:
+                got = str(exc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got in (refusal, (1, '{"error": "%s", "witness": null}\n' % refusal))
+        # refused before any table of 2^n entries is built
+        assert peak < 1 << 20, peak
+
+
+def test_extension_entry_guard_boundary(monkeypatch):
+    monkeypatch.setattr(hadamard, "EXTENSION_ENTRY_GUARD", 24)
+    for n, k in [(3, 3), (2, 6), (0, 24), (3, 0), (10, 0)]:
+        assert hadamard_extension(RMatrix.from_rows([[2] * k] * n, k)).n_rows == 1 << n
+    for n, k in [(3, 4), (0, 25), (1, 13)]:
+        with pytest.raises(DomainError) as err:
+            hadamard_extension(RMatrix.from_rows([[2] * k] * n, k))
+        assert str(err.value) == f"extension guard: at most 24 entries (got {k << n})"
 
 
 # ---------------------------------------------------------------------------
