@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact_core import (
     SUBSET_SCAN_LIMIT,
@@ -101,7 +101,7 @@ def _subset_products(first: Fraction | int,
     return table
 
 
-def _extension_table(m: RMatrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _extension_table(m: RMatrix) -> Iterator[tuple[list[int], list[int]]]:
     """(numerators, denominators) of each extension row of m, rows in
     canonical order; entry j of row S is nums[j] / dens[j], not in lowest
     terms.
@@ -111,7 +111,8 @@ def _extension_table(m: RMatrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     one gcd per entry. A product of entry denominators divides the product
     of the rows' lcms, so these integers are never larger than those of the
     rows scaled to integers (on wide rows of distinct denominators they
-    are far smaller). Every guard is checked before any table is built.
+    are far smaller). Every guard is checked, and the tables are built,
+    when this is called; the rows are read off the tables one at a time.
     """
     n, k = m.n_rows, m.n_cols
     _check_rows(n)
@@ -123,9 +124,9 @@ def _extension_table(m: RMatrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     columns = [[row[j] for row in m.entries] for j in range(k)]
     nums = [_subset_products(1, [x.numerator for x in column]) for column in columns]
     dens = [_subset_products(1, [x.denominator for x in column]) for column in columns]
-    # with no columns, zip() yields nothing: each row is then empty
-    rows = list(zip(zip(*nums), zip(*dens))) if k else [((), ())] * (1 << n)
-    return [rows[mask] for mask in masks_by_cardinality(n)]
+    return ((list(map(operator.itemgetter(mask), nums)),
+             list(map(operator.itemgetter(mask), dens)))
+            for mask in masks_by_cardinality(n))
 
 
 def hadamard_extension(m: RMatrix) -> RMatrix:
