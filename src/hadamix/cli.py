@@ -26,12 +26,14 @@ from .exact_core import (
     SubsetIndex,
     _entry_reader,
     as_rational,
+    masks_of_weight,
     matrix_from_json,
     matrix_to_json,
     rational_to_json,
     span,
 )
 from .hadamard import (
+    EXTENSION_ENTRY_GUARD,
     NotFullRank,
     _extension_table,
     exhaustive_min_rows,
@@ -42,6 +44,8 @@ from .hadamard import (
 from .mixture import (
     MixtureParams,
     MomentVector,
+    identifiability_gate,
+    is_separated,
     moment_map,
     recover_pi,
 )
@@ -169,17 +173,17 @@ def _require_object(obj: object, keys: Sequence[str], what: str) -> dict:
 # ---------------------------------------------------------------------------
 # example-family generators
 
-# The largest output of any family: that of `gen hamming --l 20`.
+# The largest output of any family: that of `gen hamming --l 20`, whose
+# 20 * 2^20 entries are also the extension's entry guard.
 GEN_COLUMN_LIMIT = 1 << 20
-GEN_ENTRY_LIMIT = 20 << 20
 
 
 def _check_gen_size(n_rows: int, k: int) -> None:
     """Refuse an n_rows x k family matrix before any of it is built."""
-    if k > GEN_COLUMN_LIMIT or n_rows * k > GEN_ENTRY_LIMIT:
+    if k > GEN_COLUMN_LIMIT or n_rows * k > EXTENSION_ENTRY_GUARD:
         raise UsageError(
             f"output size guard: at most {GEN_COLUMN_LIMIT} columns and"
-            f" {GEN_ENTRY_LIMIT} entries (got {n_rows}x{k})"
+            f" {EXTENSION_ENTRY_GUARD} entries (got {n_rows}x{k})"
         )
 
 
@@ -402,8 +406,6 @@ def _cmd_selftest(args, stdin):
 
 
 def _selftest_checks():
-    from .mixture import identifiability_gate, is_separated
-
     def check_fourier_character_product():
         got = hadamard_extension(gen_hamming(2)).row(0b11)
         assert got == (Fraction(1), Fraction(-1), Fraction(-1), Fraction(1)), got
@@ -473,9 +475,9 @@ def _selftest_checks():
             assert full_extension_rank(matrix) == k, k
             for width in range(1, k + 1):
                 hits = [
-                    cols
-                    for cols in _column_sets(k, width)
-                    if nae_eps(matrix, cols) == -1
+                    mask
+                    for mask in masks_of_weight(k, width)
+                    if nae_eps(matrix, SubsetIndex(k, mask)) == -1
                 ]
                 assert hits, (k, width)
         return "staircase meets the deficiency bound tightly at every width"
@@ -524,12 +526,6 @@ def _selftest_checks():
         ("nae-not-necessary-beyond-three", check_nae_not_necessary_beyond_three),
         ("recover-weights-roundtrip", check_recover_weights_roundtrip),
     ]
-
-
-def _column_sets(k: int, width: int):
-    from .exact_core import masks_of_weight
-
-    return (SubsetIndex(k, mask) for mask in masks_of_weight(k, width))
 
 
 # ---------------------------------------------------------------------------

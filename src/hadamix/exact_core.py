@@ -376,8 +376,8 @@ class Subspace:
     """Subspace of Q^k held as its unique RREF basis, zero rows removed.
 
     The basis is stored once, as primitive integer rows (see the kernel notes
-    above); `basis` builds the rational RREF from them on each read. Equal
-    rows mean equal subspaces, because the form is canonical.
+    above); dividing each row by its pivot entry gives the rational RREF.
+    Equal rows mean equal subspaces, because the form is canonical.
     """
 
     ambient_dim: int
@@ -392,14 +392,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def basis(self) -> RMatrix:
-        """The rational RREF basis; every pivot entry is 1."""
-        return RMatrix(self.dim, self.ambient_dim, tuple(
-            tuple(Fraction(x, row[p]) for x in row)
-            for row, p in zip(self.rows, self.pivots)
-        ))
 
     def contains(self, vector: Sequence[RationalLike]) -> bool:
         vec = as_vector(vector)

@@ -46,15 +46,8 @@ EXTENSION_ROW_GUARD = 20
 # grows faster than k^2; refuse past this before anything of size k is built.
 EXTENSION_COLUMN_GUARD = 1024
 # The extension is built whole before it is written; refuse more entries
-# than `gen hamming --l 20` emits, which gen accepts.
+# than `gen hamming --l 20` emits. `gen` caps its own output at this size.
 EXTENSION_ENTRY_GUARD = 20 << 20
-
-
-def _check_rows(n: int) -> None:
-    if n > EXTENSION_ROW_GUARD:
-        raise DomainError(
-            f"extension guard: at most {EXTENSION_ROW_GUARD} rows (got {n})"
-        )
 
 
 def _check_columns(k: int) -> None:
@@ -66,7 +59,8 @@ def _check_columns(k: int) -> None:
 
 @dataclass(frozen=True)
 class RowspaceState:
-    """Rowspace of the extension restricted to `chosen_rows`.
+    """Rowspace of the extension restricted to `chosen_rows`: the state
+    `extend_rowspace` folds.
 
     The space always contains the all-ones vector (the empty product is a
     row of every extension), and its dimension never decreases as rows
@@ -80,10 +74,6 @@ class RowspaceState:
         space = self.space
         if any(_reduce(space.rows, space.pivots, [1] * space.ambient_dim)):
             raise DomainError("extension rowspace must contain the all-ones vector")
-
-    @classmethod
-    def initial(cls, n_rows: int, n_cols: int) -> "RowspaceState":
-        return cls(SubsetIndex(n_rows, 0), span([ones(n_cols)], n_cols))
 
 
 def _subset_products(first: Fraction | int,
@@ -115,7 +105,8 @@ def _extension_table(m: RMatrix) -> Iterator[tuple[list[int], list[int]]]:
     when this is called; the rows are read off the tables one at a time.
     """
     n, k = m.n_rows, m.n_cols
-    _check_rows(n)
+    if n > EXTENSION_ROW_GUARD:
+        raise DomainError(f"extension guard: at most {EXTENSION_ROW_GUARD} rows (got {n})")
     _check_columns(k)
     if k << n > EXTENSION_ENTRY_GUARD:
         raise DomainError(
@@ -160,10 +151,12 @@ def _fold(m: RMatrix) -> tuple[int, Subspace]:
     """(mask, U) after folding the rows in index order, adjoining (and
     setting the bit of) each row that grows U, until U has dimension k.
 
-    Each row is folded at most once, so `extend_odot` scales it once.
+    U starts as span(ones), the empty product, and a fold only adds basis
+    rows, so U holds the all-ones row throughout. Each row is folded at
+    most once, so `extend_odot` scales it once.
     """
     k = m.n_cols
-    chosen, space = 0, RowspaceState.initial(m.n_rows, k).space
+    chosen, space = 0, span([ones(k)], k)
     for t, row in enumerate(m.entries):
         if space.dim == k:
             break
@@ -175,7 +168,6 @@ def _fold(m: RMatrix) -> tuple[int, Subspace]:
 
 def full_extension_rank(m: RMatrix) -> int:
     """Column rank of the extension of m, without materializing it."""
-    _check_rows(m.n_rows)
     _check_columns(m.n_cols)
     return _fold(m)[1].dim
 
@@ -203,14 +195,13 @@ def greedy_min_rows(m: RMatrix) -> SubsetIndex | NotFullRank:
     not grow U_C, the rowspace over rows C, it grows no U_C' with C in C'
     and s not in C'. Each product over S in C' is P_A*P_B with A in C and
     B in C' minus C; s*P_A lies in U_C, so s*P_A*P_B lies in U_C'. So a
-    restart skips every row the pass skipped. Only the final state is built
-    as a `RowspaceState`: a fold only adds basis rows, so every state holds
-    the initial span(ones), which `RowspaceState.initial` checks.
+    restart skips every row the pass skipped. No `RowspaceState` is built:
+    the pass only reads the dimension of U, which holds span(ones) by
+    construction.
     """
     _check_columns(m.n_cols)
     chosen, space = _fold(m)
-    state = RowspaceState(SubsetIndex(m.n_rows, chosen), space)
-    return state.chosen_rows if space.dim == m.n_cols else NotFullRank(space.dim)
+    return SubsetIndex(m.n_rows, chosen) if space.dim == m.n_cols else NotFullRank(space.dim)
 
 
 def exhaustive_min_rows(m: RMatrix, size: int) -> list[SubsetIndex]:
@@ -250,5 +241,5 @@ def exhaustive_min_rows(m: RMatrix, size: int) -> list[SubsetIndex]:
             for t in range(left - 1, below):
                 walk(space.extend_odot(rows[t]), prefix | 1 << t, t, left - 1)
 
-    walk(RowspaceState.initial(n, k).space, 0, n, size)
+    walk(span([ones(k)], k), 0, n, size)
     return out

@@ -68,6 +68,11 @@ class MixtureParams:
             raise DomainError(f"mixture weights sum to {sum(self.pi)}, not 1")
 
 
+def _check_observables(n: int) -> None:
+    if not 0 <= n <= EXTENSION_ROW_GUARD:
+        raise DomainError(f"moment guard: 0 <= n <= {EXTENSION_ROW_GUARD} (got {n})")
+
+
 def _check_moments(n: int, nums: Sequence[int], dens: Sequence[int]) -> None:
     """Raise the first DomainError that the moment tables of a MomentVector earn.
 
@@ -76,8 +81,7 @@ def _check_moments(n: int, nums: Sequence[int], dens: Sequence[int]) -> None:
     non-positive denominator, a value outside [0, 1] or an increase over a
     subset one member smaller, in that order.
     """
-    if not 0 <= n <= EXTENSION_ROW_GUARD:
-        raise DomainError(f"moment guard: 0 <= n <= {EXTENSION_ROW_GUARD} (got {n})")
+    _check_observables(n)
     total = 1 << n
     if len(nums) != total or len(dens) != total:
         raise DomainError(f"moments must cover all {total} subsets of [{n}]")
@@ -173,8 +177,7 @@ class MomentVector:
     terms with a positive denominator. The constructor takes tables in that
     form and checks that the empty-set moment is exactly 1, every
     denominator is positive, every value lies in [0, 1], and values never
-    increase when the subset grows. A Fraction is built only when one
-    moment is read by indexing.
+    increase when the subset grows.
     """
 
     n: int
@@ -183,17 +186,6 @@ class MomentVector:
 
     def __post_init__(self) -> None:
         _check_moments(self.n, self.nums, self.dens)
-
-    def __getitem__(self, subset: SubsetIndex | int) -> Fraction:
-        if isinstance(subset, SubsetIndex):
-            if subset.size != self.n:
-                raise DomainError(
-                    f"subset of [{subset.size}] indexes moments over [{self.n}]"
-                )
-            subset = subset.mask
-        if not 0 <= subset < len(self.nums):
-            raise DomainError(f"mask {subset} out of range for moments over [{self.n}]")
-        return Fraction(self.nums[subset], self.dens[subset])
 
     def to_json_obj(self) -> dict:
         return {
@@ -259,10 +251,7 @@ def _forward_moments(m: RMatrix, pi: Sequence[Fraction]) -> tuple[list[int], lis
 def moment_map(params: MixtureParams) -> MomentVector:
     """The 2^n exact moments of the mixture."""
     n = params.m.n_rows
-    if n > EXTENSION_ROW_GUARD:
-        raise DomainError(
-            f"moment guard: at most {EXTENSION_ROW_GUARD} observables (got {n})"
-        )
+    _check_observables(n)  # before any table of 2^n entries
     nums, dens = _forward_moments(params.m, params.pi)
     gcds = list(map(math.gcd, nums, dens))
     return MomentVector(

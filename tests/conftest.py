@@ -7,9 +7,9 @@ moments and their checks over Fractions, the NAE restriction by
 recursing on explicit submatrices, and the block projectors by evaluating
 the Lagrange polynomial at every entry in Fractions, so they can certify
 the fast implementations. The Hadamard-fold references are the library's
-earlier loops, one `extend_rowspace` state per fold, with no early stop and
-no shared prefixes, and the fold step that reduced every product against
-the growing basis. The block-respect reference eliminates once per block,
+earlier loops, one `extend_rowspace` state per fold from `initial_state`,
+with no early stop and no shared prefixes, and the fold step that reduced
+every product against the growing basis. The block-respect reference eliminates once per block,
 and the invariance reference builds span(U union v*U) in full. The mixture-weight reference is the library's earlier
 Fraction path: extension rows re-spanned one at a time, then `solve_square`
 on the k x k system.
@@ -42,6 +42,7 @@ from hadamix.exact_core import (
     _insert,
     _integer_row,
     as_vector,
+    ones,
     solve_square,
 )
 from hadamix.nae import COLUMN_SCAN_GUARD, NaeReport
@@ -191,6 +192,7 @@ def solve_pi_reference(m, moments):
             witness={"extension_rank": certificate.rank},
         )
     members = certificate.members()
+    values_of = moment_values(moments)
     space, system, rhs = span([], k), [], []
     for local, values in extension_rows_reference(m.restrict_rows(certificate)):
         if len(system) == k:
@@ -200,7 +202,7 @@ def solve_pi_reference(m, moments):
             continue
         space = grown
         system.append(values)
-        rhs.append(moments[sum(1 << t for i, t in enumerate(members) if local >> i & 1)])
+        rhs.append(values_of[sum(1 << t for i, t in enumerate(members) if local >> i & 1)])
     if len(system) < k:
         raise InternalInvariantError(
             f"certificate rows {certificate.mask:#x} failed to span k = {k} dimensions"
@@ -217,8 +219,9 @@ def recover_pi_reference(m, moments):
             f"recovered weights sum to {sum(pi)}, not 1; moments are inconsistent"
         )
     forward = forward_moments_reference(m, pi)
+    given = moment_values(moments)
     for mask in range(1 << m.n_rows):
-        if forward[mask] != moments[mask]:
+        if forward[mask] != given[mask]:
             raise DomainError(
                 "moments are inconsistent with every weight vector",
                 witness={"subset_mask": mask},
@@ -436,9 +439,22 @@ def lagrange_projection_reference(v, i):
     ))
 
 
+def basis(u):
+    """The rational RREF basis of a Subspace, every pivot entry 1: each
+    primitive integer row divided by its pivot entry."""
+    return RMatrix(u.dim, u.ambient_dim, tuple(
+        tuple(Fraction(x, row[p]) for x in row) for row, p in zip(u.rows, u.pivots)
+    ))
+
+
+def initial_state(n_rows, n_cols):
+    """The `extend_rowspace` state of no chosen rows: span(ones)."""
+    return RowspaceState(SubsetIndex(n_rows, 0), span([ones(n_cols)], n_cols))
+
+
 def folded_rank_reference(m):
     """Extension rank by folding every row of m through `extend_rowspace`."""
-    state = RowspaceState.initial(m.n_rows, m.n_cols)
+    state = initial_state(m.n_rows, m.n_cols)
     for t in range(m.n_rows):
         state = extend_rowspace(state, m, t)
     return state.space.dim
@@ -447,7 +463,7 @@ def folded_rank_reference(m):
 def greedy_min_rows_reference(m):
     """The greedy certificate with a full `extend_rowspace` state per probe."""
     k = m.n_cols
-    state = RowspaceState.initial(m.n_rows, k)
+    state = initial_state(m.n_rows, k)
     while state.space.dim < k:
         for t in range(m.n_rows):
             if t in state.chosen_rows:

@@ -1,10 +1,11 @@
 """The package's export list stays in step with what `__init__` imports,
-every export is used inside the package, and the README's Python example
-runs against it."""
+every export and every public member of an exported class is used inside
+the package, and the README's Python example runs against it."""
 
 import ast
 import re
 from pathlib import Path
+from types import FunctionType
 
 import hadamix
 
@@ -84,3 +85,45 @@ def test_every_export_is_used_inside_the_package():
             used |= _references_outside_own_definition(ast.parse(path.read_text()))
     unused = sorted(set(hadamix.__all__) - used - UNUSED_EXPORTS_ALLOWED)
     assert unused == []
+
+
+# Traced by the benchmark harness (clibench/tracer.py) but called by no module.
+UNUSED_MEMBERS_ALLOWED = {"Subspace.contains"}
+
+
+def _attribute_reads(tree, scope=()):
+    """(attribute name, enclosing definitions) of every attribute read in a
+    module; the definitions are the names of the functions and classes the
+    read sits in, outermost first."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= _attribute_reads(node, scope + (node.name,))
+            continue
+        if isinstance(node, ast.Attribute):
+            found.add((node.attr, scope))
+        found |= _attribute_reads(node, scope)
+    return found
+
+
+def test_every_public_member_of_an_exported_class_is_used_inside_the_package():
+    # a method, property or classmethod is read as an attribute; a read
+    # inside its own definition does not count
+    package = Path(hadamix.__file__).parent
+    reads = set()
+    for path in package.glob("*.py"):
+        reads |= _attribute_reads(ast.parse(path.read_text()))
+    members = {
+        (cls.__name__, name)
+        for cls in (getattr(hadamix, name) for name in hadamix.__all__)
+        if isinstance(cls, type)
+        for name, value in vars(cls).items()
+        if not name.startswith("_")
+        and isinstance(value, (FunctionType, property, classmethod, staticmethod))
+    }
+    assert {("Subspace", "extend_odot"), ("RMatrix", "from_rows")} <= members
+    unused = {
+        ".".join(member) for member in members
+        if not any(attr == member[1] and scope[:2] != member for attr, scope in reads)
+    }
+    assert sorted(unused - UNUSED_MEMBERS_ALLOWED) == []

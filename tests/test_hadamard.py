@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 
 from conftest import (
     SMALL_POOL,
+    basis,
     det_cofactor,
     exhaustive_min_rows_reference,
     extension_rows_reference,
     folded_rank_reference,
     greedy_min_rows_reference,
+    initial_state,
     random_matrix,
 )
 from hadamix import (
     DomainError,
+    MixtureParams,
     NotFullRank,
     RMatrix,
     RowspaceState,
@@ -32,10 +35,12 @@ from hadamix import (
     hadamard_extension,
     masks_by_cardinality,
     matrix_to_json,
+    moment_map,
     span,
 )
 from hadamix import hadamard
 from hadamix.cli import main
+from hadamix.exact_core import _reduce
 
 FOURIER_4 = RMatrix.from_rows(
     [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
@@ -44,7 +49,7 @@ HAMMING_2 = RMatrix.from_rows([[1, -1, 1, -1], [1, 1, -1, -1]])
 
 
 def fold_rowspace(m, row_indices):
-    state = RowspaceState.initial(m.n_rows, m.n_cols)
+    state = initial_state(m.n_rows, m.n_cols)
     for t in row_indices:
         state = extend_rowspace(state, m, t)
     return state.space
@@ -102,8 +107,12 @@ def test_extension_guard():
     m = RMatrix.from_rows([[1]] * 21, n_cols=1)
     with pytest.raises(DomainError, match="guard"):
         hadamard_extension(m)
-    with pytest.raises(DomainError, match="guard"):
-        full_extension_rank(m)
+    # the row guard bounds only what is materialized: rank and minrows fold
+    # any number of rows, and report the same rank
+    for n in (21, 40):
+        tall = matrix_to_json(RMatrix.from_rows([[i % 2, i % 3, 1, i % 3] for i in range(n)]))
+        assert run(["rank"], tall) == (0, {"full": False, "rank": 3}), n
+        assert run(["minrows"], tall) == (0, {"greedy": None, "rank": 3}), n
     wide = RMatrix(0, 1025, ())
     for refuse in [hadamard_extension, full_extension_rank, greedy_min_rows,
                    lambda m: exhaustive_min_rows(m, 0)]:
@@ -112,6 +121,13 @@ def test_extension_guard():
         assert str(err.value) == "extension guard: at most 1024 columns (got 1025)"
     # 1024 columns still fold
     assert full_extension_rank(RMatrix.from_rows([range(1024)])) == 2
+
+
+def run(argv, obj):
+    """(exit code, parsed stdout) of one CLI command on a JSON document."""
+    out = io.StringIO()
+    code = main(argv, io.StringIO(json.dumps(obj)), out, io.StringIO())
+    return code, json.loads(out.getvalue())
 
 
 def hadext(m):
@@ -173,13 +189,13 @@ def test_extension_entry_guard_boundary(monkeypatch):
 
 def test_extend_rowspace_examples():
     m = RMatrix.from_rows([[0, 1, 2]])
-    state = RowspaceState.initial(1, 3)
+    state = initial_state(1, 3)
     out = extend_rowspace(state, m, 0)
     assert out.space == span([(1, 1, 1), (0, 1, 2)], 3)
     assert out.space.dim == 2
 
     const = RMatrix.from_rows([[5, 5, 5]])
-    grown = extend_rowspace(RowspaceState.initial(1, 3), const, 0)
+    grown = extend_rowspace(initial_state(1, 3), const, 0)
     assert grown.space.dim == 1
 
     full = RowspaceState(
@@ -198,7 +214,7 @@ def test_rowspace_state_requires_ones_vector():
 
 def test_extend_rowspace_errors():
     m = RMatrix.from_rows([[1, 2]])
-    state = RowspaceState.initial(1, 2)
+    state = initial_state(1, 2)
     with pytest.raises(DomainError):
         extend_rowspace(state, m, 1)
     once = extend_rowspace(state, m, 0)
@@ -246,7 +262,7 @@ def test_rowspace_monotone_under_more_rows():
         extra = rng.randrange(1 << n)
         small = fold_rowspace(m, [i for i in range(n) if (s_mask >> i) & 1])
         big = fold_rowspace(m, [i for i in range(n) if ((s_mask | extra) >> i) & 1])
-        assert all(big.contains(r) for r in small.basis.entries)
+        assert all(big.contains(r) for r in basis(small).entries)
 
 
 def test_a_row_that_fails_to_grow_fails_on_every_superset():
@@ -387,14 +403,14 @@ def test_exhaustive_prune_alone_answers_below_log2_k(fold_dims):
 
 
 @st.composite
-def fold_inputs(draw):
-    """A matrix with n 0-6, k 1-6, and a subset size 0..n.
+def fold_inputs(draw, max_k=6):
+    """A matrix with n 0-6, k 1-max_k, and a subset size 0..n.
 
     Entries come from a small pool, so equal values are common; on top of
     that, a column may be copied onto another, a row zeroed and a row
     repeated.
     """
-    n, k = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    n, k = draw(st.integers(0, 6)), draw(st.integers(1, max_k))
     entry = st.sampled_from([0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 7)])
     rows = [[draw(entry) for _ in range(k)] for _ in range(n)]
     index = st.integers(0, k - 1)
@@ -449,3 +465,57 @@ def test_exhaustive_stops_folding_under_a_full_rank_prefix(fold_dims):
     assert {0b11001, 0b11010, 0b11100} <= set(masks)
     assert masks == sorted(masks)
 
+
+
+# ---------------------------------------------------------------------------
+# the all-ones row: in every folded space by construction
+
+
+@settings(deadline=None, max_examples=200)
+@given(fold_inputs(max_k=5))
+def test_the_ones_row_lies_in_every_folded_space(data):
+    # the empty product is a row of every extension: the ones row reduces to
+    # zero against every space the in-order fold and the exhaustive walk
+    # reach. Each space a fold starts from is a starting span or the result
+    # of an earlier fold, so recording those covers them all.
+    m, size = data
+    k = m.n_cols
+    spaces = []
+
+    def recorded(fn):
+        def call(*args):
+            spaces.append(fn(*args))
+            return spaces[-1]
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hadamard, "span", recorded(span))
+        patch.setattr(Subspace, "extend_odot", recorded(Subspace.extend_odot))
+        hadamard._fold(m)
+        exhaustive_min_rows(m, size)
+    assert len(spaces) >= 2  # the two starting spans
+    for u in spaces:
+        assert not any(_reduce(u.rows, u.pivots, [1] * k)), (m, u)
+
+
+def test_commands_build_no_rowspace_state(monkeypatch):
+    built = []
+    check = RowspaceState.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(RowspaceState, "__post_init__", counted)
+    m = RMatrix.from_rows([["1/4", "1/2", "3/4"]] * 2)
+    moments = moment_map(MixtureParams(m, ("1/6", "1/3", "1/2"))).to_json_obj()
+    matrix = matrix_to_json(m)
+    assert run(["rank"], matrix) == (0, {"full": True, "rank": 3})
+    assert run(["minrows", "--exhaustive"], matrix) == (
+        0, {"exhaustive": [[1, 2]], "greedy": [1, 2], "rank": 3})
+    assert run(["recover-pi"], {"m": matrix, "moments": moments}) == (
+        0, {"pi": ["1/6", "1/3", "1/2"]})
+    assert built == []
+    # the count sees the state that extend_rowspace still builds
+    extend_rowspace(initial_state(2, 3), m, 0)
+    assert len(built) == 2

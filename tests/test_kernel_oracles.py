@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import orthogonal_complement, rref_reference
+from conftest import basis, orthogonal_complement, rref_reference
 from hadamix import (
     DomainError,
     RMatrix,
@@ -70,7 +70,7 @@ def test_span_matches_sympy_rref(data):
     expected = tuple(
         tuple(from_sympy(x) for x in reduced.row(i)) for i in range(len(pivots))
     )
-    assert u.basis.entries == expected
+    assert basis(u).entries == expected
     assert list(expected) == rref_reference(rows)[0]
     # the stored integer rows are canonical: primitive, positive pivots,
     # independent of the order the vectors arrive in
