@@ -1,14 +1,17 @@
-"""Fold ladder: the extension kernels timed on fixed seeded inputs.
+"""Kernel ladder: the extension and nae kernels timed on fixed seeded inputs.
 
     PYTHONPATH=src python3 benchmarks/ladder.py
 
-Times `greedy_min_rows`, `full_extension_rank`, `exhaustive_min_rows` and
-`hadamard_extension` on each input of CASES, best of REPEATS runs, and
-writes the times with a digest of each answer to BENCH_<n>.json in the
-current directory, n being the first unused run number. Pointing
-PYTHONPATH at another checkout's src times that code on the same inputs,
-and equal digests show that both gave the same answers. The whole ladder
-runs in well under a minute; it is not part of the tests.
+Times `greedy_min_rows`, `full_extension_rank`, `exhaustive_min_rows`,
+`hadamard_extension`, `eps_bar`, `nae_restrict` and
+`exhaustive_nae_restrict` on the inputs of CASES, best of REPEATS runs,
+and writes the times with a digest of each answer to BENCH_<n>.json in
+the current directory, n being the first unused run number. A kernel that
+refuses its input with a DomainError is timed too, and its answer is
+recorded as "refused: <message>". Pointing PYTHONPATH at another
+checkout's src times that code on the same inputs, and equal answers show
+that both gave the same results. The whole ladder runs in well under a
+minute; it is not part of the tests.
 """
 
 from __future__ import annotations
@@ -24,11 +27,15 @@ from itertools import count
 from pathlib import Path
 
 from hadamix import (
+    DomainError,
     RMatrix,
+    eps_bar,
     exhaustive_min_rows,
+    exhaustive_nae_restrict,
     full_extension_rank,
     greedy_min_rows,
     hadamard_extension,
+    nae_restrict,
 )
 from hadamix.cli import gen_hamming, gen_stairstep, gen_vandermonde
 
@@ -62,21 +69,43 @@ def distinct_row(seed: int, k: int) -> list[Fraction]:
     return values
 
 
+def colour_matrix(seed: int, n: int, k: int) -> RMatrix:
+    """n x k entries of four colours, drawn until the NAE condition holds,
+    so that nae_restrict answers: many narrow scans."""
+    rng = random.Random(seed)
+    while True:
+        m = RMatrix.from_rows([[rng.randrange(4) for _ in range(k)] for _ in range(n)], k)
+        if eps_bar(m).satisfies_nae:
+            return m
+
+
 # (name, matrix, kernels besides greedy_min_rows; an int is the size of an
 # exhaustive_min_rows scan). full_extension_rank and hadamard_extension
-# refuse more than 20 rows.
+# refuse more than 20 rows; exhaustive_nae_restrict refuses more than 10^7
+# column sets, as on Vandermonde k=14 n=20.
 RANK, EXTENSION = "full_extension_rank", "hadamard_extension"
+NAE = ("eps_bar", "nae_restrict", "exhaustive_nae_restrict")
 CASES = [
     ("random n=10 k=32", random_matrix(1, 10, 32), (RANK, EXTENSION)),
     ("random n=10 k=48", random_matrix(2, 10, 48), (RANK, EXTENSION)),
     ("duplicated columns n=10 k=32", random_matrix(3, 10, 32, dups=3), (RANK, EXTENSION)),
+    ("random n=100 k=16", random_matrix(6, 100, 16), ()),
     ("hamming l=9", gen_hamming(9), (RANK, EXTENSION)),
     ("stairstep k=40", gen_stairstep(40), ()),
     ("vandermonde k=40 n=39", gen_vandermonde(40, 39, distinct_row(4, 40)), ()),
     ("vandermonde k=6 n=12", gen_vandermonde(6, 12, distinct_row(5, 6)),
      (RANK, EXTENSION, 5)),
+    ("vandermonde k=10 n=14", gen_vandermonde(10, 14, None), NAE),
+    ("vandermonde k=14 n=20", gen_vandermonde(14, 20, None), NAE),
+    ("four colours n=6 k=6", colour_matrix(7, 6, 6), NAE),
 ]
-KERNELS = {RANK: full_extension_rank, EXTENSION: hadamard_extension}
+KERNELS = {
+    RANK: full_extension_rank,
+    EXTENSION: hadamard_extension,
+    "eps_bar": eps_bar,
+    "nae_restrict": nae_restrict,
+    "exhaustive_nae_restrict": exhaustive_nae_restrict,
+}
 
 
 def digest(answer: object) -> str:
@@ -84,16 +113,25 @@ def digest(answer: object) -> str:
 
 
 def timed(kernel, *args) -> tuple[float, str]:
-    """Best time per call over REPEATS runs, and the digest of the answer."""
+    """Best time per call over REPEATS runs, and the digest of the answer
+    or the refusal."""
+    def call() -> object:
+        try:
+            return kernel(*args)
+        except DomainError as exc:
+            return exc
+
     start = time.perf_counter()
-    answer = kernel(*args)
+    answer = call()
     calls = max(1, round(MIN_RUN_S / (time.perf_counter() - start)))
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(calls):
-            kernel(*args)
+            call()
         best = min(best, (time.perf_counter() - start) / calls)
+    if isinstance(answer, DomainError):
+        return best, f"refused: {answer}"
     return best, digest(answer)
 
 
@@ -110,7 +148,7 @@ def main() -> None:
         for kernel, call, args in runs:
             seconds, answer = timed(call, *args)
             results.append({"case": name, "kernel": kernel, "best_s": seconds,
-                            "answer_sha256": answer})
+                            "answer": answer})
             print(f"{name:30} {kernel:32} {seconds * 1e3:10.2f} ms  {answer}")
     path = next(Path(f"BENCH_{n}.json") for n in count(1)
                 if not Path(f"BENCH_{n}.json").exists())

@@ -34,6 +34,7 @@ from .exact_core import (
 )
 from .hadamard import (
     EXTENSION_ENTRY_GUARD,
+    EXTENSION_ROW_GUARD,
     NotFullRank,
     _extension_table,
     exhaustive_min_rows,
@@ -173,9 +174,9 @@ def _require_object(obj: object, keys: Sequence[str], what: str) -> dict:
 # ---------------------------------------------------------------------------
 # example-family generators
 
-# The largest output of any family: that of `gen hamming --l 20`, whose
-# 20 * 2^20 entries are also the extension's entry guard.
-GEN_COLUMN_LIMIT = 1 << 20
+# The largest family output, `gen hamming` at l = EXTENSION_ROW_GUARD:
+# 2^l columns and l * 2^l entries, the extension's entry guard.
+GEN_COLUMN_LIMIT = 1 << EXTENSION_ROW_GUARD
 
 
 def _check_gen_size(n_rows: int, k: int) -> None:
@@ -204,8 +205,8 @@ def gen_vandermonde(k: int, copies: int, row: Sequence[Fraction] | None) -> RMat
 
 def gen_hamming(l: int) -> RMatrix:
     """l x 2^l sign matrix: entry (i, j) is -1 to the i-th bit of j."""
-    if not 1 <= l <= 20:
-        raise UsageError("--l must be in 1..20")
+    if not 1 <= l <= EXTENSION_ROW_GUARD:
+        raise UsageError(f"--l must be in 1..{EXTENSION_ROW_GUARD}")
     k = 1 << l
     rows = tuple(
         tuple(Fraction(-1 if (j >> i) & 1 else 1) for j in range(k))

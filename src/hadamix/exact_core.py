@@ -23,15 +23,8 @@ ZERO = Fraction(0)
 # hashed in C where a Fraction's hash is Python code.
 _pair = attrgetter("numerator", "denominator")
 
-# Bitmask ground sets stay inside a signed 64-bit word for any consumer.
-GROUND_SET_LIMIT = 62
-
 # Exhaustive subset scans refuse to enumerate more than this many subsets.
 SUBSET_SCAN_LIMIT = 10**6
-
-# The exhaustive NAE restriction scans 2^k column sets per (k-1)-row subset;
-# it refuses more than this many in total (about a third of a second).
-SUBSET_FIELD_LIMIT = 10**7
 
 
 class DomainError(ValueError):
@@ -116,19 +109,17 @@ def rational_to_json(q: Fraction) -> int | str:
 class SubsetIndex:
     """Subset of {0, ..., size-1} stored as a bitmask.
 
-    Iteration yields members in increasing index order. The ground-set
-    size is capped at GROUND_SET_LIMIT.
+    Iteration yields members in increasing index order. The ground set
+    may be of any size: no check builds 2^size.
     """
 
     size: int
     mask: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.size <= GROUND_SET_LIMIT:
-            raise DomainError(
-                f"ground-set size guard: 0 <= size <= {GROUND_SET_LIMIT} (got {self.size})"
-            )
-        if not 0 <= self.mask < (1 << self.size):
+        if self.size < 0:
+            raise DomainError(f"ground-set size must be nonnegative (got {self.size})")
+        if self.mask < 0 or self.mask.bit_length() > self.size:
             raise DomainError(f"mask {self.mask:#x} out of range for size {self.size}")
 
     @classmethod
@@ -174,6 +165,17 @@ def _spread(local: int, cols: int) -> int:
     if cols & (cols + 1) == 0:  # cols is 0..w-1: the numbering is the identity
         return local
     return sum(1 << j for b, j in enumerate(_members(cols)) if local >> b & 1)
+
+
+def _count_subsets(n: int, size: int) -> int:
+    """C(n, size), the subsets an exhaustive scan enumerates; refused past
+    SUBSET_SCAN_LIMIT before any of them is."""
+    count = math.comb(n, size)
+    if count > SUBSET_SCAN_LIMIT:
+        raise DomainError(
+            f"subset scan guard: C({n},{size}) = {count} exceeds {SUBSET_SCAN_LIMIT}"
+        )
+    return count
 
 
 def masks_of_weight(n: int, weight: int) -> Iterator[int]:

@@ -19,7 +19,6 @@ shared by every subset that extends it.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,11 +26,11 @@ from itertools import repeat
 from typing import Iterator, Sequence
 
 from .exact_core import (
-    SUBSET_SCAN_LIMIT,
     DomainError,
     RMatrix,
     Subspace,
     SubsetIndex,
+    _count_subsets,
     _integer_row,
     _reduce,
     masks_by_cardinality,
@@ -46,8 +45,9 @@ EXTENSION_ROW_GUARD = 20
 # grows faster than k^2; refuse past this before anything of size k is built.
 EXTENSION_COLUMN_GUARD = 1024
 # The extension is built whole before it is written; refuse more entries
-# than `gen hamming --l 20` emits. `gen` caps its own output at this size.
-EXTENSION_ENTRY_GUARD = 20 << 20
+# than the largest `gen hamming` matrix, l = EXTENSION_ROW_GUARD rows by 2^l
+# columns, emits. `gen` caps its own output at this size.
+EXTENSION_ENTRY_GUARD = EXTENSION_ROW_GUARD << EXTENSION_ROW_GUARD
 
 
 def _check_columns(k: int) -> None:
@@ -156,6 +156,7 @@ def _fold(m: RMatrix) -> tuple[int, Subspace]:
     most once, so `extend_odot` scales it once.
     """
     k = m.n_cols
+    _check_columns(k)
     chosen, space = 0, span([ones(k)], k)
     for t, row in enumerate(m.entries):
         if space.dim == k:
@@ -168,7 +169,6 @@ def _fold(m: RMatrix) -> tuple[int, Subspace]:
 
 def full_extension_rank(m: RMatrix) -> int:
     """Column rank of the extension of m, without materializing it."""
-    _check_columns(m.n_cols)
     return _fold(m)[1].dim
 
 
@@ -199,7 +199,6 @@ def greedy_min_rows(m: RMatrix) -> SubsetIndex | NotFullRank:
     the pass only reads the dimension of U, which holds span(ones) by
     construction.
     """
-    _check_columns(m.n_cols)
     chosen, space = _fold(m)
     return SubsetIndex(m.n_rows, chosen) if space.dim == m.n_cols else NotFullRank(space.dim)
 
@@ -225,11 +224,7 @@ def exhaustive_min_rows(m: RMatrix, size: int) -> list[SubsetIndex]:
     _check_columns(k)
     if size < 0 or size > n:
         raise DomainError(f"subset size {size} out of range for {n} rows")
-    count = math.comb(n, size)
-    if count > SUBSET_SCAN_LIMIT:
-        raise DomainError(
-            f"subset scan guard: C({n},{size}) = {count} exceeds {SUBSET_SCAN_LIMIT}"
-        )
+    _count_subsets(n, size)
     rows = [_integer_row(row) for row in m.entries]
     out: list[SubsetIndex] = []
 

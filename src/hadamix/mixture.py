@@ -174,10 +174,11 @@ class MomentVector:
     """One exact moment per subset of [n], as integer tables indexed by mask.
 
     The moment of the subset `mask` is nums[mask] / dens[mask], in lowest
-    terms with a positive denominator. The constructor takes tables in that
-    form and checks that the empty-set moment is exactly 1, every
-    denominator is positive, every value lies in [0, 1], and values never
-    increase when the subset grows.
+    terms with a positive denominator. Lowest terms is a precondition the
+    caller must meet: the constructor does not check it (`moment_map` and
+    `from_json_obj` always meet it). The constructor checks that the
+    empty-set moment is exactly 1, every denominator is positive, every
+    value lies in [0, 1], and values never increase when the subset grows.
     """
 
     n: int

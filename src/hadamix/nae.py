@@ -11,17 +11,14 @@ on the values themselves.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .exact_core import (
-    SUBSET_FIELD_LIMIT,
-    SUBSET_SCAN_LIMIT,
     DomainError,
     InternalInvariantError,
     RMatrix,
     SubsetIndex,
+    _count_subsets,
     _members,
     _pair,
     _spread,
@@ -30,6 +27,12 @@ from .exact_core import (
 
 # eps_bar scans all 2^k nonempty column subsets.
 COLUMN_SCAN_GUARD = 20
+# The packed scans write each count of rows into one byte of its field
+# (`_constant_table`), so they refuse more rows than this.
+ROW_SCAN_GUARD = 62
+# The exhaustive NAE restriction scans 2^k column sets per (k-1)-row subset;
+# it refuses more than this many in total (about a third of a second).
+SUBSET_FIELD_LIMIT = 10**7
 
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
@@ -69,7 +72,6 @@ def nae_rows(m: RMatrix, cols: SubsetIndex) -> SubsetIndex:
     idx = cols.members()
     if not idx:
         raise DomainError("column set must be nonempty")
-    SubsetIndex(m.n_rows)  # refuses more than GROUND_SET_LIMIT rows, before the walk
     mask = 0
     for i, row in enumerate(m.entries):
         if len(set(map(_pair, map(row.__getitem__, idx)))) > 1:
@@ -89,7 +91,8 @@ def _check_shape(n: int, k: int) -> None:
         raise DomainError(
             f"column scan guard: at most {COLUMN_SCAN_GUARD} columns (got {k})"
         )
-    SubsetIndex(n)  # refuses more than GROUND_SET_LIMIT rows, before any scan
+    if n > ROW_SCAN_GUARD:
+        raise DomainError(f"ground-set size guard: 0 <= size <= {ROW_SCAN_GUARD} (got {n})")
 
 
 def _row_classes(m: RMatrix) -> Classes:
@@ -154,7 +157,7 @@ def _constant_table(classes: Classes, rows: int, width: int, size: int) -> int:
                 hist[cmask] = hist.get(cmask, 0) + copies
     packed = bytearray(size << width)
     for cmask, count in hist.items():
-        # at most 62 rows: the count is the field's low byte, its others stay zero
+        # at most ROW_SCAN_GUARD rows: the count is the field's low byte, its others stay zero
         packed[size * cmask] = count
     table = int.from_bytes(packed, "little")
     step = 8 * size
@@ -169,8 +172,10 @@ def _constant_table(classes: Classes, rows: int, width: int, size: int) -> int:
     return table - sum(hist.values()) + rows.bit_count()
 
 
+@functools.cache
 def _popcounts(width: int, size: int) -> int:
-    """Packed like `_constant_table`: field S holds |S|."""
+    """Packed like `_constant_table`: field S holds |S|. Cached: there are at
+    most COLUMN_SCAN_GUARD widths and two field sizes, about 6 MiB in all."""
     counts = b"\0"
     for _ in range(width):
         counts += counts.translate(_PLUS_ONE)
@@ -196,8 +201,7 @@ def _field_bytes(largest: int) -> int:
 
 
 def _scan(
-    classes: Classes, rows: int, width: int, largest: bool = False,
-    popcounts: Callable[[int, int], int] | None = None,
+    classes: Classes, rows: int, width: int, largest: bool = False
 ) -> tuple[int, int, int]:
     """(eps_bar, its witness, a largest deficiency -1 set or 0), as column
     masks, of the submatrix on `rows` and the `width` columns of `classes`.
@@ -209,12 +213,12 @@ def _scan(
     the search climbs until a value is missing. The largest set is looked
     for only when asked and eps_bar == -1, as the first field with the
     largest key V(S)(w+1) + |S| = (n+1)(w+1) + |S|: largest size, smallest
-    bitmask on ties. `popcounts` may be a cached `_popcounts`.
+    bitmask on ties.
     """
     n = rows.bit_count()
     top_key = (n + 1) * (width + 1) + width
     size = _field_bytes(max(n * width, top_key if largest else n + width))
-    pops = (popcounts or _popcounts)(width, size)
+    pops = _popcounts(width, size)
     fields = _constant_table(classes, rows, width, size) + pops
     data = fields.to_bytes(size << width, "little")
     most, witness = n, 0
@@ -357,22 +361,16 @@ def exhaustive_nae_restrict(m: RMatrix) -> list[SubsetIndex]:
         raise DomainError("matrix must have at least one column")
     if k - 1 > n:
         return []
-    if math.comb(n, k - 1) > SUBSET_SCAN_LIMIT:
-        raise DomainError(
-            f"subset scan guard: C({n},{k - 1}) exceeds {SUBSET_SCAN_LIMIT}"
-        )
+    fields = _count_subsets(n, k - 1) << k
     _check_shape(n, k)
-    fields = math.comb(n, k - 1) << k
     if fields > SUBSET_FIELD_LIMIT:
         raise DomainError(
             f"exhaustive scan guard: C({n},{k - 1}) * 2^{k} = {fields}"
             f" column sets exceeds {SUBSET_FIELD_LIMIT}"
         )
     classes = _row_classes(m)
-    # every scan has k-1 rows over k columns: one popcount table serves them all
-    popcounts = functools.cache(_popcounts)
     return [
         SubsetIndex(n, mask)
         for mask in masks_of_weight(n, k - 1)
-        if _scan(classes, mask, k, popcounts=popcounts)[0] == -1
+        if _scan(classes, mask, k)[0] == -1
     ]

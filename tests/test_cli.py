@@ -278,12 +278,35 @@ def test_vectors_key_equal_values_and_refuse_booleans():
         assert err == f"hadamix {argv[0]}: entry must be an integer or 'a/b' string: {bad}\n"
 
 
-def test_eps_refuses_many_rows_before_the_entry_walk(monkeypatch):
-    tall = json.dumps({"rows": 63, "cols": 3, "data": [[1, 2, 2]] * 63})
-    monkeypatch.setattr(nae, "_pair", lambda x: pytest.fail("entries were walked"))
-    assert run_cli(["eps", "--cols", "1,2"], tall) == (
-        1, '{"error": "ground-set size guard: 0 <= size <= 62 (got 63)", '
-           '"witness": null}\n', "")
+def _eps_by_walk(data, cols):
+    """`eps`'s payload, from the 1-based columns of the rows of `data`."""
+    nonconstant = [i + 1 for i, row in enumerate(data)
+                   if len({Fraction(row[j - 1]) for j in cols}) > 1]
+    return {"cols": cols, "eps": len(nonconstant) - len(cols), "nae_rows": nonconstant}
+
+
+def test_eps_answers_on_many_rows_and_columns():
+    tall = [[i % 3, 2, "4/2"] for i in range(63)]
+    wide = [list(range(70)), [5] * 69 + ["1/2"]]
+    for data, cols in [(tall, [1, 2]), (tall, [2, 3]), (tall, [1, 2, 3]),
+                       (wide, [1, 2, 70]), (wide, [1, 2]), (wide, list(range(1, 71)))]:
+        text = json.dumps({"rows": len(data), "cols": len(data[0]), "data": data})
+        argv = ["eps", "--cols", ",".join(map(str, cols))]
+        assert run_json(argv, text) == _eps_by_walk(data, cols), (len(data), cols)
+
+
+def test_minrows_answers_on_more_than_62_rows():
+    # the certificate is one row of 63, as `rank` already found
+    text = json.dumps({"rows": 63, "cols": 2, "data": [[i % 2, 1] for i in range(63)]})
+    assert run_cli(["rank"], text) == (0, '{"full": true, "rank": 2}\n', "")
+    assert run_cli(["minrows"], text) == (0, '{"greedy": [1], "rank": 2}\n', "")
+    assert run_json(["minrows", "--exhaustive", "--size", "1"], text) == {
+        "greedy": [1], "rank": 2, "exhaustive": [[i] for i in range(1, 64, 2)]}
+    # a certificate may need a row past the 62nd
+    data = [[1, 1]] * 70 + [[1, 2]]
+    text = json.dumps({"rows": 71, "cols": 2, "data": data})
+    assert run_json(["minrows", "--exhaustive", "--size", "1"], text) == {
+        "greedy": [71], "rank": 2, "exhaustive": [[71]]}
 
 
 def test_project_block_out_of_range_names_the_typed_index():

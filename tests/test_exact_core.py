@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -350,9 +351,27 @@ def test_subset_index_basics():
     assert complement(s).members() == (1, 3, 5)
     assert str(s) == "{0,2,4}"
     with pytest.raises(DomainError):
-        SubsetIndex(63, 0)
-    with pytest.raises(DomainError):
         SubsetIndex(3, 0b1000)
+
+
+def test_subset_index_takes_a_ground_set_of_any_size():
+    assert list(SubsetIndex(63, 1 << 62)) == [62]
+    assert len(SubsetIndex(63)) == 0
+    top = 1 << (10**6 - 1)
+    tracemalloc.start()
+    try:
+        s = SubsetIndex(10**6, top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the check reads the mask's bit length: no 2^size, a 125 kB int, is built
+    assert peak < 10_000, peak
+    assert s.members() == (10**6 - 1,) and 10**6 - 1 in s and 10**6 not in s
+    with pytest.raises(DomainError, match=r"^ground-set size must be nonnegative \(got -1\)$"):
+        SubsetIndex(-1)
+    for size, mask in [(10**6, top << 1), (63, 1 << 63), (0, 1), (5, -1)]:
+        with pytest.raises(DomainError, match="out of range for size"):
+            SubsetIndex(size, mask)
 
 
 def test_mask_enumeration_order():

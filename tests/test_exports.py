@@ -127,3 +127,30 @@ def test_every_public_member_of_an_exported_class_is_used_inside_the_package():
         if not any(attr == member[1] and scope[:2] != member for attr, scope in reads)
     }
     assert sorted(unused - UNUSED_MEMBERS_ALLOWED) == []
+
+
+def test_a_constant_read_by_one_module_is_defined_there():
+    # a module-level UPPER_CASE constant states a bound or a table once, in
+    # the code it serves; an import is a read by the importing module
+    package = Path(hadamix.__file__).parent
+    defined, readers = {}, {}
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        targets = [target for node in tree.body if isinstance(node, ast.Assign)
+                   for target in node.targets]
+        targets += [node.target for node in tree.body if isinstance(node, ast.AnnAssign)]
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.lstrip("_").isupper():
+                defined[target.id] = path.stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                readers.setdefault(node.id, set()).add(path.stem)
+            elif isinstance(node, ast.alias):
+                readers.setdefault(node.name, set()).add(path.stem)
+    assert {"SUBSET_SCAN_LIMIT", "EXTENSION_ROW_GUARD", "_PLUS_ONE"} <= set(defined)
+    misplaced = {
+        name: (module, sorted(readers[name]))
+        for name, module in defined.items()
+        if len(readers.get(name, ())) == 1 and readers[name] != {module}
+    }
+    assert misplaced == {}

@@ -335,6 +335,31 @@ def test_greedy_folds_each_row_at_most_once(fold_dims, k):
     assert found == greedy_min_rows_reference(m)
 
 
+def test_greedy_answers_on_a_hundred_rows():
+    # constant rows grow nothing, so the certificate lies among the few
+    # random rows, placed past the 62nd; a copied column keeps the rank below k
+    rng = random.Random(19)
+    outcomes = set()
+    for trial in range(8):
+        k = rng.randint(2, 5)
+        rows = [[rng.choice(SMALL_POOL)] * k for _ in range(100)]
+        for i in rng.sample(range(60, 100), 5):
+            rows[i] = [rng.choice(SMALL_POOL) for _ in range(k)]
+            if trial % 2:
+                rows[i][-1] = rows[i][0]
+        m = RMatrix.from_rows(rows, k)
+        found = greedy_min_rows(m)
+        assert found == greedy_min_rows_reference(m), rows
+        rank = full_extension_rank(m)
+        if isinstance(found, NotFullRank):
+            assert found.rank == rank < k
+        else:
+            assert rank == k and found.size == 100 and max(found) >= 60
+            assert full_extension_rank(m.restrict_rows(found)) == k
+        outcomes.add(type(found))
+    assert outcomes == {SubsetIndex, NotFullRank}
+
+
 def test_greedy_trivial_cases():
     # k = 1: the ones row alone spans, no rows needed
     assert greedy_min_rows(RMatrix.from_rows([[5], [3]])) == SubsetIndex(2, 0)

@@ -479,6 +479,23 @@ def test_moment_commands_build_no_fraction_per_mask(monkeypatch):
 
 @moment_oracle
 @given(mixtures(), st.data())
+def test_both_moment_builders_write_tables_in_lowest_terms(params, data):
+    # the constructor takes lowest terms on trust; its two builders meet it
+    built = moment_map(params)
+    scale = data.draw(st.integers(1, 10**6))
+    document = {
+        str(mask): q.numerator if q.denominator == 1 and data.draw(st.booleans())
+        else f"{scale * q.numerator}/{scale * q.denominator}"
+        for mask, q in moment_values(built).items()
+    }
+    parsed = MomentVector.from_json_obj({"n": built.n, "moments": document})
+    for moments in (built, parsed):
+        assert all(b > 0 and math.gcd(a, b) == 1 for a, b in zip(moments.nums, moments.dens))
+    assert parsed == built
+
+
+@moment_oracle
+@given(mixtures(), st.data())
 def test_moment_json_codec_matches_the_fraction_reference(params, data):
     n = params.m.n_rows
     values = moment_values(moment_map(params))

@@ -22,6 +22,7 @@ from hadamix import (
     SubsetIndex,
     eps,
     eps_bar,
+    exhaustive_min_rows,
     exhaustive_nae_restrict,
     full_extension_rank,
     masks_of_weight,
@@ -238,37 +239,28 @@ def test_exhaustive_nae_restrict_matches_definitional_enumeration():
         assert [s.mask for s in exhaustive_nae_restrict(m)] == expected, m
 
 
-def test_nae_rows_refuses_many_rows_before_the_entry_walk(monkeypatch):
+def test_nae_rows_checks_its_columns_before_the_entry_walk(monkeypatch):
     m = RMatrix.from_rows([[1, 2, 3]] * 63, 3)
-    monkeypatch.setattr(nae, "_pair", lambda x: pytest.fail("entries were walked"))
-    # the column checks come first
-    with pytest.raises(DomainError, match="column set must be nonempty"):
-        nae_rows(m, SubsetIndex(3))
-    with pytest.raises(DomainError, match="does not match 3 columns"):
-        nae_rows(m, SubsetIndex(2, 1))
-    for fn in (nae_rows, eps):
-        with pytest.raises(DomainError) as err:
-            fn(m, SubsetIndex(3, 0b011))
-        assert str(err.value) == "ground-set size guard: 0 <= size <= 62 (got 63)"
-    monkeypatch.undo()
-    assert nae_rows(RMatrix.from_rows([[1, 2, 3]] * 62, 3), SubsetIndex(3, 3)) \
-        == SubsetIndex(62, (1 << 62) - 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(nae, "_pair", lambda x: pytest.fail("entries were walked"))
+        with pytest.raises(DomainError, match="column set must be nonempty"):
+            nae_rows(m, SubsetIndex(3))
+        with pytest.raises(DomainError, match="does not match 3 columns"):
+            nae_rows(m, SubsetIndex(2, 1))
+    # nothing is packed, so any number of rows is walked
+    assert nae_rows(m, SubsetIndex(3, 0b011)) == SubsetIndex(63, (1 << 63) - 1)
+    assert eps(m, SubsetIndex(3, 0b011)) == 61
 
 
-def test_exhaustive_nae_restrict_builds_one_popcount_table(monkeypatch):
-    real = nae._popcounts
-    calls = []
-
-    def counted(width, size):
-        calls.append((width, size))
-        return real(width, size)
-
-    monkeypatch.setattr(nae, "_popcounts", counted)
+def test_exhaustive_nae_restrict_builds_one_popcount_table():
+    # every scan has k-1 rows over k columns: one cached table per shape
     for m in (RMatrix.from_rows([list(range(6))] * 9, 6), STAIRSTEP_3,
               random_matrix(random.Random(5), 8, 5, SMALL_POOL)):
-        calls.clear()
+        nae._popcounts.cache_clear()
         got = exhaustive_nae_restrict(m)
-        assert len(calls) == 1, calls
+        assert nae._popcounts.cache_info().misses == 1
+        assert exhaustive_nae_restrict(m) == got
+        assert nae._popcounts.cache_info().misses == 1
         # the same answer with one table per scan
         assert got == [
             SubsetIndex(m.n_rows, mask)
@@ -485,3 +477,14 @@ def test_eps_bar_at_the_column_guard():
     # 19 rows: two-byte fields over 2^20 column sets
     report = eps_bar(gen_stairstep(k))
     assert (report.eps_bar, report.witness_columns.mask) == (-1, 1)
+
+
+def test_both_exhaustive_scans_refuse_with_one_text(monkeypatch):
+    # one guard counts C(n, s) for the row subsets of both scans
+    monkeypatch.setattr(nae, "_row_classes", lambda m: pytest.fail("classes were built"))
+    m = RMatrix.from_rows([list(range(11))] * 30, 11)
+    refusal = "subset scan guard: C(30,10) = 30045015 exceeds 1000000"
+    for scan in (exhaustive_nae_restrict, lambda m: exhaustive_min_rows(m, 10)):
+        with pytest.raises(DomainError) as err:
+            scan(m)
+        assert str(err.value) == refusal
