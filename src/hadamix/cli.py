@@ -388,17 +388,13 @@ def _cmd_recover_pi(args, stdin):
 
 def _cmd_selftest(args, stdin):
     checks = []
-    failed = 0
     for name, fn in _selftest_checks():
         try:
-            detail = fn()
-            ok = True
+            detail, ok = fn(), True
         except AssertionError as exc:
-            detail = str(exc) or "assertion failed"
-            ok = False
-        if not ok:
-            failed += 1
+            detail, ok = str(exc) or "assertion failed", False
         checks.append({"name": name, "ok": ok, "detail": detail})
+    failed = sum(not check["ok"] for check in checks)
     return {"checks": checks, "failed": failed, "ok": failed == 0}
 
 
@@ -614,18 +610,13 @@ def main(
         print(f"hadamix {args.command}: {exc}", file=stderr)
         return 2
     except DomainError as exc:
-        error_obj = {"error": str(exc), "witness": _witness_to_json(exc.witness)}
-        stdout.write(json.dumps(error_obj, sort_keys=True) + "\n")
-        return 1
+        payload, code = {"error": str(exc), "witness": _witness_to_json(exc.witness)}, 1
     except InternalInvariantError as exc:
-        error_obj = {"error": f"internal invariant violated: {exc}", "witness": None}
-        stdout.write(json.dumps(error_obj, sort_keys=True) + "\n")
-        return 1
-
+        payload, code = {"error": f"internal invariant violated: {exc}", "witness": None}, 1
+    else:
+        code = int(args.command == "selftest" and not payload["ok"])
     stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    if args.command == "selftest" and not payload["ok"]:
-        return 1
-    return 0
+    return code
 
 
 if __name__ == "__main__":

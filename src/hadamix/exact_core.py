@@ -120,7 +120,8 @@ class SubsetIndex:
         if self.size < 0:
             raise DomainError(f"ground-set size must be nonnegative (got {self.size})")
         if self.mask < 0 or self.mask.bit_length() > self.size:
-            raise DomainError(f"mask {self.mask:#x} out of range for size {self.size}")
+            found = "negative" if self.mask < 0 else f"{self.mask.bit_length()} bits"
+            raise DomainError(f"mask out of range for size {self.size} ({found})")
 
     @classmethod
     def from_members(cls, size: int, members: Iterable[int]) -> "SubsetIndex":

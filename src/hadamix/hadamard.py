@@ -227,14 +227,16 @@ def exhaustive_min_rows(m: RMatrix, size: int) -> list[SubsetIndex]:
     _count_subsets(n, size)
     rows = [_integer_row(row) for row in m.entries]
     out: list[SubsetIndex] = []
-
-    def walk(space: Subspace, prefix: int, below: int, left: int) -> None:
-        # the subsets are prefix plus `left` members from {0, ..., below - 1}
+    # (parent space, row to fold into it or None, prefix, members left to pick
+    # below `below`): a stack, since a path may outrun Python's recursion limit
+    stack = [(span([ones(k)], k), None, 0, n, size)]
+    while stack:
+        space, row, prefix, below, left = stack.pop()
+        if row is not None:
+            space = space.extend_odot(row)
         if space.dim == k:
             out.extend(SubsetIndex(n, prefix | low) for low in masks_of_weight(below, left))
-        elif space.dim << left >= k:
-            for t in range(left - 1, below):
-                walk(space.extend_odot(rows[t]), prefix | 1 << t, t, left - 1)
-
-    walk(span([ones(k)], k), 0, n, size)
+        elif space.dim << left >= k:  # pushed last to first, so popped in index order
+            stack.extend((space, rows[t], prefix | 1 << t, t, left - 1)
+                         for t in reversed(range(left - 1, below)))
     return out

@@ -27,8 +27,8 @@ from .exact_core import (
 
 # eps_bar scans all 2^k nonempty column subsets.
 COLUMN_SCAN_GUARD = 20
-# The packed scans write each count of rows into one byte of its field
-# (`_constant_table`), so they refuse more rows than this.
+# The packed scans refuse more rows than this. `_constant_table` needs fewer
+# than 256; 62 is the old bound on every ground set, kept so the refusals keep their text.
 ROW_SCAN_GUARD = 62
 # The exhaustive NAE restriction scans 2^k column sets per (k-1)-row subset;
 # it refuses more than this many in total (about a third of a second).

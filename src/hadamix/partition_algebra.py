@@ -31,6 +31,10 @@ from .exact_core import (
     scale_to_integers,
 )
 
+# `project` writes k x k entries, so longer vectors are refused; 62 is the old
+# bound on every ground set, kept so the `blocks` and `project` refusals keep their text.
+VECTOR_GUARD = 62
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -51,6 +55,8 @@ def blocks_of(v: Sequence[RationalLike]) -> Partition:
     vec = as_vector(v)
     if not vec:
         raise DomainError("vector must be nonempty")
+    if len(vec) > VECTOR_GUARD:
+        raise DomainError(f"ground-set size guard: 0 <= size <= {VECTOR_GUARD} (got {len(vec)})")
     keys = list(map(_pair, vec))
     masks: dict[tuple[int, int], int] = {}
     for j, key in enumerate(keys):

@@ -309,6 +309,40 @@ def test_minrows_answers_on_more_than_62_rows():
         "greedy": [71], "rank": 2, "exhaustive": [[71]]}
 
 
+def test_minrows_exhaustive_walks_a_path_longer_than_the_recursion_limit():
+    # 1,099 copies of [1, 1] then [1, 2]: the walk's first path picks every
+    # copy before the last row, one level per row; only [1, 2] grows the rank
+    n = 1100
+    assert n > sys.getrecursionlimit()
+    text = json.dumps({"rows": n, "cols": 2, "data": [[1, 1]] * (n - 1) + [[1, 2]]})
+    found = run_json(["minrows", "--exhaustive", "--size", str(n - 1)], text)
+    assert found["greedy"] == [n] and found["rank"] == 2
+    everything = list(range(1, n + 1))
+    # ascending masks: dropping a higher copy gives a smaller mask
+    assert found["exhaustive"] == [
+        everything[:i] + everything[i + 1:] for i in reversed(range(n - 1))]
+
+
+def test_blocks_and_project_refuse_vectors_past_62_entries():
+    # `project` writes k x k entries; the refusal keeps the old bound and text
+    for k, block in [(62, 1), (62, 62), (5, 1)]:
+        v = json.dumps({"v": list(range(k))})
+        assert len(run_json(["blocks"], v)["blocks"]) == k
+        projector = run_json(["project", "--block", str(block)], v)
+        assert projector["rows"] == projector["cols"] == k
+        assert projector["data"][k - block][k - block] == 1
+    refusal = '{"error": "ground-set size guard: 0 <= size <= 62 (got 63)", "witness": null}\n'
+    for v in [list(range(63)), [1] * 63, list(range(30000))]:
+        text = json.dumps({"v": v})
+        if len(v) == 63:
+            assert run_cli(["blocks"], text) == (1, refusal, "")
+            assert run_cli(["project", "--block", "1"], text) == (1, refusal, "")
+            assert run_cli(["project", "--block", "64"], text) == (1, refusal, "")
+        else:
+            code, out, _ = run_cli(["project", "--block", "1"], text)
+            assert code == 1 and json.loads(out)["error"].endswith("(got 30000)")
+
+
 def test_project_block_out_of_range_names_the_typed_index():
     for block, v in [("5", "[2,1]"), ("3", "[2,1]"), ("2", "[7,7,7]")]:
         code, out, err = run_cli(["project", "--block", block], '{"v":%s}' % v)
