@@ -1,17 +1,20 @@
-"""Kernel ladder: the extension and nae kernels timed on fixed seeded inputs.
+"""Kernel ladder: the extension, nae, mixture and projector kernels timed
+on fixed seeded inputs.
 
     PYTHONPATH=src python3 benchmarks/ladder.py
 
 Times `greedy_min_rows`, `full_extension_rank`, `exhaustive_min_rows`,
-`hadamard_extension`, `eps_bar`, `nae_restrict` and
-`exhaustive_nae_restrict` on the inputs of CASES, best of REPEATS runs,
-and writes the times with a digest of each answer to BENCH_<n>.json in
-the current directory, n being the first unused run number. A kernel that
+`hadamard_extension`, `eps_bar`, `nae_restrict`,
+`exhaustive_nae_restrict`, `moment_map`, the `MomentVector` check,
+`MomentVector.from_json_obj` (with `json.loads`), `recover_pi` and
+`lagrange_projection` on the inputs of CASES, best of REPEATS runs, and
+writes the times with a digest of each answer to BENCH_<n>.json in the
+current directory, n being the first unused run number. A kernel that
 refuses its input with a DomainError is timed too, and its answer is
 recorded as "refused: <message>". Pointing PYTHONPATH at another
 checkout's src times that code on the same inputs, and equal answers show
 that both gave the same results. The whole ladder runs in well under a
-minute; it is not part of the tests.
+minute; the tests build its cases but time nothing.
 """
 
 from __future__ import annotations
@@ -25,9 +28,12 @@ import time
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
+from typing import NamedTuple
 
 from hadamix import (
     DomainError,
+    MixtureParams,
+    MomentVector,
     RMatrix,
     eps_bar,
     exhaustive_min_rows,
@@ -35,7 +41,10 @@ from hadamix import (
     full_extension_rank,
     greedy_min_rows,
     hadamard_extension,
+    lagrange_projection,
+    moment_map,
     nae_restrict,
+    recover_pi,
 )
 from hadamix.cli import gen_hamming, gen_stairstep, gen_vandermonde
 
@@ -79,32 +88,78 @@ def colour_matrix(seed: int, n: int, k: int) -> RMatrix:
             return m
 
 
-# (name, matrix, kernels besides greedy_min_rows; an int is the size of an
-# exhaustive_min_rows scan). full_extension_rank and hadamard_extension
-# refuse more than 20 rows; exhaustive_nae_restrict refuses more than 10^7
-# column sets, as on Vandermonde k=14 n=20.
-RANK, EXTENSION = "full_extension_rank", "hadamard_extension"
-NAE = ("eps_bar", "nae_restrict", "exhaustive_nae_restrict")
+class Mixture(NamedTuple):
+    """A mixture, its moments and their JSON document."""
+
+    params: MixtureParams
+    moments: MomentVector
+    document: str
+
+
+def mixture(seed: int, n: int, k: int = 4) -> Mixture:
+    """n x k entries a/8 with 1 <= a <= 7 and positive weights: a mixture
+    whose moments strictly decrease and whose weights recover_pi finds."""
+    rng = random.Random(seed)
+    m = RMatrix.from_rows([[Fraction(rng.randint(1, 7), 8) for _ in range(k)]
+                           for _ in range(n)], k)
+    weights = [rng.randint(1, 9) for _ in range(k)]
+    params = MixtureParams(m, [Fraction(w, sum(weights)) for w in weights])
+    moments = moment_map(params)
+    return Mixture(params, moments, json.dumps(moments.to_json_obj()))
+
+
+def block_vector(seed: int, k: int, blocks: int) -> list[Fraction]:
+    """k rationals a/b with 1 <= a, b <= 999 taking `blocks` distinct
+    values, each at least once."""
+    rng = random.Random(seed)
+    drawn: set[Fraction] = set()
+    while len(drawn) < blocks:
+        drawn.add(Fraction(rng.randint(1, 999), rng.randint(1, 999)))
+    values = sorted(drawn)
+    v = values + [rng.choice(values) for _ in range(k - blocks)]
+    rng.shuffle(v)
+    return v
+
+
+# (name, input, kernels; an int is the size of an exhaustive_min_rows scan
+# of the input matrix). full_extension_rank and hadamard_extension refuse
+# more than 20 rows; exhaustive_nae_restrict refuses more than 10^7 column
+# sets, as on Vandermonde k=14 n=20.
+GREEDY, RANK, EXTENSION = "greedy_min_rows", "full_extension_rank", "hadamard_extension"
+NAE = (GREEDY, "eps_bar", "nae_restrict", "exhaustive_nae_restrict")
+MIXTURE = ("moment_map", "MomentVector check", "json.loads + from_json_obj", "recover_pi")
 CASES = [
-    ("random n=10 k=32", random_matrix(1, 10, 32), (RANK, EXTENSION)),
-    ("random n=10 k=48", random_matrix(2, 10, 48), (RANK, EXTENSION)),
-    ("duplicated columns n=10 k=32", random_matrix(3, 10, 32, dups=3), (RANK, EXTENSION)),
-    ("random n=100 k=16", random_matrix(6, 100, 16), ()),
-    ("hamming l=9", gen_hamming(9), (RANK, EXTENSION)),
-    ("stairstep k=40", gen_stairstep(40), ()),
-    ("vandermonde k=40 n=39", gen_vandermonde(40, 39, distinct_row(4, 40)), ()),
+    ("random n=10 k=32", random_matrix(1, 10, 32), (GREEDY, RANK, EXTENSION)),
+    ("random n=10 k=48", random_matrix(2, 10, 48), (GREEDY, RANK, EXTENSION)),
+    ("duplicated columns n=10 k=32", random_matrix(3, 10, 32, dups=3),
+     (GREEDY, RANK, EXTENSION)),
+    ("random n=100 k=16", random_matrix(6, 100, 16), (GREEDY,)),
+    ("hamming l=9", gen_hamming(9), (GREEDY, RANK, EXTENSION)),
+    ("stairstep k=40", gen_stairstep(40), (GREEDY,)),
+    ("vandermonde k=40 n=39", gen_vandermonde(40, 39, distinct_row(4, 40)), (GREEDY,)),
     ("vandermonde k=6 n=12", gen_vandermonde(6, 12, distinct_row(5, 6)),
-     (RANK, EXTENSION, 5)),
+     (GREEDY, RANK, EXTENSION, 5)),
     ("vandermonde k=10 n=14", gen_vandermonde(10, 14, None), NAE),
     ("vandermonde k=14 n=20", gen_vandermonde(14, 20, None), NAE),
     ("four colours n=6 k=6", colour_matrix(7, 6, 6), NAE),
+    ("mixture k=4 n=14", mixture(8, 14), MIXTURE),
+    ("mixture k=4 n=16", mixture(9, 16), MIXTURE),
+    ("mixture k=4 n=18", mixture(10, 18), MIXTURE),
+    ("blocks k=48 b=29", block_vector(11, 48, 29), ("lagrange_projection",)),
 ]
+# Each kernel is called on its case's input.
 KERNELS = {
+    GREEDY: greedy_min_rows,
     RANK: full_extension_rank,
     EXTENSION: hadamard_extension,
     "eps_bar": eps_bar,
     "nae_restrict": nae_restrict,
     "exhaustive_nae_restrict": exhaustive_nae_restrict,
+    "moment_map": lambda x: moment_map(x.params),
+    "MomentVector check": lambda x: MomentVector(x.moments.n, x.moments.nums, x.moments.dens),
+    "json.loads + from_json_obj": lambda x: MomentVector.from_json_obj(json.loads(x.document)),
+    "recover_pi": lambda x: recover_pi(x.params.m, x.moments),
+    "lagrange_projection": lambda v: lagrange_projection(v, 0),
 }
 
 
@@ -137,14 +192,14 @@ def timed(kernel, *args) -> tuple[float, str]:
 
 def main() -> None:
     results = []
-    for name, m, extra in CASES:
-        runs = [("greedy_min_rows", greedy_min_rows, (m,))]
-        for kernel in extra:
+    for name, x, kernels in CASES:
+        runs = []
+        for kernel in kernels:
             if isinstance(kernel, int):
                 runs.append((f"exhaustive_min_rows size={kernel}", exhaustive_min_rows,
-                             (m, kernel)))
+                             (x, kernel)))
             else:
-                runs.append((kernel, KERNELS[kernel], (m,)))
+                runs.append((kernel, KERNELS[kernel], (x,)))
         for kernel, call, args in runs:
             seconds, answer = timed(call, *args)
             results.append({"case": name, "kernel": kernel, "best_s": seconds,

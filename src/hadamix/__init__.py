@@ -19,9 +19,7 @@ from .exact_core import (
 )
 from .hadamard import (
     NotFullRank,
-    RowspaceState,
     exhaustive_min_rows,
-    extend_rowspace,
     full_extension_rank,
     greedy_min_rows,
     hadamard_extension,
@@ -64,7 +62,6 @@ __all__ = [
     "NotFullRank",
     "Partition",
     "RMatrix",
-    "RowspaceState",
     "Subspace",
     "SubsetIndex",
     "blocks_of",
@@ -72,7 +69,6 @@ __all__ = [
     "eps_bar",
     "exhaustive_min_rows",
     "exhaustive_nae_restrict",
-    "extend_rowspace",
     "full_extension_rank",
     "greedy_min_rows",
     "hadamard_extension",

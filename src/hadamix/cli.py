@@ -25,10 +25,11 @@ from .exact_core import (
     RMatrix,
     SubsetIndex,
     _entry_reader,
-    as_rational,
+    as_vector,
     masks_of_weight,
     matrix_from_json,
     matrix_to_json,
+    rational_pair,
     rational_to_json,
     span,
 )
@@ -58,10 +59,6 @@ from .partition_algebra import (
     lagrange_projection,
     respects,
 )
-
-
-class UsageError(Exception):
-    """Bad flags or parameters; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,15 +116,15 @@ def _witness_to_json(witness: object) -> object:
 
 
 def integer(text: str) -> int:
-    """An integer flag value: -?[0-9]+ in ASCII digits, else ValueError.
+    """An integer flag value: -?[0-9]+ in ASCII digits, read by
+    rational_pair with no '/', else ValueError (InputFormatError is one).
 
     The type of every integer flag; argparse reports the ValueError as
     "invalid integer value" (exit 2).
     """
-    # isdigit() on an ASCII string accepts exactly 0-9
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
+    if "/" in text:
         raise ValueError(f"not an integer: {text!r}")
-    return int(text)  # a ValueError too past int()'s digit limit
+    return rational_pair(text)[0]
 
 
 def _parse_indices(text: str, size: int, what: str) -> SubsetIndex:
@@ -135,9 +132,9 @@ def _parse_indices(text: str, size: int, what: str) -> SubsetIndex:
     try:
         members = [integer(part) - 1 for part in text.split(",")]
     except ValueError as exc:
-        raise UsageError(f"{what} must be comma-separated integers: {text!r}") from exc
+        raise InputFormatError(f"{what} must be comma-separated integers: {text!r}") from exc
     if any(i < 0 or i >= size for i in members):
-        raise UsageError(f"{what} indices must be in 1..{size}: {text!r}")
+        raise InputFormatError(f"{what} indices must be in 1..{size}: {text!r}")
     return SubsetIndex.from_members(size, members)
 
 
@@ -182,7 +179,7 @@ GEN_COLUMN_LIMIT = 1 << EXTENSION_ROW_GUARD
 def _check_gen_size(n_rows: int, k: int) -> None:
     """Refuse an n_rows x k family matrix before any of it is built."""
     if k > GEN_COLUMN_LIMIT or n_rows * k > EXTENSION_ENTRY_GUARD:
-        raise UsageError(
+        raise InputFormatError(
             f"output size guard: at most {GEN_COLUMN_LIMIT} columns and"
             f" {EXTENSION_ENTRY_GUARD} entries (got {n_rows}x{k})"
         )
@@ -191,27 +188,25 @@ def _check_gen_size(n_rows: int, k: int) -> None:
 def gen_vandermonde(k: int, copies: int, row: Sequence[Fraction] | None) -> RMatrix:
     """`copies` identical rows with k pairwise distinct entries."""
     if k < 1:
-        raise UsageError("--k must be at least 1")
+        raise InputFormatError("--k must be at least 1")
     if copies < 0:
-        raise UsageError("--copies must be nonnegative")
+        raise InputFormatError("--copies must be nonnegative")
     _check_gen_size(copies, k)
     values = tuple(row) if row is not None else tuple(Fraction(j) for j in range(k))
     if len(values) != k:
-        raise UsageError(f"--row must have {k} entries")
+        raise InputFormatError(f"--row must have {k} entries")
     if len(set(values)) != k:
-        raise UsageError("--row entries must be pairwise distinct")
+        raise InputFormatError("--row entries must be pairwise distinct")
     return RMatrix(copies, k, (values,) * copies)
 
 
 def gen_hamming(l: int) -> RMatrix:
     """l x 2^l sign matrix: entry (i, j) is -1 to the i-th bit of j."""
     if not 1 <= l <= EXTENSION_ROW_GUARD:
-        raise UsageError(f"--l must be in 1..{EXTENSION_ROW_GUARD}")
+        raise InputFormatError(f"--l must be in 1..{EXTENSION_ROW_GUARD}")
     k = 1 << l
-    rows = tuple(
-        tuple(Fraction(-1 if (j >> i) & 1 else 1) for j in range(k))
-        for i in range(l)
-    )
+    signs = (Fraction(1), Fraction(-1))  # one object per distinct entry
+    rows = tuple(tuple(signs[(j >> i) & 1] for j in range(k)) for i in range(l))
     return RMatrix(l, k, rows)
 
 
@@ -224,12 +219,10 @@ def gen_stairstep(k: int) -> RMatrix:
     meant to exhibit; see the README note.
     """
     if k < 1:
-        raise UsageError("--k must be at least 1")
+        raise InputFormatError("--k must be at least 1")
     _check_gen_size(k - 1, k)
-    rows = tuple(
-        tuple(Fraction(1) if i < j else Fraction(1, 2) for j in range(k))
-        for i in range(k - 1)
-    )
+    one, half = Fraction(1), Fraction(1, 2)  # one object per distinct entry
+    rows = tuple(tuple(one if i < j else half for j in range(k)) for i in range(k - 1))
     return RMatrix(k - 1, k, rows)
 
 
@@ -244,9 +237,9 @@ def _cmd_gen(args, stdin):
         row = None
         if args.row is not None:
             try:
-                row = tuple(as_rational(part) for part in args.row.split(","))
-            except (InputFormatError, ValueError) as exc:
-                raise UsageError(f"--row is not a rational list: {args.row!r}") from exc
+                row = as_vector(args.row.split(","))
+            except InputFormatError as exc:
+                raise InputFormatError(f"--row is not a rational list: {args.row!r}") from exc
         copies = args.copies if args.copies is not None else args.k - 1
         matrix = gen_vandermonde(args.k, copies, row)
     elif args.family == "hamming":
@@ -274,7 +267,7 @@ def _cmd_rank(args, stdin):
 
 def _cmd_minrows(args, stdin):
     if args.size is not None and not args.exhaustive:
-        raise UsageError("--size requires --exhaustive")
+        raise InputFormatError("--size requires --exhaustive")
     matrix = _load_matrix(args, stdin)
     found = greedy_min_rows(matrix)
     if isinstance(found, NotFullRank):
@@ -333,7 +326,7 @@ def _cmd_project(args, stdin):
     obj = _require_object(_load_json(args, stdin), ["v"], "project")
     v = _vector_from_json(obj["v"], "'v'")
     if args.block < 1:
-        raise UsageError("--block is 1-based")
+        raise InputFormatError("--block is 1-based")
     try:
         projector = lagrange_projection(v, args.block - 1)
     except DomainError:
@@ -606,7 +599,7 @@ def main(
 
     try:
         payload = args.handler(args, stdin)
-    except (InputFormatError, UsageError) as exc:
+    except InputFormatError as exc:
         print(f"hadamix {args.command}: {exc}", file=stderr)
         return 2
     except DomainError as exc:

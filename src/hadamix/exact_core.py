@@ -36,7 +36,7 @@ class DomainError(ValueError):
 
 
 class InputFormatError(ValueError):
-    """Malformed external input: JSON shape or entry encoding."""
+    """Malformed external input: a bad flag, JSON shape or entry encoding."""
 
 
 class InternalInvariantError(RuntimeError):
@@ -53,8 +53,8 @@ def rational_pair(value: object) -> tuple[int, int]:
 
     Strings must match -?[0-9]+(/[0-9]+)? in ASCII digits: no whitespace,
     underscores, plus sign or signed denominator. This is the one parser
-    of the rational grammar; as_rational and the JSON entry reader build
-    their Fractions from it.
+    of the rational grammar; as_vector, the JSON entry reader and the CLI's
+    integer flags all read through it.
     """
     if isinstance(value, str):
         num, sep, den = value.partition("/")
@@ -78,16 +78,11 @@ def rational_pair(value: object) -> tuple[int, int]:
     return value, 1
 
 
-def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or string (as rational_pair reads it) to an
-    exact rational."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(*rational_pair(value))
-
-
 def as_vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple(as_rational(v) for v in values)
+    """The one coercer: each Fraction as it is, each int or string (as
+    rational_pair reads it) as an exact rational."""
+    return tuple(v if isinstance(v, Fraction) else Fraction(*rational_pair(v))
+                 for v in values)
 
 
 def ones(k: int) -> tuple[Fraction, ...]:

@@ -27,11 +27,9 @@ from hadamix import (
     MomentVector,
     NotFullRank,
     RMatrix,
-    RowspaceState,
     Subspace,
     SubsetIndex,
     blocks_of,
-    extend_rowspace,
     masks_by_cardinality,
     masks_of_weight,
     nae_rows,
@@ -45,6 +43,7 @@ from hadamix.exact_core import (
     ones,
     solve_square,
 )
+from hadamix.hadamard import RowspaceState, extend_rowspace
 from hadamix.nae import COLUMN_SCAN_GUARD, NaeReport
 
 

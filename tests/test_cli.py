@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from hadamix import cli, nae, partition_algebra
+from hadamix import InputFormatError, cli, nae, partition_algebra
 from hadamix.cli import main
+from hadamix.exact_core import rational_pair
 
 
 def run_cli(argv, stdin_text=""):
@@ -54,6 +55,32 @@ def test_gen_stairstep_golden():
     code, out, _ = run_cli(["gen", "stairstep", "--k", "3"])
     assert code == 0
     assert out == '{"cols": 3, "data": [["1/2", 1, 1], ["1/2", "1/2", 1]], "rows": 2}\n'
+
+
+def test_gen_families_hold_one_object_per_distinct_entry():
+    # l * 2^l entries at --l 20 would otherwise be that many Fractions
+    for matrix, distinct in [(cli.gen_hamming(5), 2), (cli.gen_stairstep(6), 2)]:
+        entries = [x for row in matrix.entries for x in row]
+        assert len(set(entries)) == len(set(map(id, entries))) == distinct
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-0", "007", "+3", " 3", "1_0", "\u0663", "1/1", "3/", "", "-", "--3",
+    "12", "-45", pytest.param("9" * 5000, id="past-int-digit-limit"),
+])
+def test_integer_flags_read_the_rational_grammar_without_a_slash(text):
+    # integer(s) == int(s) exactly where rational_pair reads an integer from
+    # an s with no '/'; everywhere else both refuse with a ValueError
+    try:
+        num, _ = rational_pair(text)
+        reads_integer = "/" not in text
+    except InputFormatError:
+        reads_integer = False
+    if reads_integer:
+        assert cli.integer(text) == int(text) == num
+    else:
+        with pytest.raises(ValueError):
+            cli.integer(text)
 
 
 def test_gen_rejects_bad_parameters():

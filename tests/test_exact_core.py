@@ -33,7 +33,7 @@ from hadamix import (
     span,
 )
 from hadamix import exact_core
-from hadamix.exact_core import as_rational, as_vector, rational_to_json, solve_square
+from hadamix.exact_core import as_vector, rational_to_json, solve_square
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -66,16 +66,14 @@ def test_lowest_terms_positive_denominator(p, q):
 
 
 def test_as_rational_parsing():
-    assert as_rational("3/6") == Fraction(1, 2)
-    assert as_rational("-5/2") == Fraction(-5, 2)
-    assert as_rational("7") == 7
-    assert as_rational(Fraction(2, 3)) == Fraction(2, 3)
-    with pytest.raises(InputFormatError):
-        as_rational("1/0")
-    with pytest.raises(InputFormatError):
-        as_rational("x")
-    with pytest.raises(InputFormatError):
-        as_rational(True)
+    # as_vector is the one coercer: each value read as a rational
+    third = Fraction(2, 3)
+    got = as_vector(["3/6", "-5/2", "7", third])
+    assert got == (Fraction(1, 2), Fraction(-5, 2), 7, third)
+    assert got[3] is third and all(type(x) is Fraction for x in got)
+    for bad in ("1/0", "x", True):
+        with pytest.raises(InputFormatError):
+            as_vector([1, bad])
     with pytest.raises(ZeroDivisionError):
         Fraction(1, 1) / Fraction(0)
 
@@ -97,17 +95,16 @@ def test_as_rational_parsing():
 )
 def test_as_rational_strict_grammar(text, message):
     with pytest.raises(InputFormatError, match=message):
-        as_rational(text)
+        as_vector([text])
 
 
 def test_rational_json_encoding():
     assert rational_to_json(Fraction(3)) == 3
     assert rational_to_json(Fraction(-1, 2)) == "-1/2"
-    assert as_rational("-1/2") == Fraction(-1, 2)
-    assert as_rational(4) == 4
+    assert as_vector(["-1/2", 4]) == (Fraction(-1, 2), 4)
     for bad in (0.5, True):
         with pytest.raises(InputFormatError, match="entry must be an integer or 'a/b' string"):
-            as_rational(bad)
+            as_vector([bad])
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,6 @@ def test_readme_python_example_runs_and_shows_its_results():
     assert checked
 
 
-# Traced by the benchmark harness (clibench/tracer.py) but called by no module.
-UNUSED_EXPORTS_ALLOWED = {"extend_rowspace"}
-
-
 def _references_outside_own_definition(tree):
     """Names loaded in a module outside the top-level definition of the
     same name, under the names they were imported as. Annotations are
@@ -83,8 +79,7 @@ def test_every_export_is_used_inside_the_package():
     for path in package.glob("*.py"):
         if path.name != "__init__.py":
             used |= _references_outside_own_definition(ast.parse(path.read_text()))
-    unused = sorted(set(hadamix.__all__) - used - UNUSED_EXPORTS_ALLOWED)
-    assert unused == []
+    assert sorted(set(hadamix.__all__) - used) == []
 
 
 # Traced by the benchmark harness (clibench/tracer.py) but called by no module.
@@ -154,3 +149,17 @@ def test_a_constant_read_by_one_module_is_defined_there():
         if len(readers.get(name, ())) == 1 and readers[name] != {module}
     }
     assert misplaced == {}
+
+
+def test_isdigit_is_called_only_by_the_two_grammar_readers():
+    # rational_pair is the one reader of the rational grammar (entries,
+    # vectors, integer flags); a moment key is the only other grammar
+    package = Path(hadamix.__file__).parent
+    callers = set()
+    for path in package.glob("*.py"):
+        callers |= {
+            f"{path.stem}.{'.'.join(scope)}"
+            for attr, scope in _attribute_reads(ast.parse(path.read_text()))
+            if attr == "isdigit"
+        }
+    assert callers == {"exact_core.rational_pair", "mixture.MomentVector.from_json_obj"}

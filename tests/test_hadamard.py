@@ -25,11 +25,9 @@ from hadamix import (
     MixtureParams,
     NotFullRank,
     RMatrix,
-    RowspaceState,
     Subspace,
     SubsetIndex,
     exhaustive_min_rows,
-    extend_rowspace,
     full_extension_rank,
     greedy_min_rows,
     hadamard_extension,
@@ -41,6 +39,7 @@ from hadamix import (
 from hadamix import hadamard
 from hadamix.cli import main
 from hadamix.exact_core import _reduce
+from hadamix.hadamard import RowspaceState, extend_rowspace
 
 FOURIER_4 = RMatrix.from_rows(
     [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
