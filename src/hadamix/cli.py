@@ -12,6 +12,7 @@ underneath is 0-based throughout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,6 +26,7 @@ from .exact_core import (
     RMatrix,
     SubsetIndex,
     _entry_reader,
+    _pair,
     as_vector,
     masks_of_weight,
     matrix_from_json,
@@ -61,21 +63,7 @@ from .partition_algebra import (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser that writes help to `out` and usage errors to `err`,
-    not to sys.stdout and sys.stderr. The parser and its subparsers are built
-    once per process; main() sets both streams on this class before each
-    parse, so every one of them writes to that call's streams."""
-
-    out: IO[str]
-    err: IO[str]
-
-    def _print_message(self, message: str, file: IO[str] | None = None) -> None:
-        if message:
-            (self.out if file is sys.stdout else self.err).write(message)
-
-
-class _FamilyParser(_Parser):
+class _FamilyParser(argparse.ArgumentParser):
     """Parser of one `gen` family that refuses its own unrecognized
     arguments. argparse hands a subparser's extras back to its parent, whose
     error would show the root usage line and not the family's flags."""
@@ -155,10 +143,6 @@ def _load_json(args: argparse.Namespace, stdin: IO[str]) -> object:
         raise InputFormatError(f"malformed JSON input: {exc}") from exc
 
 
-def _load_matrix(args: argparse.Namespace, stdin: IO[str]) -> RMatrix:
-    return matrix_from_json(_load_json(args, stdin))
-
-
 def _require_object(obj: object, keys: Sequence[str], what: str) -> dict:
     if not isinstance(obj, dict):
         raise InputFormatError(f"{what} input must be a JSON object")
@@ -195,7 +179,7 @@ def gen_vandermonde(k: int, copies: int, row: Sequence[Fraction] | None) -> RMat
     values = tuple(row) if row is not None else tuple(Fraction(j) for j in range(k))
     if len(values) != k:
         raise InputFormatError(f"--row must have {k} entries")
-    if len(set(values)) != k:
+    if len(set(map(_pair, values))) != k:
         raise InputFormatError("--row entries must be pairwise distinct")
     return RMatrix(copies, k, (values,) * copies)
 
@@ -251,7 +235,7 @@ def _cmd_gen(args, stdin):
 
 def _cmd_hadext(args, stdin):
     # each entry in lowest terms, as rational_to_json writes it
-    matrix = _load_matrix(args, stdin)
+    matrix = matrix_from_json(_load_json(args, stdin))
     data = []
     for nums, dens in _extension_table(matrix):
         data.append([x // g if g == d else f"{x // g}/{d // g}"
@@ -260,7 +244,7 @@ def _cmd_hadext(args, stdin):
 
 
 def _cmd_rank(args, stdin):
-    matrix = _load_matrix(args, stdin)
+    matrix = matrix_from_json(_load_json(args, stdin))
     rank = full_extension_rank(matrix)
     return {"rank": rank, "full": rank == matrix.n_cols}
 
@@ -268,7 +252,7 @@ def _cmd_rank(args, stdin):
 def _cmd_minrows(args, stdin):
     if args.size is not None and not args.exhaustive:
         raise InputFormatError("--size requires --exhaustive")
-    matrix = _load_matrix(args, stdin)
+    matrix = matrix_from_json(_load_json(args, stdin))
     found = greedy_min_rows(matrix)
     if isinstance(found, NotFullRank):
         payload = {"greedy": None, "rank": found.rank}
@@ -283,7 +267,7 @@ def _cmd_minrows(args, stdin):
 
 
 def _cmd_eps(args, stdin):
-    matrix = _load_matrix(args, stdin)
+    matrix = matrix_from_json(_load_json(args, stdin))
     cols = _parse_indices(args.cols, matrix.n_cols, "--cols")
     rows = nae_rows(matrix, cols)
     return {
@@ -294,7 +278,7 @@ def _cmd_eps(args, stdin):
 
 
 def _cmd_nae_check(args, stdin):
-    report = eps_bar(_load_matrix(args, stdin))
+    report = eps_bar(matrix_from_json(_load_json(args, stdin)))
     return {
         "eps_bar": report.eps_bar,
         "nae_condition": report.satisfies_nae,
@@ -304,7 +288,7 @@ def _cmd_nae_check(args, stdin):
 
 
 def _cmd_nae_restrict(args, stdin):
-    matrix = _load_matrix(args, stdin)
+    matrix = matrix_from_json(_load_json(args, stdin))
     payload = {"rows": _subset_to_list(nae_restrict(matrix))}
     if args.exhaustive:
         payload["exhaustive"] = [
@@ -522,11 +506,9 @@ def _selftest_checks():
 # parser and entry point
 
 
-_PARSER: _Parser | None = None  # built on the first main() call, not at import
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(
+@functools.cache  # built on the first main() call, not at import
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="hadamix",
         description="Exact Hadamard-extension rank certificates, NAE deficiency, "
         "partition projectors, and mixture moment maps over JSON.",
@@ -588,14 +570,14 @@ def main(
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
-    _Parser.out, _Parser.err = stdout, stderr
+    saved = sys.stdout, sys.stderr  # argparse writes help and usage errors there
+    sys.stdout, sys.stderr = stdout, stderr
     try:
-        args = _PARSER.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    finally:
+        sys.stdout, sys.stderr = saved
 
     try:
         payload = args.handler(args, stdin)

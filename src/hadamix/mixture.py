@@ -23,6 +23,7 @@ from .exact_core import (
     InternalInvariantError,
     RMatrix,
     SubsetIndex,
+    _pair,
     _solve_rows,
     _spread,
     as_vector,
@@ -55,14 +56,15 @@ class MixtureParams:
             raise DomainError(
                 f"pi has {len(self.pi)} entries for {self.m.n_cols} columns"
             )
+        # int comparisons, not Fraction ones: every denominator is positive
         for i, row in enumerate(self.m.entries):
             for j, x in enumerate(row):
-                if not 0 <= x <= 1:
+                if not 0 <= x.numerator <= x.denominator:
                     raise DomainError(
                         f"entry ({i},{j}) = {x} is not a probability",
                         witness={"row": i, "col": j},
                     )
-        if any(p < 0 for p in self.pi):
+        if any(p.numerator < 0 for p in self.pi):
             raise DomainError("mixture weights must be nonnegative")
         if sum(self.pi) != 1:
             raise DomainError(f"mixture weights sum to {sum(self.pi)}, not 1")
@@ -266,7 +268,7 @@ def is_separated(m: RMatrix, i: int) -> bool:
     """Whether row i has k pairwise distinct entries."""
     if not 0 <= i < m.n_rows:
         raise DomainError(f"row index {i} out of range for {m.n_rows} rows")
-    return len(set(m.entries[i])) == m.n_cols
+    return len(set(map(_pair, m.entries[i]))) == m.n_cols
 
 
 @dataclass(frozen=True)

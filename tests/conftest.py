@@ -12,7 +12,8 @@ with no early stop and no shared prefixes, and the fold step that reduced
 every product against the growing basis. The block-respect reference eliminates once per block,
 and the invariance reference builds span(U union v*U) in full. The mixture-weight reference is the library's earlier
 Fraction path: extension rows re-spanned one at a time, then `solve_square`
-on the k x k system.
+on the k x k system. The mixture-parameter reference is the library's earlier
+check of m and pi by Fraction comparisons.
 """
 
 import math
@@ -142,6 +143,25 @@ def moment_checks_reference(n, values):
             if value > values[mask ^ low]:
                 return "moments must not increase on supersets", {"subset_mask": mask}
             rest ^= low
+    return None
+
+
+def mixture_params_fault_reference(m, pi):
+    """(message, witness) of the DomainError that MixtureParams(m, pi)
+    raises, decided by Fraction comparisons in the library's order, or None
+    if it accepts: the length of pi, the first entry of m outside [0, 1] in
+    row-major order, a negative weight, then a sum other than 1."""
+    pi = as_vector(pi)
+    if len(pi) != m.n_cols:
+        return f"pi has {len(pi)} entries for {m.n_cols} columns", None
+    for i, row in enumerate(m.entries):
+        for j, x in enumerate(row):
+            if not 0 <= x <= 1:
+                return f"entry ({i},{j}) = {x} is not a probability", {"row": i, "col": j}
+    if any(p < 0 for p in pi):
+        return "mixture weights must be nonnegative", None
+    if sum(pi) != 1:
+        return f"mixture weights sum to {sum(pi)}, not 1", None
     return None
 
 

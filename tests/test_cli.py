@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -84,8 +85,9 @@ def test_integer_flags_read_the_rational_grammar_without_a_slash(text):
 
 
 def test_gen_rejects_bad_parameters():
-    code, _, err = run_cli(["gen", "vandermonde", "--k", "3", "--row", "0,1,1"])
-    assert code == 2 and "distinct" in err
+    for row in ["0,1,1", "1,2/2,3"]:
+        code, _, err = run_cli(["gen", "vandermonde", "--k", "3", "--row", row])
+        assert code == 2 and "distinct" in err, row
     code, _, _ = run_cli(["gen", "hamming", "--l", "0"])
     assert code == 2
     code, _, _ = run_cli(["gen", "hamming"])
@@ -626,38 +628,63 @@ def test_usage_errors_and_help_use_the_given_streams(capsys):
     assert capsys.readouterr() == ("", "")
 
 
-def test_each_call_writes_only_to_its_own_streams():
-    # the parser is built once and shared, its streams are not
+def test_each_call_writes_only_to_its_own_streams(capsys):
+    # the parser is built once and shared, its streams are not; main() puts
+    # the process streams back on every exit path
     calls = [
-        (["rank", "--bogus"], 2, "", "unrecognized arguments: --bogus"),
-        (["rank", "--help"], 0, "usage: hadamix rank", ""),
-        (["project"], 2, "", "--block"),
-        (["--help"], 0, "usage: hadamix", ""),
-        (["frobnicate"], 2, "", "invalid choice"),
+        # argv, stdin, exit code, start of stdout, part of stderr, usage lines
+        (["rank", "--bogus"], "", 2, "", "unrecognized arguments: --bogus", 1),
+        (["rank", "--help"], "", 0, "usage: hadamix rank", "", 0),
+        (["project"], "", 2, "", "--block", 1),
+        (["--help"], "", 0, "usage: hadamix", "", 0),
+        (["frobnicate"], "", 2, "", "invalid choice", 1),
+        (["gen", "hamming", "--l", "2"], "", 0, '{"cols": 4', "", 0),
+        (["gen", "hamming", "--k", "3"], "", 2, "", "usage: hadamix gen hamming", 1),
+        (["gen", "hamming", "--l", "0"], "", 2, "", "hadamix gen: --l must be in", 0),
+        (["project", "--block", "3"], '{"v":[2,1]}', 1, '{"error": "block index 3', "", 0),
     ]
+    process_streams = sys.stdin, sys.stdout, sys.stderr
     streams = []
-    for argv, want_code, want_out, want_err in calls:
+    for argv, text, want_code, *_ in calls:
         out, err = io.StringIO(), io.StringIO()
-        assert main(argv, io.StringIO(), out, err) == want_code
+        assert main(argv, io.StringIO(text), out, err) == want_code, argv
+        assert (sys.stdin, sys.stdout, sys.stderr) == process_streams, argv
         streams.append((out, err))
-    for (out, err), (argv, _, want_out, want_err) in zip(streams, calls):
+    for (out, err), (argv, _, _, want_out, want_err, usages) in zip(streams, calls):
         if want_out:
             assert out.getvalue().startswith(want_out) and err.getvalue() == "", argv
         else:
             assert out.getvalue() == "" and want_err in err.getvalue(), argv
-            assert err.getvalue().count("usage:") == 1, argv
+        assert err.getvalue().count("usage:") == usages, argv
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_parser_that_raises_leaves_the_process_streams_as_they_were(monkeypatch, capsys):
+    class Failing(argparse.ArgumentParser):
+        def parse_args(self, args=None, namespace=None):
+            print("partial", file=sys.stderr)
+            raise LookupError("parser failed")
+
+    monkeypatch.setattr(cli, "_build_parser", Failing)
+    process_streams = sys.stdin, sys.stdout, sys.stderr
+    err = io.StringIO()
+    with pytest.raises(LookupError, match="parser failed"):
+        main(["rank"], io.StringIO(), io.StringIO(), err)
+    assert (sys.stdin, sys.stdout, sys.stderr) == process_streams
+    assert err.getvalue() == "partial\n"
+    assert capsys.readouterr() == ("", "")
 
 
 def test_parser_is_built_once_per_process(monkeypatch):
-    monkeypatch.setattr(cli, "_PARSER", None)
+    cli._build_parser.cache_clear()
     progs = []
-    init = cli._Parser.__init__
+    init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
         progs.append(kwargs["prog"])
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert progs == []  # nothing is built before the first call
     run_cli(["gen", "hamming", "--l", "2"])
     built = len(progs)

@@ -86,19 +86,22 @@ def test_every_export_is_used_inside_the_package():
 UNUSED_MEMBERS_ALLOWED = {"Subspace.contains"}
 
 
-def _attribute_reads(tree, scope=()):
-    """(attribute name, enclosing definitions) of every attribute read in a
-    module; the definitions are the names of the functions and classes the
-    read sits in, outermost first."""
-    found = set()
+def _scoped_nodes(tree, scope=()):
+    """(node, enclosing definitions) of every node in a module; the
+    definitions are the names of the functions and classes the node sits
+    in, outermost first."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found |= _attribute_reads(node, scope + (node.name,))
+            yield from _scoped_nodes(node, scope + (node.name,))
             continue
-        if isinstance(node, ast.Attribute):
-            found.add((node.attr, scope))
-        found |= _attribute_reads(node, scope)
-    return found
+        yield node, scope
+        yield from _scoped_nodes(node, scope)
+
+
+def _attribute_reads(tree):
+    """(attribute name, enclosing definitions) of every attribute read in a module."""
+    return {(node.attr, scope) for node, scope in _scoped_nodes(tree)
+            if isinstance(node, ast.Attribute)}
 
 
 def test_every_public_member_of_an_exported_class_is_used_inside_the_package():
@@ -163,3 +166,18 @@ def test_isdigit_is_called_only_by_the_two_grammar_readers():
             if attr == "isdigit"
         }
     assert callers == {"exact_core.rational_pair", "mixture.MomentVector.from_json_obj"}
+
+
+def test_only_cli_main_touches_the_process_streams():
+    # the library never writes to sys.stdout or sys.stderr, so stdout is
+    # byte-identical; main() alone reads them, and points argparse at its
+    # own streams for one parse
+    package = Path(hadamix.__file__).parent
+    users = set()
+    for path in package.glob("*.py"):
+        for node, scope in _scoped_nodes(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "sys" and node.attr in ("stdin", "stdout", "stderr")
+                    or isinstance(node, ast.Name) and node.id == "print"):
+                users.add(f"{path.stem}.{'.'.join(scope)}")
+    assert users == {"cli.main"}

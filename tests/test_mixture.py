@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     PROB_POOL,
     forward_moments_reference,
+    mixture_params_fault_reference,
     moment_checks_reference,
     moment_values,
     moment_vector,
@@ -60,6 +61,30 @@ def test_mixture_params_validation():
         MixtureParams(m, (Fraction(3, 2), Fraction(-1, 2)))
     with pytest.raises(DomainError):
         MixtureParams(RMatrix.from_rows([[2, 0]]), (HALF, HALF))
+
+
+# Fractions on both sides of [0, 1] and on its ends, and ints as a hand-built
+# RMatrix may hold them
+PARAM_ENTRIES = [Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(4, 3), -1, 0, 1, 2]
+PARAM_WEIGHTS = [Fraction(-1, 3), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), -1, 0, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mixture_params_refuses_as_the_fraction_rule_does(data):
+    n, k = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(
+        st.tuples(*[st.sampled_from(PARAM_ENTRIES)] * k), min_size=n, max_size=n))
+    pi = data.draw(st.lists(st.sampled_from(PARAM_WEIGHTS), min_size=k, max_size=k))
+    if data.draw(st.booleans()):
+        pi[-1] = 1 - sum(pi[:-1])  # sums to 1; the last weight may be negative
+    m = RMatrix(n, k, tuple(rows))
+    try:
+        MixtureParams(m, pi)
+        got = None
+    except DomainError as exc:
+        got = (str(exc), exc.witness)
+    assert got == mixture_params_fault_reference(m, pi)
 
 
 def test_moment_vector_validation():
@@ -205,6 +230,10 @@ def test_is_separated_examples():
     assert not is_separated(m, 1)
     hamming_row = RMatrix.from_rows([[1, -1, 1, -1]])
     assert not is_separated(hamming_row, 0)
+    # a value repeated as equal Fractions, and as an int beside a Fraction
+    assert not is_separated(RMatrix.from_rows([[3, "6/2", HALF]]), 0)
+    assert not is_separated(RMatrix(1, 3, ((1, Fraction(1), HALF),)), 0)
+    assert is_separated(RMatrix(1, 3, ((1, Fraction(2), HALF),)), 0)
     with pytest.raises(DomainError):
         is_separated(m, 2)
 
