@@ -127,14 +127,15 @@ def _parse_indices(text: str, size: int, what: str) -> SubsetIndex:
 
 
 def _load_json(args: argparse.Namespace, stdin: IO[str]) -> object:
-    if args.input is not None:
-        try:
+    try:
+        if args.input is None:
+            text = stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputFormatError(f"cannot read {args.input}: {exc}") from exc
-    else:
-        text = stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        source = "stdin" if args.input is None else args.input
+        raise InputFormatError(f"cannot read {source}: {exc}") from exc
     try:
         return json.loads(text)
     # ValueError also covers integers past int()'s digit limit;

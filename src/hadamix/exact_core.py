@@ -310,9 +310,10 @@ def matrix_from_json(obj: object) -> RMatrix:
 
 # ---------------------------------------------------------------------------
 # Row reduction: the one elimination kernel, fraction-free Gauss-Jordan on
-# integer rows. A vector is scaled to integers by the lcm of its denominators
-# and, in place of Bareiss's (1968) exact division, every reduced row is
-# divided by the gcd of its entries. A basis is kept in RREF over such
+# integer rows. A vector is scaled to integers once, by the lcm of its
+# denominators, where it enters; in place of Bareiss's (1968) exact division
+# every reduced row is divided by the gcd of its entries, so any nonzero
+# multiple of a row reduces alike. A basis is kept in RREF over such
 # primitive rows, each with a positive pivot; dividing a row by its pivot
 # gives the rational RREF row, so the integer form is as unique as the RREF.
 
@@ -321,11 +322,6 @@ def scale_to_integers(vec: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     """(d, d * vec), where d is the lcm of the denominators of vec."""
     scale = math.lcm(*(x.denominator for x in vec))
     return scale, [x.numerator * (scale // x.denominator) for x in vec]
-
-
-def _integer_row(vec: Sequence[Fraction | int]) -> Sequence[int]:
-    """Primitive integer multiple of a vector of Fractions or ints."""
-    return _primitive(scale_to_integers(vec)[1])
 
 
 def _primitive(row: Sequence[int]) -> Sequence[int]:
@@ -394,27 +390,27 @@ class Subspace:
     def contains(self, vector: Sequence[RationalLike]) -> bool:
         vec = as_vector(vector)
         self._check_length(vec)
-        return not any(_reduce(self.rows, self.pivots, _integer_row(vec)))
+        return not any(_reduce(self.rows, self.pivots, scale_to_integers(vec)[1]))
 
-    def extend(self, vectors: Iterable[Sequence[Fraction | int]]) -> "Subspace":
-        """span(U union vectors) for vectors of Fractions or ints.
+    def extend(self, vectors: Iterable[Sequence[int]]) -> "Subspace":
+        """span(U union vectors) for integer vectors; `span` scales rationals.
 
         Only the new vectors are reduced against the current basis.
         """
         rows, pivots = list(self.rows), list(self.pivots)
         for vec in vectors:
             self._check_length(vec)
-            _insert(rows, pivots, _integer_row(vec))
+            _insert(rows, pivots, vec)
         return Subspace(self.ambient_dim, tuple(map(tuple, rows)), tuple(pivots))
 
-    def extend_odot(self, v: Sequence[Fraction | int]) -> "Subspace":
-        """span(U union v*U), the Hadamard fold step; `self` if that is U.
+    def extend_odot(self, t: Sequence[int]) -> "Subspace":
+        """span(U union t*U), the Hadamard fold step; `self` if that is U.
 
-        With t the integer multiple of v, each basis row b with pivot p gives
-        the pivot-shifted product r = (t - t_p)*b = t*b - t_p*b. The residues
-        are reduced only among themselves, the old rows are cleared of the
-        new pivots, and the two sets of rows are merged by pivot. This is
-        exact:
+        t is an integer row; any nonzero multiple gives the same space. Each
+        basis row b with pivot p gives the pivot-shifted product
+        r = (t - t_p)*b = t*b - t_p*b. The residues are reduced only among
+        themselves, the old rows are cleared of the new pivots, and the two
+        sets of rows are merged by pivot. This is exact:
 
         - Same span: b lies in U, so span(U union {t*b}) = span(U union {r}).
         - No reduction against U is needed: r is zero at p, and b (so r) is
@@ -429,8 +425,7 @@ class Subspace:
           merged rows are primitive RREF rows with positive pivots, the very
           rows any other elimination of the same span gives.
         """
-        self._check_length(v)
-        t = _integer_row(v)
+        self._check_length(t)
         new: list[Sequence[int]] = []
         at: list[int] = []
         for row, p in zip(self.rows, self.pivots):
@@ -452,7 +447,8 @@ class Subspace:
 
 def span(vectors: Iterable[Sequence[RationalLike]], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by the given vectors of length ambient_dim."""
-    return Subspace(ambient_dim, (), ()).extend(as_vector(v) for v in vectors)
+    return Subspace(ambient_dim, (), ()).extend(
+        scale_to_integers(as_vector(v))[1] for v in vectors)
 
 
 def _solve_rows(rows: Iterable[Sequence[int]], k: int) -> tuple[Fraction, ...] | None:

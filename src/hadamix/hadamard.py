@@ -11,10 +11,11 @@ extension from that table. The mixture module uses it for the forward
 moments and the equations of `recover_pi`. The column rank needs no 2^n
 rows: adjoining a row t to a chosen set replaces the rowspace U by
 span(U union t*U), which only touches basis vectors. That fold is
-`Subspace.extend_odot`; it returns U itself when t adds nothing. `_fold`
-runs it once over the rows in index order for the rank and the greedy
-certificate; `exhaustive_min_rows` folds each prefix of a subset once,
-shared by every subset that extends it.
+`Subspace.extend_odot`, on integer rows; it returns U itself when t adds
+nothing. `_fold` runs it once over the rows in index order for the rank and
+the greedy certificate, scaling each row it folds once; `exhaustive_min_rows`
+scales each row once and folds each prefix once, shared by every subset that
+extends it.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from .exact_core import (
     Subspace,
     SubsetIndex,
     _count_subsets,
-    _integer_row,
     _reduce,
     masks_by_cardinality,
     masks_of_weight,
     ones,
+    scale_to_integers,
     span,
 )
 
@@ -144,7 +145,8 @@ def extend_rowspace(state: RowspaceState, m: RMatrix, t: int) -> RowspaceState:
         raise DomainError(f"row index {t} out of range for {m.n_rows} rows")
     if t in state.chosen_rows:
         raise DomainError(f"row {t} already chosen")
-    return RowspaceState(state.chosen_rows.add(t), state.space.extend_odot(m.row(t)))
+    t_row = scale_to_integers(m.row(t))[1]
+    return RowspaceState(state.chosen_rows.add(t), state.space.extend_odot(t_row))
 
 
 def _fold(m: RMatrix) -> tuple[int, Subspace]:
@@ -153,7 +155,7 @@ def _fold(m: RMatrix) -> tuple[int, Subspace]:
 
     U starts as span(ones), the empty product, and a fold only adds basis
     rows, so U holds the all-ones row throughout. Each row is folded at
-    most once, so `extend_odot` scales it once.
+    most once, and scaled to integers once, as it is folded.
     """
     k = m.n_cols
     _check_columns(k)
@@ -161,7 +163,7 @@ def _fold(m: RMatrix) -> tuple[int, Subspace]:
     for t, row in enumerate(m.entries):
         if space.dim == k:
             break
-        grown = space.extend_odot(row)
+        grown = space.extend_odot(scale_to_integers(row)[1])
         if grown.dim > space.dim:
             chosen, space = chosen | 1 << t, grown
     return chosen, space
@@ -225,18 +227,16 @@ def exhaustive_min_rows(m: RMatrix, size: int) -> list[SubsetIndex]:
     if size < 0 or size > n:
         raise DomainError(f"subset size {size} out of range for {n} rows")
     _count_subsets(n, size)
-    rows = [_integer_row(row) for row in m.entries]
+    rows = [scale_to_integers(row)[1] for row in m.entries]
     out: list[SubsetIndex] = []
-    # (parent space, row to fold into it or None, prefix, members left to pick
-    # below `below`): a stack, since a path may outrun Python's recursion limit
-    stack = [(span([ones(k)], k), None, 0, n, size)]
+    # (prefix's space, prefix, members left to pick below `below`), each child
+    # folded as it is pushed: a stack, as a path may outrun the recursion limit
+    stack = [(span([ones(k)], k), 0, n, size)]
     while stack:
-        space, row, prefix, below, left = stack.pop()
-        if row is not None:
-            space = space.extend_odot(row)
+        space, prefix, below, left = stack.pop()
         if space.dim == k:
             out.extend(SubsetIndex(n, prefix | low) for low in masks_of_weight(below, left))
         elif space.dim << left >= k:  # pushed last to first, so popped in index order
-            stack.extend((space, rows[t], prefix | 1 << t, t, left - 1)
+            stack.extend((space.extend_odot(rows[t]), prefix | 1 << t, t, left - 1)
                          for t in reversed(range(left - 1, below)))
     return out

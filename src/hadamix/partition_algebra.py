@@ -24,7 +24,6 @@ from .exact_core import (
     RMatrix,
     Subspace,
     SubsetIndex,
-    _integer_row,
     _pair,
     _reduce,
     as_vector,
@@ -126,7 +125,7 @@ def is_invariant(v: Sequence[RationalLike], u: Subspace) -> bool:
     """
     vec = as_vector(v)
     u._check_length(vec)
-    t = _integer_row(vec)
+    _, t = scale_to_integers(vec)
     return not any(
         any(_reduce(u.rows, u.pivots, [a * b for a, b in zip(row, t)]))
         for row in u.rows

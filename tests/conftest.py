@@ -39,9 +39,9 @@ from hadamix import (
 from hadamix.exact_core import (
     SUBSET_SCAN_LIMIT,
     _insert,
-    _integer_row,
     as_vector,
     ones,
+    scale_to_integers,
     solve_square,
 )
 from hadamix.hadamard import RowspaceState, extend_rowspace
@@ -216,7 +216,7 @@ def solve_pi_reference(m, moments):
     for local, values in extension_rows_reference(m.restrict_rows(certificate)):
         if len(system) == k:
             break
-        grown = space.extend([values])
+        grown = space.extend([scale_to_integers(values)[1]])
         if grown.dim == space.dim:
             continue
         space = grown
@@ -301,14 +301,14 @@ def respects_reference(u, part):
 def is_invariant_reference(v, u):
     """span(U union v*U) = U with the whole fold built, as is_invariant
     decided it before it reduced the products one at a time."""
-    return u.extend_odot(as_vector(v)) == u
+    return u.extend_odot(scale_to_integers(as_vector(v))[1]) == u
 
 
 def extend_odot_reference(u, v):
     """span(U union v*U) with each product t*b of a basis row reduced against
     the whole growing basis, as Subspace.extend_odot did before it shifted
     each product by its pivot; `u` itself when U does not grow."""
-    t = _integer_row(v)
+    t = scale_to_integers(v)[1]
     rows, pivots = list(u.rows), list(u.pivots)
     for row in u.rows:
         _insert(rows, pivots, [a * b for a, b in zip(row, t)])

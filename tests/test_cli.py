@@ -517,6 +517,14 @@ def test_input_file_reads_like_stdin(tmp_path):
         assert err.startswith(f"hadamix rank: cannot read {path}: ")
 
 
+def test_undecodable_stdin_is_an_input_error():
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8", errors="strict")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    assert main(["rank"], stdin, stdout, stderr) == 2
+    assert stdout.getvalue() == ""
+    assert stderr.getvalue().startswith("hadamix rank: cannot read stdin: 'utf-8' codec")
+
+
 def test_module_runs_as_a_process():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -33,7 +33,7 @@ from hadamix import (
     span,
 )
 from hadamix import exact_core
-from hadamix.exact_core import as_vector, rational_to_json, solve_square
+from hadamix.exact_core import as_vector, rational_to_json, scale_to_integers, solve_square
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -212,9 +212,10 @@ def test_extend_odot_is_the_span_of_the_products(k, data):
         entry.map(lambda x: [x] * k),
     ))
     u = span(vecs, k)
-    grown = u.extend_odot(v)
+    grown = u.extend_odot(scale_to_integers(v)[1])
     products = [tuple(a * b for a, b in zip(row, as_vector(v))) for row in basis(u).entries]
-    assert grown == u.extend(products) == span(list(vecs) + products, k)
+    assert grown == u.extend(scale_to_integers(p)[1] for p in products) \
+        == span(list(vecs) + products, k)
     # a fold that stays in U hands back U itself
     assert (grown is u) == (grown.dim == u.dim)
 
@@ -228,12 +229,31 @@ def test_extend_odot_matches_the_reference_fold(k, data):
     vector = st.lists(entry, min_size=k, max_size=k)
     u = span(data.draw(st.lists(vector, max_size=k + 1)), k)
     for v in data.draw(st.lists(vector, max_size=2)):
-        u = u.extend_odot(v)
+        u = u.extend_odot(scale_to_integers(v)[1])
     values = data.draw(st.lists(entry, min_size=1, max_size=3))
     v = data.draw(st.one_of(vector, st.lists(st.sampled_from(values), min_size=k, max_size=k)))
-    grown, expected = u.extend_odot(v), extend_odot_reference(u, as_vector(v))
+    grown = u.extend_odot(scale_to_integers(v)[1])
+    expected = extend_odot_reference(u, as_vector(v))
     assert (grown.rows, grown.pivots) == (expected.rows, expected.pivots)
     assert (grown is u) == (expected.dim == u.dim)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 8), st.data())
+def test_the_kernel_reads_any_nonzero_multiple_of_a_row_alike(k, data):
+    # _reduce makes every residue primitive, so the kernel takes no gcd of its
+    # own: a nonprimitive or negated row gives the same primitive RREF rows,
+    # each with a positive pivot
+    vector = st.lists(st.integers(-9, 9), min_size=k, max_size=k)
+    u = span(data.draw(st.lists(vector, max_size=3)), k)
+    t = data.draw(st.one_of(vector, st.integers(-9, 9).map(lambda x: [x] * k)))
+    c = data.draw(st.integers(-6, 6).filter(bool))
+    ct = [c * x for x in t]
+    for grown, expected in ((u.extend([ct]), u.extend([t])),
+                            (u.extend_odot(ct), u.extend_odot(t))):
+        assert (grown.rows, grown.pivots) == (expected.rows, expected.pivots)
+        for row, p in zip(grown.rows, grown.pivots):
+            assert row[p] > 0 and math.gcd(*row) == 1
 
 
 def test_extend_odot_runs_no_elimination_when_v_is_constant_on_each_row(monkeypatch):

@@ -36,7 +36,7 @@ from hadamix import (
     moment_map,
     span,
 )
-from hadamix import hadamard
+from hadamix import exact_core, hadamard
 from hadamix.cli import main
 from hadamix.exact_core import _reduce
 from hadamix.hadamard import RowspaceState, extend_rowspace
@@ -477,6 +477,26 @@ def test_exhaustive_folds_each_prefix_once(fold_dims):
     assert found  # the scan has something to find
 
 
+def test_exhaustive_scales_each_row_once(monkeypatch, fold_dims):
+    # each row of m is scaled to integers once, however many prefixes fold
+    # it, and the starting span scales the ones row: n + 1 calls in all
+    n, k, size = 8, 5, 4
+    m = random_matrix(random.Random(8), n, k, SMALL_POOL)
+    expected = exhaustive_min_rows_reference(m, size)
+    calls = []
+    scale = exact_core.scale_to_integers
+
+    def counted(vec):
+        calls.append(vec)
+        return scale(vec)
+
+    monkeypatch.setattr(exact_core, "scale_to_integers", counted)
+    monkeypatch.setattr(hadamard, "scale_to_integers", counted, raising=False)
+    assert exhaustive_min_rows(m, size) == expected
+    assert len(fold_dims) > 2 * n  # many folds per row
+    assert len(calls) == n + 1
+
+
 def test_exhaustive_stops_folding_under_a_full_rank_prefix(fold_dims):
     # rows 3 and 4 are HAMMING_2, whose extension alone has rank 4, so the
     # prefix {4, 3} is full rank and its completions need no fold
@@ -489,6 +509,26 @@ def test_exhaustive_stops_folding_under_a_full_rank_prefix(fold_dims):
     assert {0b11001, 0b11010, 0b11100} <= set(masks)
     assert masks == sorted(masks)
 
+
+
+def test_matrices_with_no_columns():
+    # the ones row of width 0 is empty (math.gcd() = 0): every space is {0},
+    # already of full rank 0, so every subset certifies it
+    for n in (3, 0):
+        m = RMatrix(n, 0, ((),) * n)
+        assert full_extension_rank(m) == 0
+        assert greedy_min_rows(m) == SubsetIndex(n, 0)
+        assert exhaustive_min_rows(m, 0) == [SubsetIndex(n, 0)]
+        matrix = matrix_to_json(m)
+        assert run(["rank"], matrix) == (0, {"full": True, "rank": 0})
+        assert run(["minrows", "--exhaustive"], matrix) == (
+            0, {"exhaustive": [[]], "greedy": [], "rank": 0})
+    m = RMatrix(3, 0, ((),) * 3)
+    assert exhaustive_min_rows(m, 1) == [SubsetIndex(3, 1 << i) for i in range(3)]
+    assert run(["minrows", "--exhaustive", "--size", "1"], matrix_to_json(m)) == (
+        0, {"exhaustive": [[1], [2], [3]], "greedy": [], "rank": 0})
+    with pytest.raises(DomainError, match="subset size 1 out of range for 0 rows"):
+        exhaustive_min_rows(RMatrix(0, 0, ()), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from hadamix import (
     span,
 )
 from hadamix import exact_core, partition_algebra
-from hadamix.exact_core import as_vector
+from hadamix.exact_core import as_vector, scale_to_integers
 
 
 def e(i, k):
@@ -197,7 +197,7 @@ def test_lagrange_projection_evaluates_once_per_value(monkeypatch):
 
 def bar_odot(v, u):
     """span(U union v*U), the fold step of the paper's bar-odot."""
-    return u.extend_odot(as_vector(v))
+    return u.extend_odot(scale_to_integers(as_vector(v))[1])
 
 
 def test_respects_examples():
