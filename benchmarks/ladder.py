@@ -9,12 +9,17 @@ Times `greedy_min_rows`, `full_extension_rank`, `exhaustive_min_rows`,
 `MomentVector.from_json_obj` (with `json.loads`), `recover_pi` and
 `lagrange_projection` on the inputs of CASES, best of REPEATS runs, and
 writes the times with a digest of each answer to BENCH_<n>.json in the
-current directory, n being the first unused run number. A kernel that
-refuses its input with a DomainError is timed too, and its answer is
-recorded as "refused: <message>". Pointing PYTHONPATH at another
-checkout's src times that code on the same inputs, and equal answers show
-that both gave the same results. The whole ladder runs in well under a
-minute; the tests build its cases but time nothing.
+current directory, n being the first unused run number. Each run is
+bracketed by a fixed pure-Python calibration loop, as in
+`clibench/run.py`, and its time is scaled by CALIBRATION_REFERENCE_S over
+the mean of the two calibration times, so that runs on a host whose speed
+drifts compare; each result records the raw and the scaled seconds of its
+best run and that run's calibration. A kernel that refuses its input with
+a DomainError is timed too, and its answer is recorded as
+"refused: <message>". Pointing PYTHONPATH at another checkout's src times
+that code on the same inputs, and equal answers show that both gave the
+same results. The whole ladder runs in well under a minute; the tests
+build its cases but time nothing.
 """
 
 from __future__ import annotations
@@ -53,6 +58,27 @@ from hadamix.cli import gen_hamming, gen_stairstep, gen_vandermonde
 # read off a single call.
 REPEATS = 5
 MIN_RUN_S = 0.05
+# Best time of calibrate() on an uncontended Xeon (Sapphire Rapids) core
+# with CPython 3.11.7, as in clibench/run.py. Each bracket takes the best of
+# CALIBRATIONS calls, so that one preempted call does not skew a run.
+CALIBRATION_REFERENCE_S = 135e-6
+CALIBRATIONS = 5
+
+
+def calibrate() -> float:
+    """Seconds taken by a fixed amount of Fraction and dict work (a copy of
+    clibench/run.py's calibration loop)."""
+    start = time.perf_counter()
+    total = Fraction(0)
+    seen = {}
+    for i in range(1, 60):
+        total += Fraction(i, i % 13 + 2)
+        seen[i] = total
+    return time.perf_counter() - start
+
+
+def host_speed() -> float:
+    return min(calibrate() for _ in range(CALIBRATIONS))
 
 
 def random_matrix(seed: int, n: int, k: int, dups: int = 0) -> RMatrix:
@@ -65,6 +91,14 @@ def random_matrix(seed: int, n: int, k: int, dups: int = 0) -> RMatrix:
     cols = list(range(k - dups)) + [rng.randrange(k - dups) for _ in range(dups)]
     rng.shuffle(cols)
     return RMatrix.from_rows([[row[c] for c in cols] for row in base], k)
+
+
+def desk_matrix(seed: int, n: int, k: int) -> RMatrix:
+    """n x k rationals a/b with |a| <= 6 and 1 <= b <= 4, as the certify
+    workload of clibench draws its random matrices."""
+    rng = random.Random(seed)
+    return RMatrix.from_rows([[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                               for _ in range(k)] for _ in range(n)], k)
 
 
 def distinct_row(seed: int, k: int) -> list[Fraction]:
@@ -134,6 +168,7 @@ CASES = [
     ("duplicated columns n=10 k=32", random_matrix(3, 10, 32, dups=3),
      (GREEDY, RANK, EXTENSION)),
     ("random n=100 k=16", random_matrix(6, 100, 16), (GREEDY,)),
+    ("desk n=12 k=16", desk_matrix(12, 12, 16), (GREEDY, RANK)),
     ("hamming l=9", gen_hamming(9), (GREEDY, RANK, EXTENSION)),
     ("stairstep k=40", gen_stairstep(40), (GREEDY,)),
     ("vandermonde k=40 n=39", gen_vandermonde(40, 39, distinct_row(4, 40)), (GREEDY,)),
@@ -167,9 +202,18 @@ def digest(answer: object) -> str:
     return hashlib.sha256(repr(answer).encode()).hexdigest()[:16]
 
 
-def timed(kernel, *args) -> tuple[float, str]:
-    """Best time per call over REPEATS runs, and the digest of the answer
-    or the refusal."""
+class Timing(NamedTuple):
+    """Seconds per call of the best run, raw and scaled to the reference
+    host speed, and the mean calibration time that scaled it."""
+
+    raw_s: float
+    scaled_s: float
+    calibration_s: float
+
+
+def timed(kernel, *args) -> tuple[Timing, str]:
+    """The timing of the best scaled run of REPEATS, and the digest of the
+    answer or the refusal."""
     def call() -> object:
         try:
             return kernel(*args)
@@ -179,12 +223,18 @@ def timed(kernel, *args) -> tuple[float, str]:
     start = time.perf_counter()
     answer = call()
     calls = max(1, round(MIN_RUN_S / (time.perf_counter() - start)))
-    best = float("inf")
+    runs = []
+    after = host_speed()
     for _ in range(REPEATS):
+        before = after
         start = time.perf_counter()
         for _ in range(calls):
             call()
-        best = min(best, (time.perf_counter() - start) / calls)
+        raw = (time.perf_counter() - start) / calls
+        after = host_speed()
+        calibration = (before + after) / 2
+        runs.append(Timing(raw, raw * CALIBRATION_REFERENCE_S / calibration, calibration))
+    best = min(runs, key=lambda run: run.scaled_s)
     if isinstance(answer, DomainError):
         return best, f"refused: {answer}"
     return best, digest(answer)
@@ -201,10 +251,11 @@ def main() -> None:
             else:
                 runs.append((kernel, KERNELS[kernel], (x,)))
         for kernel, call, args in runs:
-            seconds, answer = timed(call, *args)
-            results.append({"case": name, "kernel": kernel, "best_s": seconds,
+            timing, answer = timed(call, *args)
+            results.append({"case": name, "kernel": kernel, **timing._asdict(),
                             "answer": answer})
-            print(f"{name:30} {kernel:32} {seconds * 1e3:10.2f} ms  {answer}")
+            print(f"{name:30} {kernel:32} {timing.scaled_s * 1e3:10.2f} ms"
+                  f" (raw {timing.raw_s * 1e3:.2f})  {answer}")
     path = next(Path(f"BENCH_{n}.json") for n in count(1)
                 if not Path(f"BENCH_{n}.json").exists())
     path.write_text(json.dumps({
@@ -212,6 +263,7 @@ def main() -> None:
         "machine": platform.machine(),
         "repeats": REPEATS,
         "min_run_s": MIN_RUN_S,
+        "calibration_reference_s": CALIBRATION_REFERENCE_S,
         "results": results,
     }, indent=1) + "\n")
     print(f"wrote {path}")

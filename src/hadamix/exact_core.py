@@ -319,9 +319,13 @@ def matrix_from_json(obj: object) -> RMatrix:
 
 
 def scale_to_integers(vec: Sequence[Fraction | int]) -> tuple[int, list[int]]:
-    """(d, d * vec), where d is the lcm of the denominators of vec."""
-    scale = math.lcm(*(x.denominator for x in vec))
-    return scale, [x.numerator * (scale // x.denominator) for x in vec]
+    """(d, d * vec), where d is the lcm of the denominators of vec.
+
+    Each entry is read once, as its (numerator, denominator) pair.
+    """
+    pairs = [x.as_integer_ratio() for x in vec]
+    scale = math.lcm(*[d for _, d in pairs])
+    return scale, [n * (scale // d) for n, d in pairs]
 
 
 def _primitive(row: Sequence[int]) -> Sequence[int]:
@@ -363,6 +367,12 @@ def _adjoin(rows: list[Sequence[int]], pivots: list[int], vec: Sequence[int]) ->
     at = sum(p < c for p in pivots)
     rows.insert(at, vec)
     pivots.insert(at, c)
+
+
+def _unit_rows(k: int) -> tuple[tuple[int, ...], ...]:
+    """The primitive RREF basis of Q^k: the unit rows e_0, ..., e_{k-1}."""
+    zeros = (0,) * k
+    return tuple(zeros[:p] + (1,) + zeros[p + 1:] for p in range(k))
 
 
 @dataclass(frozen=True)
@@ -424,8 +434,16 @@ class Subspace:
           leaves its (positive) pivot and its zeros on U's pivots, so the
           merged rows are primitive RREF rows with positive pivots, the very
           rows any other elimination of the same span gives.
+        - The fold stops once dim U plus the residues kept so far is k. The
+          kept rows are independent and zero on U's pivots, so with U they
+          span Q^k, whose primitive RREF is the identity: unit row e_p, with
+          the positive pivot 1 at p, for p = 0..k-1. That is the row set
+          elimination would return, so the rest of the residues, the
+          clearing and the merge are skipped.
         """
         self._check_length(t)
+        k = self.ambient_dim
+        missing = k - self.dim
         new: list[Sequence[int]] = []
         at: list[int] = []
         for row, p in zip(self.rows, self.pivots):
@@ -433,6 +451,8 @@ class Subspace:
             r = [(x - tp) * y for x, y in zip(t, row)]
             if any(r):
                 _insert(new, at, r)
+                if len(new) == missing:
+                    return Subspace(k, _unit_rows(k), tuple(range(k)))
         if not new:
             return self
         old = [_reduce(new, at, row) for row in self.rows]

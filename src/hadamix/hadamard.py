@@ -12,10 +12,11 @@ moments and the equations of `recover_pi`. The column rank needs no 2^n
 rows: adjoining a row t to a chosen set replaces the rowspace U by
 span(U union t*U), which only touches basis vectors. That fold is
 `Subspace.extend_odot`, on integer rows; it returns U itself when t adds
-nothing. `_fold` runs it once over the rows in index order for the rank and
-the greedy certificate, scaling each row it folds once; `exhaustive_min_rows`
-scales each row once and folds each prefix once, shared by every subset that
-extends it.
+nothing, and the unit rows of Q^k, with no further elimination, as soon as
+its residues fill the space. `_fold` runs it once over the rows in index
+order for the rank and the greedy certificate, scaling each row it folds
+once; `exhaustive_min_rows` scales each row once and folds each prefix
+once, shared by every subset that extends it.
 """
 
 from __future__ import annotations
@@ -155,7 +156,9 @@ def _fold(m: RMatrix) -> tuple[int, Subspace]:
 
     U starts as span(ones), the empty product, and a fold only adds basis
     rows, so U holds the all-ones row throughout. Each row is folded at
-    most once, and scaled to integers once, as it is folded.
+    most once, and scaled to integers once, as it is folded. The fold that
+    reaches dimension k stops at the residue that fills Q^k and returns its
+    unit rows (see `Subspace.extend_odot`).
     """
     k = m.n_cols
     _check_columns(k)

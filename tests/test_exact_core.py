@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -275,6 +275,61 @@ def test_extend_odot_runs_no_elimination_when_v_is_constant_on_each_row(monkeypa
     # a v that splits a row's support does reduce
     assert u.extend_odot((3, 1, -1, -1, 0, 0, 5, 5, 7)).dim == u.dim + 1
     assert calls
+
+
+def test_a_fold_that_fills_the_space_stops_at_the_last_residue_it_needs(monkeypatch):
+    # dim U = 3 in Q^5, and each of the three residues (t - t_p)*b is nonzero:
+    # the first two already give dim 5
+    u = span([(1, 1, 1, 1, 1), (0, 1, 2, 3, 4), (0, 1, 4, 9, 16)], 5)
+    t = (0, 1, 8, 27, 64)
+    residues = [tuple((x - t[p]) * y for x, y in zip(t, row))
+                for row, p in zip(u.rows, u.pivots)]
+    assert all(map(any, residues))
+    calls = []
+    reduce = exact_core._reduce
+
+    def counted(rows, pivots, vec):
+        calls.append(tuple(vec))
+        return reduce(rows, pivots, vec)
+
+    monkeypatch.setattr(exact_core, "_reduce", counted)
+    grown = u.extend_odot(t)
+    assert grown.dim == 5
+    # no old basis row is cleared, and the third residue is never read
+    assert not set(calls) & set(u.rows)
+    assert [vec for vec in calls if vec in residues] == residues[:2]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 12), st.data())
+def test_a_fold_that_fills_the_space_returns_the_unit_rows(k, data):
+    # rows with zeros and repeats from span(ones) on; some copy columns, so
+    # that the fold often stops short of k
+    entry = st.sampled_from([0, 0, 1, -1, 2, -3, 5, 7, Fraction(1, 2), Fraction(-2, 3)])
+    cols = data.draw(st.one_of(st.just(list(range(k))),
+                               st.lists(st.integers(0, k - 1), min_size=k, max_size=k)))
+    u = span([[1] * k], k)
+    for _ in range(8):
+        base = data.draw(st.lists(entry, min_size=k, max_size=k))
+        v = [base[c] for c in cols]
+        grown = u.extend_odot(scale_to_integers(v)[1])
+        expected = extend_odot_reference(u, as_vector(v))
+        assert (grown.rows, grown.pivots) == (expected.rows, expected.pivots)
+        if grown.dim == k:
+            assert grown.pivots == tuple(range(k))
+            assert grown.rows == tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+            return
+        u = grown
+
+
+@given(st.lists(st.one_of(st.integers(-10**6, 10**6), rationals)))
+@example([])
+@example([0, -3, Fraction(-1, 2), Fraction(5, 6)])
+def test_scale_to_integers_matches_the_lcm_of_the_denominators(vec):
+    scale = math.lcm(*(Fraction(x).denominator for x in vec))
+    scaled = [Fraction(x) * scale for x in vec]
+    assert scale_to_integers(vec) == (scale, scaled)
+    assert all(type(x) is int for x in scale_to_integers(vec)[1])
 
 
 # ---------------------------------------------------------------------------
