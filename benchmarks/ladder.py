@@ -4,22 +4,23 @@ on fixed seeded inputs.
     PYTHONPATH=src python3 benchmarks/ladder.py
 
 Times `greedy_min_rows`, `full_extension_rank`, `exhaustive_min_rows`,
-`hadamard_extension`, `eps_bar`, `nae_restrict`,
+`hadamard_extension`, `eps_bar`, `nae_rows`, `nae_restrict`,
 `exhaustive_nae_restrict`, `moment_map`, the `MomentVector` check,
-`MomentVector.from_json_obj` (with `json.loads`), `recover_pi` and
-`lagrange_projection` on the inputs of CASES, best of REPEATS runs, and
-writes the times with a digest of each answer to BENCH_<n>.json in the
-current directory, n being the first unused run number. Each run is
-bracketed by a fixed pure-Python calibration loop, as in
-`clibench/run.py`, and its time is scaled by CALIBRATION_REFERENCE_S over
-the mean of the two calibration times, so that runs on a host whose speed
-drifts compare; each result records the raw and the scaled seconds of its
-best run and that run's calibration. A kernel that refuses its input with
+`MomentVector.from_json_obj` (with `json.loads`), `recover_pi`,
+`lagrange_projection`, `blocks_of` and `respects` on the inputs of CASES,
+best of REPEATS runs, and writes the times with a digest of each answer to
+BENCH_<n>.json in the current directory, n being the first unused run
+number. Each run is bracketed by a fixed pure-Python calibration loop, as
+in `clibench/run.py`, and its time is scaled by CALIBRATION_REFERENCE_S
+over the mean of the two calibration times, so that runs on a host whose
+speed drifts compare; each result records the raw and the scaled seconds
+of its best run and that run's calibration. A kernel that refuses its input with
 a DomainError is timed too, and its answer is recorded as
 "refused: <message>". Pointing PYTHONPATH at another checkout's src times
 that code on the same inputs, and equal answers show that both gave the
-same results. The whole ladder runs in well under a minute; the tests
-build its cases but time nothing.
+same results; `benchmarks/compare.py` does this in alternating rounds.
+The whole ladder runs in about a minute; the tests build its cases but
+time nothing.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from hadamix import (
     MixtureParams,
     MomentVector,
     RMatrix,
+    Subspace,
+    SubsetIndex,
+    blocks_of,
     eps_bar,
     exhaustive_min_rows,
     exhaustive_nae_restrict,
@@ -49,7 +53,10 @@ from hadamix import (
     lagrange_projection,
     moment_map,
     nae_restrict,
+    nae_rows,
     recover_pi,
+    respects,
+    span,
 )
 from hadamix.cli import gen_hamming, gen_stairstep, gen_vandermonde
 
@@ -122,6 +129,14 @@ def colour_matrix(seed: int, n: int, k: int) -> RMatrix:
             return m
 
 
+def tall_colour_matrix(seed: int, n: int, k: int, width: int) -> tuple[RMatrix, SubsetIndex]:
+    """n x k entries of four colours and `width` of the k columns: nae_rows
+    keys every entry of the selected columns, on any number of rows."""
+    rng = random.Random(seed)
+    m = RMatrix.from_rows([[rng.randrange(4) for _ in range(k)] for _ in range(n)], k)
+    return m, SubsetIndex.from_members(k, rng.sample(range(k), width))
+
+
 class Mixture(NamedTuple):
     """A mixture, its moments and their JSON document."""
 
@@ -142,9 +157,17 @@ def mixture(seed: int, n: int, k: int = 4) -> Mixture:
     return Mixture(params, moments, json.dumps(moments.to_json_obj()))
 
 
-def block_vector(seed: int, k: int, blocks: int) -> list[Fraction]:
+class Blocks(NamedTuple):
+    """A vector and a subspace that respects its partition."""
+
+    v: list[Fraction]
+    u: Subspace
+
+
+def block_vector(seed: int, k: int, blocks: int) -> Blocks:
     """k rationals a/b with 1 <= a, b <= 999 taking `blocks` distinct
-    values, each at least once."""
+    values, each at least once, and the span of its block indicators, so
+    that respects reads every row."""
     rng = random.Random(seed)
     drawn: set[Fraction] = set()
     while len(drawn) < blocks:
@@ -152,7 +175,7 @@ def block_vector(seed: int, k: int, blocks: int) -> list[Fraction]:
     values = sorted(drawn)
     v = values + [rng.choice(values) for _ in range(k - blocks)]
     rng.shuffle(v)
-    return v
+    return Blocks(v, span([[int(x == q) for x in v] for q in values], k))
 
 
 # (name, input, kernels; an int is the size of an exhaustive_min_rows scan
@@ -177,10 +200,13 @@ CASES = [
     ("vandermonde k=10 n=14", gen_vandermonde(10, 14, None), NAE),
     ("vandermonde k=14 n=20", gen_vandermonde(14, 20, None), NAE),
     ("four colours n=6 k=6", colour_matrix(7, 6, 6), NAE),
+    ("four colours n=2000 k=20 cols=10", tall_colour_matrix(13, 2000, 20, 10),
+     ("nae_rows",)),
     ("mixture k=4 n=14", mixture(8, 14), MIXTURE),
     ("mixture k=4 n=16", mixture(9, 16), MIXTURE),
     ("mixture k=4 n=18", mixture(10, 18), MIXTURE),
-    ("blocks k=48 b=29", block_vector(11, 48, 29), ("lagrange_projection",)),
+    ("blocks k=48 b=29", block_vector(11, 48, 29),
+     ("lagrange_projection", "blocks_of", "respects")),
 ]
 # Each kernel is called on its case's input.
 KERNELS = {
@@ -188,13 +214,16 @@ KERNELS = {
     RANK: full_extension_rank,
     EXTENSION: hadamard_extension,
     "eps_bar": eps_bar,
+    "nae_rows": lambda x: nae_rows(*x),
     "nae_restrict": nae_restrict,
     "exhaustive_nae_restrict": exhaustive_nae_restrict,
     "moment_map": lambda x: moment_map(x.params),
     "MomentVector check": lambda x: MomentVector(x.moments.n, x.moments.nums, x.moments.dens),
     "json.loads + from_json_obj": lambda x: MomentVector.from_json_obj(json.loads(x.document)),
     "recover_pi": lambda x: recover_pi(x.params.m, x.moments),
-    "lagrange_projection": lambda v: lagrange_projection(v, 0),
+    "lagrange_projection": lambda x: lagrange_projection(x.v, 0),
+    "blocks_of": lambda x: blocks_of(x.v),
+    "respects": lambda x: respects(x.u, x.v),
 }
 
 

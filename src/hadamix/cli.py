@@ -26,7 +26,6 @@ from .exact_core import (
     RMatrix,
     SubsetIndex,
     _entry_reader,
-    _pair,
     as_vector,
     masks_of_weight,
     matrix_from_json,
@@ -180,7 +179,7 @@ def gen_vandermonde(k: int, copies: int, row: Sequence[Fraction] | None) -> RMat
     values = tuple(row) if row is not None else tuple(Fraction(j) for j in range(k))
     if len(values) != k:
         raise InputFormatError(f"--row must have {k} entries")
-    if len(set(map(_pair, values))) != k:
+    if len({x.as_integer_ratio() for x in values}) != k:
         raise InputFormatError("--row entries must be pairwise distinct")
     return RMatrix(copies, k, (values,) * copies)
 

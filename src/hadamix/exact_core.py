@@ -3,7 +3,9 @@
 Scalars, dense matrices, subset bitmasks, and canonical (RREF) subspaces,
 all over Q via fractions.Fraction. There is no floating point and no
 tolerance anywhere, so rank and subspace equality are exact decisions.
-Every type is an immutable value and every function is pure.
+Every type is an immutable value and every function is pure. A number in
+hand, int or Fraction, is keyed and taken apart only by `as_integer_ratio()`:
+its exact (numerator, denominator) pair, hashed in C, not in Python code.
 """
 
 from __future__ import annotations
@@ -11,17 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
 # Shared zero; a Fraction is immutable, so every zero entry can be this one.
 ZERO = Fraction(0)
-
-# A rational's exact key: ints and Fractions give (numerator, denominator),
-# hashed in C where a Fraction's hash is Python code.
-_pair = attrgetter("numerator", "denominator")
 
 # Exhaustive subset scans refuse to enumerate more than this many subsets.
 SUBSET_SCAN_LIMIT = 10**6
@@ -91,9 +88,8 @@ def ones(k: int) -> tuple[Fraction, ...]:
 
 def rational_to_json(q: Fraction) -> int | str:
     """Bare integer when the denominator is 1, else the string 'a/b'."""
-    if q.denominator == 1:
-        return q.numerator
-    return f"{q.numerator}/{q.denominator}"
+    num, den = q.as_integer_ratio()
+    return num if den == 1 else f"{num}/{den}"
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,9 @@ def _extension_table(m: RMatrix) -> Iterator[tuple[list[int], list[int]]]:
         raise DomainError(
             f"extension guard: at most {EXTENSION_ENTRY_GUARD} entries (got {k << n})"
         )
-    columns = [[row[j] for row in m.entries] for j in range(k)]
-    nums = [_subset_products(1, [x.numerator for x in column]) for column in columns]
-    dens = [_subset_products(1, [x.denominator for x in column]) for column in columns]
+    columns = [[row[j].as_integer_ratio() for row in m.entries] for j in range(k)]
+    nums = [_subset_products(1, [num for num, _ in column]) for column in columns]
+    dens = [_subset_products(1, [den for _, den in column]) for column in columns]
     return ((list(map(operator.itemgetter(mask), nums)),
              list(map(operator.itemgetter(mask), dens)))
             for mask in masks_by_cardinality(n))

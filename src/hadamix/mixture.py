@@ -23,7 +23,6 @@ from .exact_core import (
     InternalInvariantError,
     RMatrix,
     SubsetIndex,
-    _pair,
     _solve_rows,
     _spread,
     as_vector,
@@ -58,13 +57,13 @@ class MixtureParams:
             )
         # int comparisons, not Fraction ones: every denominator is positive
         for i, row in enumerate(self.m.entries):
-            for j, x in enumerate(row):
-                if not 0 <= x.numerator <= x.denominator:
+            for j, (num, den) in enumerate([x.as_integer_ratio() for x in row]):
+                if not 0 <= num <= den:
                     raise DomainError(
-                        f"entry ({i},{j}) = {x} is not a probability",
+                        f"entry ({i},{j}) = {row[j]} is not a probability",
                         witness={"row": i, "col": j},
                     )
-        if any(p.numerator < 0 for p in self.pi):
+        if any(p.as_integer_ratio()[0] < 0 for p in self.pi):
             raise DomainError("mixture weights must be nonnegative")
         if sum(self.pi) != 1:
             raise DomainError(f"mixture weights sum to {sum(self.pi)}, not 1")
@@ -268,7 +267,7 @@ def is_separated(m: RMatrix, i: int) -> bool:
     """Whether row i has k pairwise distinct entries."""
     if not 0 <= i < m.n_rows:
         raise DomainError(f"row index {i} out of range for {m.n_rows} rows")
-    return len(set(map(_pair, m.entries[i]))) == m.n_cols
+    return len({x.as_integer_ratio() for x in m.entries[i]}) == m.n_cols
 
 
 @dataclass(frozen=True)

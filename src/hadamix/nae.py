@@ -20,7 +20,6 @@ from .exact_core import (
     SubsetIndex,
     _count_subsets,
     _members,
-    _pair,
     _spread,
     masks_of_weight,
 )
@@ -74,7 +73,7 @@ def nae_rows(m: RMatrix, cols: SubsetIndex) -> SubsetIndex:
         raise DomainError("column set must be nonempty")
     mask = 0
     for i, row in enumerate(m.entries):
-        if len(set(map(_pair, map(row.__getitem__, idx)))) > 1:
+        if len({row[j].as_integer_ratio() for j in idx}) > 1:
             mask |= 1 << i
     return SubsetIndex(m.n_rows, mask)
 
@@ -99,17 +98,16 @@ def _row_classes(m: RMatrix) -> Classes:
     """The rows' classes of equal values, as column masks, one entry per
     distinct pattern: (mask of the rows with that pattern, their classes).
 
-    Values are keyed by their (numerator, denominator) pair, which is equal
-    exactly when the rationals are, for ints and Fractions alike, and hashes
-    in C where a Fraction's hash is Python code. Classes are listed by their
-    first column, so rows with the same pattern give the same tuple.
+    Values are keyed by `as_integer_ratio()`, as everywhere in the package.
+    Classes are listed by their first column, so rows with the same pattern
+    give the same tuple.
     """
     groups: dict[tuple[int, ...], int] = {}
     for i, row in enumerate(m.entries):
         classes: dict[tuple[int, int], int] = {}
         bit = 1
-        for value in map(_pair, row):
-            classes[value] = classes.get(value, 0) | bit
+        for key in [x.as_integer_ratio() for x in row]:
+            classes[key] = classes.get(key, 0) | bit
             bit <<= 1
         pattern = tuple(classes.values())
         groups[pattern] = groups.get(pattern, 0) | 1 << i

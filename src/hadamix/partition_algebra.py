@@ -24,7 +24,6 @@ from .exact_core import (
     RMatrix,
     Subspace,
     SubsetIndex,
-    _pair,
     _reduce,
     as_vector,
     scale_to_integers,
@@ -49,19 +48,19 @@ class Partition:
 
 
 def blocks_of(v: Sequence[RationalLike]) -> Partition:
-    """Partition of the coordinates of v by equal value, keyed on integer
-    (numerator, denominator) pairs; only the distinct values are sorted."""
+    """Partition of the coordinates of v by equal value, keyed on each
+    value's `as_integer_ratio()`; only the distinct values are sorted."""
     vec = as_vector(v)
     if not vec:
         raise DomainError("vector must be nonempty")
     if len(vec) > VECTOR_GUARD:
         raise DomainError(f"ground-set size guard: 0 <= size <= {VECTOR_GUARD} (got {len(vec)})")
-    keys = list(map(_pair, vec))
+    keys = [x.as_integer_ratio() for x in vec]
     masks: dict[tuple[int, int], int] = {}
     for j, key in enumerate(keys):
         masks[key] = masks.get(key, 0) | 1 << j
     values = tuple(sorted(dict(zip(keys, vec)).values(), reverse=True))
-    blocks = tuple(SubsetIndex(len(vec), masks[_pair(value)]) for value in values)
+    blocks = tuple(SubsetIndex(len(vec), masks[value.as_integer_ratio()]) for value in values)
     return Partition(len(vec), values, blocks)
 
 
@@ -105,9 +104,9 @@ def respects(u: Subspace, v: Sequence[RationalLike]) -> bool:
     vectors inside block i, the RREF rows of all U_i, sorted by pivot, are
     a basis of u in RREF: a pivot column is zero in the other rows of U_i
     and outside block i. The RREF is unique, so these are u's rows.
-    Coordinates are keyed on their values' integer pairs, as in blocks_of.
+    Coordinates are keyed on their values, as in blocks_of.
     """
-    keys = list(map(_pair, as_vector(v)))
+    keys = [x.as_integer_ratio() for x in as_vector(v)]
     if not keys:
         raise DomainError("vector must be nonempty")
     if u.ambient_dim != len(keys):

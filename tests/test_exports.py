@@ -181,3 +181,24 @@ def test_only_cli_main_touches_the_process_streams():
                     or isinstance(node, ast.Name) and node.id == "print"):
                 users.add(f"{path.stem}.{'.'.join(scope)}")
     assert users == {"cli.main"}
+
+
+def test_a_held_number_is_taken_apart_only_by_as_integer_ratio():
+    # one key per rational: no module reads .numerator or .denominator or
+    # builds a key of its own (attrgetter, the old _pair); a local variable
+    # may still be called `denominator`
+    package = Path(hadamix.__file__).parent
+    found = set()
+    for path in package.glob("*.py"):
+        for node, scope in _scoped_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                name, banned = node.attr, {"numerator", "denominator", "attrgetter"}
+            elif isinstance(node, ast.Name):
+                name, banned = node.id, {"attrgetter", "_pair"}
+            elif isinstance(node, ast.alias):
+                name, banned = node.name, {"attrgetter", "_pair"}
+            else:
+                continue
+            if name in banned:
+                found.add(f"{'.'.join((path.stem, *scope))}: {name}")
+    assert sorted(found) == []

@@ -239,15 +239,21 @@ def test_exhaustive_nae_restrict_matches_definitional_enumeration():
         assert [s.mask for s in exhaustive_nae_restrict(m)] == expected, m
 
 
-def test_nae_rows_checks_its_columns_before_the_entry_walk(monkeypatch):
-    m = RMatrix.from_rows([[1, 2, 3]] * 63, 3)
-    with monkeypatch.context() as patch:
-        patch.setattr(nae, "_pair", lambda x: pytest.fail("entries were walked"))
-        with pytest.raises(DomainError, match="column set must be nonempty"):
-            nae_rows(m, SubsetIndex(3))
-        with pytest.raises(DomainError, match="does not match 3 columns"):
-            nae_rows(m, SubsetIndex(2, 1))
+class _Trap:
+    """An entry that fails the test when it is read."""
+
+    def as_integer_ratio(self):
+        pytest.fail("entries were walked")
+
+
+def test_nae_rows_checks_its_columns_before_the_entry_walk():
+    trapped = RMatrix(63, 3, ((_Trap(),) * 3,) * 63)
+    with pytest.raises(DomainError, match="column set must be nonempty"):
+        nae_rows(trapped, SubsetIndex(3))
+    with pytest.raises(DomainError, match="does not match 3 columns"):
+        nae_rows(trapped, SubsetIndex(2, 1))
     # nothing is packed, so any number of rows is walked
+    m = RMatrix.from_rows([[1, 2, 3]] * 63, 3)
     assert nae_rows(m, SubsetIndex(3, 0b011)) == SubsetIndex(63, (1 << 63) - 1)
     assert eps(m, SubsetIndex(3, 0b011)) == 61
 
