@@ -393,10 +393,10 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains(self, vector: Sequence[RationalLike]) -> bool:
-        vec = as_vector(vector)
+    def contains(self, vec: Sequence[int]) -> bool:
+        """Whether the integer vector vec lies in U; `scale_to_integers` scales rationals."""
         self._check_length(vec)
-        return not any(_reduce(self.rows, self.pivots, scale_to_integers(vec)[1]))
+        return not any(_reduce(self.rows, self.pivots, vec))
 
     def extend(self, vectors: Iterable[Sequence[int]]) -> "Subspace":
         """span(U union vectors) for integer vectors; `span` scales rationals.

@@ -33,7 +33,6 @@ from .exact_core import (
     Subspace,
     SubsetIndex,
     _count_subsets,
-    _reduce,
     masks_by_cardinality,
     masks_of_weight,
     ones,
@@ -73,8 +72,7 @@ class RowspaceState:
     space: Subspace
 
     def __post_init__(self) -> None:
-        space = self.space
-        if any(_reduce(space.rows, space.pivots, [1] * space.ambient_dim)):
+        if not self.space.contains([1] * self.space.ambient_dim):
             raise DomainError("extension rowspace must contain the all-ones vector")
 
 

@@ -351,10 +351,9 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
         raise InternalInvariantError(
             f"certificate rows {certificate.mask:#x} failed to span k = {k} dimensions"
         )
-    if sum(pi) != 1:
-        raise DomainError(
-            f"recovered weights sum to {sum(pi)}, not 1; moments are inconsistent"
-        )
+    # k >= 1 adjoins the empty-set equation sum(pi) = 1 first, so only k = 0 fails it
+    if not pi:
+        raise DomainError("recovered weights sum to 0, not 1; moments are inconsistent")
     nums, dens = _forward_moments(m, pi)
     forward = list(map(operator.mul, nums, moments.dens))
     given = list(map(operator.mul, moments.nums, dens))

@@ -231,6 +231,13 @@ def _scan(
     return -1, witness, 0
 
 
+def _report(classes: Classes, n: int, k: int, scanned: tuple[int, int, int]) -> NaeReport:
+    """The NaeReport of an n x k matrix from the `_scan` of all its rows and columns."""
+    best, witness, _ = scanned
+    nonconstant = _nonconstant(classes, (1 << n) - 1, witness)
+    return NaeReport(best, SubsetIndex(k, witness), SubsetIndex(n, nonconstant))
+
+
 def eps_bar(m: RMatrix) -> NaeReport:
     """Minimum deficiency over all nonempty column subsets.
 
@@ -239,10 +246,8 @@ def eps_bar(m: RMatrix) -> NaeReport:
     """
     n, k = m.n_rows, m.n_cols
     _check_shape(n, k)
-    classes, all_rows = _row_classes(m), (1 << n) - 1
-    best, witness, _ = _scan(classes, all_rows, k)
-    nonconstant = _nonconstant(classes, all_rows, witness)
-    return NaeReport(best, SubsetIndex(k, witness), SubsetIndex(n, nonconstant))
+    classes = _row_classes(m)
+    return _report(classes, n, k, _scan(classes, (1 << n) - 1, k))
 
 
 def nae_restrict(m: RMatrix) -> SubsetIndex:
@@ -330,9 +335,7 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
         )
 
     all_rows, all_cols = (1 << n) - 1, (1 << k) - 1
-    best, witness, _ = scan(all_rows, all_cols)
-    nonconstant = _nonconstant(classes, all_rows, witness)
-    report = NaeReport(best, SubsetIndex(k, witness), SubsetIndex(n, nonconstant))
+    report = _report(classes, n, k, scan(all_rows, all_cols))
     if not report.satisfies_nae:
         raise DomainError(
             f"NAE condition fails: eps_bar = {report.eps_bar} < -1",

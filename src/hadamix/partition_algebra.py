@@ -24,7 +24,6 @@ from .exact_core import (
     RMatrix,
     Subspace,
     SubsetIndex,
-    _reduce,
     as_vector,
     scale_to_integers,
 )
@@ -119,13 +118,10 @@ def respects(u: Subspace, v: Sequence[RationalLike]) -> bool:
 def is_invariant(v: Sequence[RationalLike], u: Subspace) -> bool:
     """Whether span(U union v*U) = U; agrees with respects(u, v).
 
-    Each product v*b of a basis row b is reduced against the unchanged
-    basis, stopping at the first one outside U; no space is built.
+    Each product v*b of a basis row b is tested for membership in U,
+    stopping at the first one outside; no space is built.
     """
     vec = as_vector(v)
     u._check_length(vec)
     _, t = scale_to_integers(vec)
-    return not any(
-        any(_reduce(u.rows, u.pivots, [a * b for a, b in zip(row, t)]))
-        for row in u.rows
-    )
+    return all(u.contains([a * b for a, b in zip(row, t)]) for row in u.rows)

@@ -189,8 +189,8 @@ def test_span_idempotent_and_canonical():
             shuffled.append(combo)
         w = span(shuffled, k)
         assert w == u
-        assert all(u.contains(r) for r in basis(w).entries)
-        assert all(w.contains(r) for r in basis(u).entries)
+        assert all(u.contains(scale_to_integers(r)[1]) for r in basis(w).entries)
+        assert all(w.contains(scale_to_integers(r)[1]) for r in basis(u).entries)
 
 
 def test_subspace_membership_reduction():

@@ -82,10 +82,6 @@ def test_every_export_is_used_inside_the_package():
     assert sorted(set(hadamix.__all__) - used) == []
 
 
-# Traced by the benchmark harness (clibench/tracer.py) but called by no module.
-UNUSED_MEMBERS_ALLOWED = {"Subspace.contains"}
-
-
 def _scoped_nodes(tree, scope=()):
     """(node, enclosing definitions) of every node in a module; the
     definitions are the names of the functions and classes the node sits
@@ -124,7 +120,29 @@ def test_every_public_member_of_an_exported_class_is_used_inside_the_package():
         ".".join(member) for member in members
         if not any(attr == member[1] and scope[:2] != member for attr, scope in reads)
     }
-    assert sorted(unused - UNUSED_MEMBERS_ALLOWED) == []
+    assert sorted(unused) == []
+
+
+def test_only_exact_core_reduces_a_basis():
+    # how an RREF basis is reduced is exact_core's decision: every other
+    # module asks Subspace.contains, extend or extend_odot, imports none of
+    # the kernel's helpers and never reads a basis's pivots
+    package = Path(hadamix.__file__).parent
+    banned = {"_reduce", "_insert", "_adjoin", "_primitive", "_unit_rows", "pivots"}
+    found = set()
+    for path in package.glob("*.py"):
+        if path.stem == "exact_core":
+            continue
+        for node, scope in _scoped_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in banned:
+                found.add(f"{'.'.join((path.stem, *scope))}: {name}")
+    assert sorted(found) == []
 
 
 def test_a_constant_read_by_one_module_is_defined_there():

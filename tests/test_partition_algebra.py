@@ -23,7 +23,7 @@ from hadamix import (
     respects,
     span,
 )
-from hadamix import exact_core, partition_algebra
+from hadamix import exact_core
 from hadamix.exact_core import as_vector, scale_to_integers
 
 
@@ -390,8 +390,7 @@ def test_respects_runs_no_elimination(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("respects eliminated")
 
-    for module in (exact_core, partition_algebra):
-        monkeypatch.setattr(module, "_reduce", no_elimination)
+    monkeypatch.setattr(exact_core, "_reduce", no_elimination)
     monkeypatch.setattr(Subspace, "extend", no_elimination)
     monkeypatch.setattr(Subspace, "extend_odot", no_elimination)
     assert respects(yes, v) and not respects(no, v)
@@ -399,14 +398,14 @@ def test_respects_runs_no_elimination(monkeypatch):
 
 def test_is_invariant_stops_at_the_first_product_outside(monkeypatch):
     reductions = 0
-    real = partition_algebra._reduce
+    real = Subspace.contains
 
     def counted(*args):
         nonlocal reductions
         reductions += 1
         return real(*args)
 
-    monkeypatch.setattr(partition_algebra, "_reduce", counted)
+    monkeypatch.setattr(Subspace, "contains", counted)
     monkeypatch.setattr(Subspace, "extend_odot", lambda *args: pytest.fail("a fold was built"))
     k = 6
     v = [1, 1, 2, 2, 3, 3]
