@@ -5,7 +5,9 @@ on fixed seeded inputs.
 
 Times `greedy_min_rows`, `full_extension_rank`, `exhaustive_min_rows`,
 `hadamard_extension`, `eps_bar`, `nae_rows`, `nae_restrict`,
-`exhaustive_nae_restrict`, `moment_map`, the `MomentVector` check,
+`exhaustive_nae_restrict`, `moment_map`, the moment check (the row
+"MomentVector check" calls `_check_moments`, which the public
+`MomentVector` constructor and `from_json_obj` run),
 `MomentVector.from_json_obj` (with `json.loads`), `recover_pi`,
 `lagrange_projection`, `blocks_of` and `respects` on the inputs of CASES,
 best of REPEATS runs, and writes the times with a digest of each answer to
@@ -59,6 +61,7 @@ from hadamix import (
     span,
 )
 from hadamix.cli import gen_hamming, gen_stairstep, gen_vandermonde
+from hadamix.mixture import _check_moments
 
 # Each time is the best of REPEATS runs; a run repeats the call until it
 # has taken at least MIN_RUN_S, so that sub-millisecond cases are not
@@ -202,6 +205,7 @@ CASES = [
     ("four colours n=6 k=6", colour_matrix(7, 6, 6), NAE),
     ("four colours n=2000 k=20 cols=10", tall_colour_matrix(13, 2000, 20, 10),
      ("nae_rows",)),
+    ("mixture k=4 n=12", mixture(14, 12), MIXTURE),
     ("mixture k=4 n=14", mixture(8, 14), MIXTURE),
     ("mixture k=4 n=16", mixture(9, 16), MIXTURE),
     ("mixture k=4 n=18", mixture(10, 18), MIXTURE),
@@ -218,7 +222,7 @@ KERNELS = {
     "nae_restrict": nae_restrict,
     "exhaustive_nae_restrict": exhaustive_nae_restrict,
     "moment_map": lambda x: moment_map(x.params),
-    "MomentVector check": lambda x: MomentVector(x.moments.n, x.moments.nums, x.moments.dens),
+    "MomentVector check": lambda x: _check_moments(x.moments.n, x.moments.nums, x.moments.dens),
     "json.loads + from_json_obj": lambda x: MomentVector.from_json_obj(json.loads(x.document)),
     "recover_pi": lambda x: recover_pi(x.params.m, x.moments),
     "lagrange_projection": lambda x: lagrange_projection(x.v, 0),

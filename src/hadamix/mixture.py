@@ -175,11 +175,11 @@ class MomentVector:
     """One exact moment per subset of [n], as integer tables indexed by mask.
 
     The moment of the subset `mask` is nums[mask] / dens[mask], in lowest
-    terms with a positive denominator. Lowest terms is a precondition the
-    caller must meet: the constructor does not check it (`moment_map` and
-    `from_json_obj` always meet it). The constructor checks that the
-    empty-set moment is exactly 1, every denominator is positive, every
-    value lies in [0, 1], and values never increase when the subset grows.
+    terms with a positive denominator. The constructor checks the raw
+    tables first (`_check_moments`): the empty-set moment is exactly 1,
+    every denominator is positive, every value lies in [0, 1], and values
+    never increase when the subset grows. Then it reduces each entry to
+    lowest terms, so equal moments give equal vectors.
     """
 
     n: int
@@ -188,6 +188,18 @@ class MomentVector:
 
     def __post_init__(self) -> None:
         _check_moments(self.n, self.nums, self.dens)
+        nums, dens = _lowest_terms(self.nums, self.dens)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "dens", dens)
+
+    @classmethod
+    def _trusted(cls, n: int, nums: tuple[int, ...], dens: tuple[int, ...]) -> "MomentVector":
+        """A MomentVector of tables that the caller has proved valid and in
+        lowest terms: neither checked nor reduced."""
+        vec = object.__new__(cls)
+        for name, value in (("n", n), ("nums", nums), ("dens", dens)):
+            object.__setattr__(vec, name, value)
+        return vec
 
     def to_json_obj(self) -> dict:
         return {
@@ -230,7 +242,10 @@ class MomentVector:
                 dense = False
         if not dense:
             nums = dens = []
-        return cls(n, tuple(nums), tuple(dens))
+        nums, dens = tuple(nums), tuple(dens)
+        _check_moments(n, nums, dens)
+        # rational_pair returns every entry in lowest terms
+        return cls._trusted(n, nums, dens)
 
 
 def _forward_moments(m: RMatrix, pi: Sequence[Fraction]) -> tuple[list[int], list[int]]:
@@ -243,24 +258,48 @@ def _forward_moments(m: RMatrix, pi: Sequence[Fraction]) -> tuple[list[int], lis
     """
     rows = [scale_to_integers(row) for row in m.entries]
     w, weights = scale_to_integers(pi)
-    nums = [0] * (1 << m.n_rows)
-    for j, weight in enumerate(weights):
-        column = _subset_products(weight, [row[j] for _, row in rows])
+    columns = (_subset_products(weight, [row[j] for _, row in rows])
+               for j, weight in enumerate(weights))
+    nums = next(columns, None)
+    if nums is None:  # k = 0: every moment is an empty sum
+        nums = [0] * (1 << m.n_rows)
+    for column in columns:
         nums = list(map(operator.add, nums, column))
     return nums, _subset_products(w, [d for d, _ in rows])
 
 
+def _lowest_terms(nums: Sequence[int],
+                  dens: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both tables divided entry by entry by gcd(num, den); every
+    denominator must be positive."""
+    gcds = list(map(math.gcd, nums, dens))
+    return tuple(map(operator.floordiv, nums, gcds)), tuple(map(operator.floordiv, dens, gcds))
+
+
 def moment_map(params: MixtureParams) -> MomentVector:
-    """The 2^n exact moments of the mixture."""
+    """The 2^n exact moments of the mixture.
+
+    The tables are valid by construction, so they are not checked again.
+    `MixtureParams` holds every m_ij in [0, 1], every pi_j >= 0 and
+    sum_j pi_j = 1, and `_forward_moments` gives mask S the numerator
+    sum_j (w pi_j) prod_S (d_i m_ij) over the denominator w prod_S d_i,
+    with integers w pi_j summing to w. Each property `_check_moments`
+    tests holds:
+
+    - n passes the guard (checked first), and both tables have 2^n entries.
+    - The empty-set moment is 1: both integers of mask 0 equal w.
+    - Every denominator is positive: w >= 1 and every d_i >= 1.
+    - Every value lies in [0, 1]: mu(S) = sum_j pi_j prod_S m_ij is a
+      convex combination of products of entries in [0, 1].
+    - No value increases on a superset: mu(S + {i}) =
+      sum_j pi_j m_ij prod_S m_.j <= sum_j pi_j prod_S m_.j = mu(S), as
+      every m_ij <= 1 and every term pi_j prod_S m_.j >= 0.
+    - Every entry is in lowest terms: dividing num and den by their gcd,
+      which is positive as den is, leaves coprime integers.
+    """
     n = params.m.n_rows
     _check_observables(n)  # before any table of 2^n entries
-    nums, dens = _forward_moments(params.m, params.pi)
-    gcds = list(map(math.gcd, nums, dens))
-    return MomentVector(
-        n,
-        tuple(map(operator.floordiv, nums, gcds)),
-        tuple(map(operator.floordiv, dens, gcds)),
-    )
+    return MomentVector._trusted(n, *_lowest_terms(*_forward_moments(params.m, params.pi)))
 
 
 def is_separated(m: RMatrix, i: int) -> bool:
@@ -355,12 +394,15 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
     if not pi:
         raise DomainError("recovered weights sum to 0, not 1; moments are inconsistent")
     nums, dens = _forward_moments(m, pi)
-    forward = list(map(operator.mul, nums, moments.dens))
-    given = list(map(operator.mul, moments.nums, dens))
-    if forward != given:
-        mask = next(mask for mask, (a, b) in enumerate(zip(forward, given)) if a != b)
+
+    def mismatches():
+        return map(operator.ne, map(operator.mul, nums, moments.dens),
+                   map(operator.mul, moments.nums, dens))
+
+    # any() keeps no table of cross-products; a refusal scans again for its mask
+    if any(mismatches()):
         raise DomainError(
             "moments are inconsistent with every weight vector",
-            witness={"subset_mask": mask},
+            witness={"subset_mask": next(compress(count(), mismatches()))},
         )
     return pi

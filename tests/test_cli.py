@@ -525,6 +525,12 @@ def test_undecodable_stdin_is_an_input_error():
     assert stderr.getvalue().startswith("hadamix rank: cannot read stdin: 'utf-8' codec")
 
 
+# the document the CI workflow also sends through the installed `hadamix` script
+MOMENTS_DOCUMENT = (
+    '{"m": {"rows": 2, "cols": 2, "data": [["1/4", "3/4"], ["1/3", "1"]]}, "pi": ["1/3", "2/3"]}'
+)
+
+
 def test_module_runs_as_a_process():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -532,13 +538,16 @@ def test_module_runs_as_a_process():
         (["rank"], DUP_COLS, 0),
         (["nae-restrict"], DUP_COLS, 1),
         (["rank"], "{not json", 2),
+        (["moments"], MOMENTS_DOCUMENT, 0),
     ]:
         done = subprocess.run(
-            [sys.executable, "-m", "hadamix.cli", *argv], input=text, capture_output=True,
-            text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+            [sys.executable, "-m", "hadamix.cli", *argv], input=text.encode(),
+            capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
         )
-        assert (done.returncode, done.stdout, done.stderr) == run_cli(argv, text)
-        assert done.returncode == code
+        # byte for byte, as a shell pipe sees them
+        rc, out, err = run_cli(argv, text)
+        assert (done.returncode, done.stdout, done.stderr) == (rc, out.encode(), err.encode())
+        assert rc == code
 
 
 def test_domain_error_object_and_exit_code():

@@ -32,10 +32,12 @@ from hadamix import (
     identifiability_gate,
     is_separated,
     matrix_to_json,
+    mixture,
     moment_map,
     recover_pi,
 )
 from hadamix.exact_core import rational_to_json
+from hadamix.mixture import _check_moments
 
 HALF = Fraction(1, 2)
 
@@ -197,11 +199,69 @@ def test_moment_map_invariants_on_random_params():
         n, k = rng.randint(0, 5), rng.randint(1, 4)
         m = random_matrix(rng, n, k, PROB_POOL)
         params = MixtureParams(m, random_distribution(rng, k))
-        # the constructor re-checks all invariants
-        moments = moment_values(moment_map(params))
+        built = moment_map(params)
+        # moment_map does not check what it built; the check must pass
+        _check_moments(n, built.nums, built.dens)
+        moments = moment_values(built)
         assert moments[0] == 1
         for mask in range(1 << n):
             assert 0 <= moments[mask] <= 1
+
+
+@st.composite
+def pool_mixtures(draw):
+    """Mixtures with n 0-8, k 1-5 and entries from PROB_POOL, which holds 0
+    and 1, and weights with zeros: moment tables full of ties."""
+    n, k = draw(st.integers(0, 8)), draw(st.integers(1, 5))
+    rows = [[draw(st.sampled_from(PROB_POOL)) for _ in range(k)] for _ in range(n)]
+    raw = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+    return MixtureParams(RMatrix.from_rows(rows, k), tuple(Fraction(w, sum(raw)) for w in raw))
+
+
+@settings(deadline=None, max_examples=150)
+@given(pool_mixtures())
+def test_moment_map_builds_what_the_check_accepts(params):
+    # the proof in moment_map's docstring: its unchecked tables pass every
+    # check of _check_moments and are in lowest terms
+    built = moment_map(params)
+    n = params.m.n_rows
+    assert built.n == n
+    _check_moments(n, built.nums, built.dens)
+    assert all(math.gcd(num, den) == 1 for num, den in zip(built.nums, built.dens))
+    assert MomentVector(n, built.nums, built.dens) == built
+
+
+def test_only_the_public_builders_run_the_moment_check(monkeypatch):
+    rng = random.Random(79)
+    params = MixtureParams(random_matrix(rng, 6, 3, PROB_POOL), random_distribution(rng, 3))
+    calls = Counter()
+    fault = mixture._first_moment_fault
+
+    def counted(*args):
+        calls["check"] += 1
+        return fault(*args)
+
+    monkeypatch.setattr(mixture, "_first_moment_fault", counted)
+    built = moment_map(params)
+    assert calls["check"] == 0
+    assert MomentVector.from_json_obj(built.to_json_obj()) == built
+    assert calls["check"] == 1
+    assert MomentVector(built.n, built.nums, built.dens) == built
+    assert calls["check"] == 2
+
+
+def test_the_constructor_reduces_to_lowest_terms():
+    scaled = MomentVector(1, (2, 1), (2, 2))
+    assert (scaled.nums, scaled.dens) == ((1, 1), (1, 2))
+    assert scaled == MomentVector(1, (1, 1), (1, 2))
+    assert scaled.to_json_obj() == {"n": 1, "moments": {"0": 1, "1": "1/2"}}
+    zero = MomentVector(1, [3, 0], [3, 7])
+    assert (zero.nums, zero.dens) == ((1, 0), (1, 1))
+    # the check reads the raw tables, so messages name the integers given
+    with pytest.raises(DomainError) as err:
+        MomentVector(1, (2, 0), (2, -4))
+    assert (str(err.value), err.value.witness) == (
+        "moment denominator -4 for mask 1 is not positive", {"subset_mask": 1})
 
 
 def test_moment_map_multilinear_in_weights():
@@ -509,7 +569,8 @@ def test_moment_commands_build_no_fraction_per_mask(monkeypatch):
 @moment_oracle
 @given(mixtures(), st.data())
 def test_both_moment_builders_write_tables_in_lowest_terms(params, data):
-    # the constructor takes lowest terms on trust; its two builders meet it
+    # moment_map divides by the gcds, and rational_pair reads each entry
+    # in lowest terms; neither is reduced again
     built = moment_map(params)
     scale = data.draw(st.integers(1, 10**6))
     document = {
