@@ -98,8 +98,10 @@ def _witness_to_json(witness: object) -> object:
         return witness
     if isinstance(witness, SubsetIndex):
         return _subset_to_list(witness)
-    fields = witness if isinstance(witness, dict) else vars(witness)
-    return {name: _witness_to_json(value) for name, value in fields.items()}
+    if isinstance(witness, dict):
+        return {name: _witness_to_json(value) for name, value in witness.items()}
+    # a record: its fields in declaration order
+    return {name: _witness_to_json(getattr(witness, name)) for name in witness.__slots__}
 
 
 def integer(text: str) -> int:

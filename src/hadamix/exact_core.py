@@ -11,7 +11,6 @@ its exact (numerator, denominator) pair, hashed in C, not in Python code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -93,19 +92,62 @@ def rational_to_json(q: Fraction) -> int | str:
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+class _Record:
+    """Base of hadamix's immutable records, the contract of a frozen dataclass.
+
+    A record lists its fields in `__slots__`, in declaration order, and its
+    own `__init__` sets each with object.__setattr__. Equality, hash and
+    repr read the tuple of its `_compared` fields: every slot, unless the
+    record names fewer. Records of different classes never compare equal.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._compared = cls.__dict__.get("_compared", cls.__slots__)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Subset bitmasks
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
+class SubsetIndex(_Record):
     """Subset of {0, ..., size-1} stored as a bitmask.
 
     Iteration yields members in increasing index order. The ground set
     may be of any size: no check builds 2^size.
     """
 
-    size: int
-    mask: int = 0
+    __slots__ = ("size", "mask")
+
+    def __init__(self, size: int, mask: int = 0) -> None:
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "mask", mask)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.size < 0:
@@ -199,13 +241,17 @@ def masks_by_cardinality(n: int) -> Iterator[int]:
 # Matrices
 
 
-@dataclass(frozen=True)
-class RMatrix:
+class RMatrix(_Record):
     """Dense n x k matrix of rationals; immutable, row-major."""
 
-    n_rows: int
-    n_cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("n_rows", "n_cols", "entries")
+
+    def __init__(self, n_rows: int, n_cols: int,
+                 entries: tuple[tuple[Fraction, ...], ...]) -> None:
+        object.__setattr__(self, "n_rows", n_rows)
+        object.__setattr__(self, "n_cols", n_cols)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n_rows < 0 or self.n_cols < 0:
@@ -371,18 +417,24 @@ def _unit_rows(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zeros[:p] + (1,) + zeros[p + 1:] for p in range(k))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Record):
     """Subspace of Q^k held as its unique RREF basis, zero rows removed.
 
     The basis is stored once, as primitive integer rows (see the kernel notes
     above); dividing each row by its pivot entry gives the rational RREF.
-    Equal rows mean equal subspaces, because the form is canonical.
+    Equal rows mean equal subspaces, because the form is canonical, so the
+    pivots, which the rows determine, are left out of equality, hash and repr.
     """
 
-    ambient_dim: int
-    rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...] = field(compare=False, repr=False)
+    __slots__ = ("ambient_dim", "rows", "pivots")
+    _compared = ("ambient_dim", "rows")
+
+    def __init__(self, ambient_dim: int, rows: tuple[tuple[int, ...], ...],
+                 pivots: tuple[int, ...]) -> None:
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivots", pivots)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.pivots) != len(self.rows) \

@@ -22,7 +22,6 @@ once, shared by every subset that extends it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterator, Sequence
@@ -33,6 +32,7 @@ from .exact_core import (
     Subspace,
     SubsetIndex,
     _count_subsets,
+    _Record,
     masks_by_cardinality,
     masks_of_weight,
     ones,
@@ -58,8 +58,7 @@ def _check_columns(k: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class RowspaceState:
+class RowspaceState(_Record):
     """Rowspace of the extension restricted to `chosen_rows`: the state
     `extend_rowspace` folds.
 
@@ -68,8 +67,12 @@ class RowspaceState:
     are added.
     """
 
-    chosen_rows: SubsetIndex
-    space: Subspace
+    __slots__ = ("chosen_rows", "space")
+
+    def __init__(self, chosen_rows: SubsetIndex, space: Subspace) -> None:
+        object.__setattr__(self, "chosen_rows", chosen_rows)
+        object.__setattr__(self, "space", space)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.space.contains([1] * self.space.ambient_dim):
@@ -175,8 +178,7 @@ def full_extension_rank(m: RMatrix) -> int:
     return _fold(m)[1].dim
 
 
-@dataclass(frozen=True)
-class NotFullRank:
+class NotFullRank(_Record):
     """Greedy outcome when no row subset certifies full column rank.
 
     `rank` is the exact rank of the full extension: no row outside the
@@ -185,7 +187,10 @@ class NotFullRank:
     of the whole extension.
     """
 
-    rank: int
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: int) -> None:
+        object.__setattr__(self, "rank", rank)
 
 
 def greedy_min_rows(m: RMatrix) -> SubsetIndex | NotFullRank:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from typing import Sequence
@@ -21,8 +20,10 @@ from .exact_core import (
     DomainError,
     InputFormatError,
     InternalInvariantError,
+    RationalLike,
     RMatrix,
     SubsetIndex,
+    _Record,
     _solve_rows,
     _spread,
     as_vector,
@@ -38,19 +39,21 @@ from .hadamard import (
 )
 
 
-@dataclass(frozen=True)
-class MixtureParams:
+class MixtureParams(_Record):
     """Conditional probability matrix plus mixture weights.
 
     Entries of m must lie in [0, 1]; pi must be a probability vector with
     exact unit sum.
     """
 
-    m: RMatrix
-    pi: tuple[Fraction, ...]
+    __slots__ = ("m", "pi")
+
+    def __init__(self, m: RMatrix, pi: Sequence[RationalLike]) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "pi", as_vector(pi))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pi", as_vector(self.pi))
         if len(self.pi) != self.m.n_cols:
             raise DomainError(
                 f"pi has {len(self.pi)} entries for {self.m.n_cols} columns"
@@ -170,8 +173,7 @@ def _first_moment_fault(n: int, nums: Sequence[int], dens: Sequence[int]) -> int
     return None if first == total else first
 
 
-@dataclass(frozen=True)
-class MomentVector:
+class MomentVector(_Record):
     """One exact moment per subset of [n], as integer tables indexed by mask.
 
     The moment of the subset `mask` is nums[mask] / dens[mask], in lowest
@@ -182,9 +184,13 @@ class MomentVector:
     lowest terms, so equal moments give equal vectors.
     """
 
-    n: int
-    nums: tuple[int, ...]
-    dens: tuple[int, ...]
+    __slots__ = ("n", "nums", "dens")
+
+    def __init__(self, n: int, nums: tuple[int, ...], dens: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "dens", dens)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_moments(self.n, self.nums, self.dens)
@@ -309,8 +315,7 @@ def is_separated(m: RMatrix, i: int) -> bool:
     return len({x.as_integer_ratio() for x in m.entries[i]}) == m.n_cols
 
 
-@dataclass(frozen=True)
-class GateReport:
+class GateReport(_Record):
     """Identifiability gate: extension rank plus supporting evidence.
 
     `separated_needed` (2k-1 separated rows) is reported for reference
@@ -318,13 +323,19 @@ class GateReport:
     here.
     """
 
-    n_rows: int
-    n_cols: int
-    extension_rank: int
-    full_rank: bool
-    certificate: SubsetIndex | None
-    separated_rows: SubsetIndex
-    separated_needed: int
+    __slots__ = ("n_rows", "n_cols", "extension_rank", "full_rank", "certificate",
+                 "separated_rows", "separated_needed")
+
+    def __init__(self, n_rows: int, n_cols: int, extension_rank: int, full_rank: bool,
+                 certificate: SubsetIndex | None, separated_rows: SubsetIndex,
+                 separated_needed: int) -> None:
+        object.__setattr__(self, "n_rows", n_rows)
+        object.__setattr__(self, "n_cols", n_cols)
+        object.__setattr__(self, "extension_rank", extension_rank)
+        object.__setattr__(self, "full_rank", full_rank)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "separated_rows", separated_rows)
+        object.__setattr__(self, "separated_needed", separated_needed)
 
     @property
     def separated_count(self) -> int:

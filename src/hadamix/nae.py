@@ -11,7 +11,6 @@ on the values themselves.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .exact_core import (
     DomainError,
@@ -20,6 +19,7 @@ from .exact_core import (
     SubsetIndex,
     _count_subsets,
     _members,
+    _Record,
     _spread,
     masks_of_weight,
 )
@@ -39,17 +39,21 @@ _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 Classes = list[tuple[int, tuple[int, ...]]]
 
 
-@dataclass(frozen=True)
-class NaeReport:
+class NaeReport(_Record):
     """Minimum deficiency together with the column subset achieving it.
 
     `witness_columns` is the smallest-bitmask minimizer; `eps_bar` equals
     |nae_rows_of_witness| - |witness_columns| by construction.
     """
 
-    eps_bar: int
-    witness_columns: SubsetIndex
-    nae_rows_of_witness: SubsetIndex
+    __slots__ = ("eps_bar", "witness_columns", "nae_rows_of_witness")
+
+    def __init__(self, eps_bar: int, witness_columns: SubsetIndex,
+                 nae_rows_of_witness: SubsetIndex) -> None:
+        object.__setattr__(self, "eps_bar", eps_bar)
+        object.__setattr__(self, "witness_columns", witness_columns)
+        object.__setattr__(self, "nae_rows_of_witness", nae_rows_of_witness)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.witness_columns) == 0:

@@ -11,7 +11,6 @@ projections, which happens exactly when span(U union v*U) = U.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Sequence
@@ -24,6 +23,7 @@ from .exact_core import (
     RMatrix,
     Subspace,
     SubsetIndex,
+    _Record,
     as_vector,
     scale_to_integers,
 )
@@ -33,14 +33,17 @@ from .exact_core import (
 VECTOR_GUARD = 62
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """Blocks of equal coordinates, indexed by strictly decreasing value:
     the result of blocks_of."""
 
-    ambient: int
-    values: tuple[Fraction, ...]
-    blocks: tuple[SubsetIndex, ...]
+    __slots__ = ("ambient", "values", "blocks")
+
+    def __init__(self, ambient: int, values: tuple[Fraction, ...],
+                 blocks: tuple[SubsetIndex, ...]) -> None:
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "blocks", blocks)
 
     def __len__(self) -> int:
         return len(self.blocks)

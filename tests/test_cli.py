@@ -11,7 +11,7 @@ import pytest
 
 from hadamix import InputFormatError, cli, nae, partition_algebra
 from hadamix.cli import main
-from hadamix.exact_core import rational_pair
+from hadamix.exact_core import SubsetIndex, rational_pair
 
 
 def run_cli(argv, stdin_text=""):
@@ -548,6 +548,24 @@ def test_module_runs_as_a_process():
         rc, out, err = run_cli(argv, text)
         assert (done.returncode, done.stdout, done.stderr) == (rc, out.encode(), err.encode())
         assert rc == code
+
+
+def test_importing_the_cli_pulls_in_neither_dataclasses_nor_inspect():
+    # -S keeps the interpreter's site hooks (.pth files) out of the check
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, hadamix.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"[]\n", b"")
+
+
+def test_witness_writer_walks_a_record_in_declaration_order():
+    report = nae.NaeReport(-2, SubsetIndex(3, 0b110), SubsetIndex(2, 0))
+    written = cli._witness_to_json(report)
+    assert list(written.items()) == [
+        ("eps_bar", -2), ("witness_columns", [2, 3]), ("nae_rows_of_witness", [])]
+    witness = {"row": 2, "col": 1}
+    assert list(cli._witness_to_json(witness).items()) == [("row", 2), ("col", 1)]
 
 
 def test_domain_error_object_and_exit_code():

@@ -3,14 +3,17 @@
 `benchmarks/ladder.py` is run by hand, not by the tests, so a renamed or
 moved function would break it unseen. These tests load it as a file (as
 `tests/test_benchmark_contract.py` loads the benchmark tracer), which
-builds every case, and resolve every kernel the cases name; they time
-nothing.
+builds every case, and resolve every kernel the cases name. The
+whole-process timer `benchmarks/process.py` runs one process per side.
+The tests time nothing.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+import hadamix
 
 LADDER = Path(__file__).resolve().parents[1] / "benchmarks" / "ladder.py"
 
@@ -74,3 +77,24 @@ def test_compare_summarizes_rounds_and_lists_mismatches_first(compare):
     # a row missing from any run is left out
     change[3] = change[3][:1]
     assert [row["kernel"] for row in compare.summarize(parent, change)] == ["x"]
+
+
+def test_process_timer_runs_each_side_and_checks_their_outputs(monkeypatch):
+    # one process per side on one command, this checkout's src as both sides
+    monkeypatch.syspath_prepend(str(LADDER.parent))  # process.py imports compare
+    spec = importlib.util.spec_from_file_location("benchmarks_process",
+                                                  LADDER.with_name("process.py"))
+    process = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(process)
+    assert list(process.COMMANDS) == ["rank", "nae-check", "moments", "blocks"]
+    src = Path(hadamix.__file__).resolve().parents[1]
+    runs = process.measure({"parent": src, "change": src},
+                           {"rank": process.COMMANDS["rank"]}, 1)
+    (row,) = process.summarize(runs)
+    assert set(row) == {"command", "parent_median_s", "change_median_s", "parent_iqr_s",
+                        "change_wins", "rounds", "outputs_match"}
+    assert (row["command"], row["rounds"], row["parent_iqr_s"], row["outputs_match"]) == (
+        "rank", 1, 0.0, True)
+    assert runs["parent"]["rank"][0]["code"] == 0
+    runs["change"]["rank"][0]["stdout"] += " "
+    assert process.summarize(runs)[0]["outputs_match"] is False
