@@ -10,9 +10,10 @@ Times `greedy_min_rows`, `full_extension_rank`, `exhaustive_min_rows`,
 `MomentVector` constructor and `from_json_obj` run),
 `MomentVector.from_json_obj` (with `json.loads`), `recover_pi`,
 `lagrange_projection`, `blocks_of` and `respects` on the inputs of CASES,
-best of REPEATS runs, and writes the times with a digest of each answer to
-BENCH_<n>.json in the current directory, n being the first unused run
-number. Each run is bracketed by a fixed pure-Python calibration loop, as
+and `cli.main` on tiny documents (what an invocation pays besides its
+kernel; its answer is the stdout), best of REPEATS runs, and writes the
+times with a digest of each answer to BENCH_<n>.json in the current
+directory, n being the first unused run number. Each run is bracketed by a fixed pure-Python calibration loop, as
 in `clibench/run.py`, and its time is scaled by CALIBRATION_REFERENCE_S
 over the mean of the two calibration times, so that runs on a host whose
 speed drifts compare; each result records the raw and the scaled seconds
@@ -28,6 +29,7 @@ time nothing.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import platform
 import random
@@ -60,7 +62,7 @@ from hadamix import (
     respects,
     span,
 )
-from hadamix.cli import gen_hamming, gen_stairstep, gen_vandermonde
+from hadamix import cli
 from hadamix.mixture import _check_moments
 
 # Each time is the best of REPEATS runs; a run repeats the call until it
@@ -89,6 +91,23 @@ def calibrate() -> float:
 
 def host_speed() -> float:
     return min(calibrate() for _ in range(CALIBRATIONS))
+
+
+# The example families, as `gen` builds them; built here because compare.py
+# runs this ladder against checkouts that do not have hadamix.examples.
+def hamming(l: int) -> RMatrix:
+    """l x 2^l signs: entry (i, j) is -1 to the i-th bit of j."""
+    return RMatrix.from_rows([[(-1) ** (j >> i & 1) for j in range(1 << l)] for i in range(l)])
+
+
+def stairstep(k: int) -> RMatrix:
+    """(k-1) x k: 1 where i < j, 1/2 elsewhere."""
+    return RMatrix.from_rows([[1 if i < j else "1/2" for j in range(k)] for i in range(k - 1)])
+
+
+def vandermonde(k: int, copies: int, row: list[Fraction] | None) -> RMatrix:
+    """`copies` copies of `row`, by default 0..k-1."""
+    return RMatrix.from_rows([row or range(k)] * copies, k)
 
 
 def random_matrix(seed: int, n: int, k: int, dups: int = 0) -> RMatrix:
@@ -138,6 +157,17 @@ def tall_colour_matrix(seed: int, n: int, k: int, width: int) -> tuple[RMatrix, 
     rng = random.Random(seed)
     m = RMatrix.from_rows([[rng.randrange(4) for _ in range(k)] for _ in range(n)], k)
     return m, SubsetIndex.from_members(k, rng.sample(range(k), width))
+
+
+def cli_stdout(argv: list[str], document: str) -> str:
+    """What one in-process `hadamix` invocation prints on stdout."""
+    stdout = io.StringIO()
+    cli.main(argv, io.StringIO(document), stdout, io.StringIO())
+    return stdout.getvalue()
+
+
+TINY_MATRIX = '{"rows": 3, "cols": 3, "data": [[1, 2, 3], [1, "1/2", 0], [2, 2, "1/3"]]}'
+TINY_VECTOR = '{"v": [3, "1/2", 3, 0, "1/2"]}'
 
 
 class Mixture(NamedTuple):
@@ -195,13 +225,13 @@ CASES = [
      (GREEDY, RANK, EXTENSION)),
     ("random n=100 k=16", random_matrix(6, 100, 16), (GREEDY,)),
     ("desk n=12 k=16", desk_matrix(12, 12, 16), (GREEDY, RANK)),
-    ("hamming l=9", gen_hamming(9), (GREEDY, RANK, EXTENSION)),
-    ("stairstep k=40", gen_stairstep(40), (GREEDY,)),
-    ("vandermonde k=40 n=39", gen_vandermonde(40, 39, distinct_row(4, 40)), (GREEDY,)),
-    ("vandermonde k=6 n=12", gen_vandermonde(6, 12, distinct_row(5, 6)),
+    ("hamming l=9", hamming(9), (GREEDY, RANK, EXTENSION)),
+    ("stairstep k=40", stairstep(40), (GREEDY,)),
+    ("vandermonde k=40 n=39", vandermonde(40, 39, distinct_row(4, 40)), (GREEDY,)),
+    ("vandermonde k=6 n=12", vandermonde(6, 12, distinct_row(5, 6)),
      (GREEDY, RANK, EXTENSION, 5)),
-    ("vandermonde k=10 n=14", gen_vandermonde(10, 14, None), NAE),
-    ("vandermonde k=14 n=20", gen_vandermonde(14, 20, None), NAE),
+    ("vandermonde k=10 n=14", vandermonde(10, 14, None), NAE),
+    ("vandermonde k=14 n=20", vandermonde(14, 20, None), NAE),
     ("four colours n=6 k=6", colour_matrix(7, 6, 6), NAE),
     ("four colours n=2000 k=20 cols=10", tall_colour_matrix(13, 2000, 20, 10),
      ("nae_rows",)),
@@ -211,6 +241,9 @@ CASES = [
     ("mixture k=4 n=18", mixture(10, 18), MIXTURE),
     ("blocks k=48 b=29", block_vector(11, 48, 29),
      ("lagrange_projection", "blocks_of", "respects")),
+    ("cli nae-check 3x3", (["nae-check"], TINY_MATRIX), ("cli.main",)),
+    ("cli eps --cols 1 3x3", (["eps", "--cols", "1"], TINY_MATRIX), ("cli.main",)),
+    ("cli project --block 1 k=5", (["project", "--block", "1"], TINY_VECTOR), ("cli.main",)),
 ]
 # Each kernel is called on its case's input.
 KERNELS = {
@@ -228,6 +261,7 @@ KERNELS = {
     "lagrange_projection": lambda x: lagrange_projection(x.v, 0),
     "blocks_of": lambda x: blocks_of(x.v),
     "respects": lambda x: respects(x.u, x.v),
+    "cli.main": lambda x: cli_stdout(*x),
 }
 
 

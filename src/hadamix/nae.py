@@ -293,7 +293,8 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
         return f"matrix {n}x{k}, rows {rows:#x}, columns {cols:#x}"
 
     def scan(rows: int, cols: int) -> tuple[int, int, int]:
-        """(eps_bar, its witness, a largest deficiency -1 set or 0), as column masks.
+        """(eps_bar, its witness, a largest deficiency -1 set or 0), as masks
+        of the positions within `cols` (`_spread` maps them to m's columns).
 
         The largest set (smallest bitmask on ties) is looked for only where
         the recursion takes it: eps_bar == -1 and more than |cols|-1 rows.
@@ -303,10 +304,7 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
             if cols not in on_cols:
                 on_cols[cols] = _restrict_classes(classes, cols)
             width = cols.bit_count()
-            best, witness, largest = _scan(
-                on_cols[cols], rows, width, rows.bit_count() >= width > 1
-            )
-            scans[key] = (best, _spread(witness, cols), _spread(largest, cols))
+            scans[key] = _scan(on_cols[cols], rows, width, rows.bit_count() >= width > 1)
         return scans[key]
 
     def restrict(rows: int, cols: int) -> int:
@@ -325,6 +323,7 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
                     "no deficiency -1 column set despite eps_bar == -1"
                     f" ({where(rows, cols)})"
                 )
+            largest = _spread(largest, cols)
             forbidden = _nonconstant(classes, rows, largest)
             if largest != cols:
                 forbidden |= restrict(rows, cols & ~largest)
@@ -339,6 +338,7 @@ def nae_restrict(m: RMatrix) -> SubsetIndex:
         )
 
     all_rows, all_cols = (1 << n) - 1, (1 << k) - 1
+    # on all of m's columns the local masks are m's own
     report = _report(classes, n, k, scan(all_rows, all_cols))
     if not report.satisfies_nae:
         raise DomainError(

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hadamix import InputFormatError, cli, nae, partition_algebra
+from hadamix import InputFormatError, cli, examples, nae, partition_algebra
 from hadamix.cli import main
 from hadamix.exact_core import SubsetIndex, rational_pair
 
@@ -60,7 +60,7 @@ def test_gen_stairstep_golden():
 
 def test_gen_families_hold_one_object_per_distinct_entry():
     # l * 2^l entries at --l 20 would otherwise be that many Fractions
-    for matrix, distinct in [(cli.gen_hamming(5), 2), (cli.gen_stairstep(6), 2)]:
+    for matrix, distinct in [(examples.gen_hamming(5), 2), (examples.gen_stairstep(6), 2)]:
         entries = [x for row in matrix.entries for x in row]
         assert len(set(entries)) == len(set(map(id, entries))) == distinct
 
@@ -550,13 +550,37 @@ def test_module_runs_as_a_process():
         assert rc == code
 
 
-def test_importing_the_cli_pulls_in_neither_dataclasses_nor_inspect():
-    # -S keeps the interpreter's site hooks (.pth files) out of the check
+def _probe(code):
+    """stdout of `code` in a fresh interpreter that imports this checkout's
+    hadamix; -S keeps the interpreter's site hooks (.pth files) out of it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    probe = "import sys, hadamix.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, b"[]\n", b"")
+    assert (done.returncode, done.stderr) == (0, b""), done
+    return done.stdout.decode()
+
+
+def test_importing_the_cli_pulls_in_neither_dataclasses_nor_inspect():
+    # nor the example families and the selftest corpus, which only `gen`
+    # and `selftest` import
+    unwanted = "{'dataclasses', 'inspect', 'hadamix.examples'}"
+    probe = f"import sys, hadamix.cli; print(sorted({unwanted} & set(sys.modules)))"
+    assert _probe(probe) == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [["gen", "hamming", "--l", "2"], ["selftest"]], ids=" ".join)
+def test_gen_and_selftest_load_the_examples_and_answer_as_before(argv):
+    probe = (
+        "import io, sys, hadamix.cli as cli\n"
+        "loaded = lambda: 'hadamix.examples' in sys.modules\n"
+        "before, out = loaded(), io.StringIO()\n"
+        f"code = cli.main({argv!r}, io.StringIO(), out, io.StringIO())\n"
+        "print(before, loaded(), code)\n"
+        "print(out.getvalue(), end='')\n"
+    )
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert _probe(probe) == f"False True 0\n{out}"
 
 
 def test_witness_writer_walks_a_record_in_declaration_order():
@@ -696,18 +720,47 @@ def test_each_call_writes_only_to_its_own_streams(capsys):
 
 def test_a_parser_that_raises_leaves_the_process_streams_as_they_were(monkeypatch, capsys):
     class Failing(argparse.ArgumentParser):
-        def parse_args(self, args=None, namespace=None):
-            print("partial", file=sys.stderr)
+        def parse_known_args(self, args=None, namespace=None):  # parse_args calls it
+            print(f"partial {self.prog}", file=sys.stderr)
             raise LookupError("parser failed")
 
-    monkeypatch.setattr(cli, "_build_parser", Failing)
+    root, command = Failing(prog="hadamix"), Failing(prog="hadamix rank")
+    monkeypatch.setattr(cli, "_build_parser", lambda: (root, {"rank": command}))
     process_streams = sys.stdin, sys.stdout, sys.stderr
-    err = io.StringIO()
-    with pytest.raises(LookupError, match="parser failed"):
-        main(["rank"], io.StringIO(), io.StringIO(), err)
-    assert (sys.stdin, sys.stdout, sys.stderr) == process_streams
-    assert err.getvalue() == "partial\n"
+    for argv, prog in [(["rank"], "hadamix rank"), (["--help"], "hadamix")]:
+        err = io.StringIO()
+        with pytest.raises(LookupError, match="parser failed"):
+            main(argv, io.StringIO(), io.StringIO(), err)
+        assert (sys.stdin, sys.stdout, sys.stderr) == process_streams
+        assert err.getvalue() == f"partial {prog}\n"
     assert capsys.readouterr() == ("", "")
+
+
+# argv that main hands straight to the command's parser, and argv that must
+# still take the root parser
+DISPATCH_CASES = [
+    [], ["-h"], ["--help"], ["--hel"],
+    ["foo"], ["RANK"], ["ran"], ["-x", "rank"], ["--", "rank"],
+    ["rank", "-h"], ["rank", "-h", "extra"], ["rank", "extra"], ["rank", "--bogus"],
+    ["rank", "-x"],
+    ["rank", "--inp", "F"], ["rank", "--input=F"], ["rank", "--input"],
+    ["rank", "--input", "a", "--input", "b"], ["rank", "--", "x"],
+    ["minrows", "--exh"], ["minrows", "--exhaustive=1"], ["minrows", "--size", "2"],
+    ["eps"], ["eps", "--cols"], ["eps", "--cols", "-1"], ["eps", "--cols=1"],
+    ["project", "--block", "-1"], ["project", "--block", "1", "--block", "2"],
+    ["gen"], ["gen", "-h"], ["gen", "hamming", "--l", "2", "--x"],
+    ["gen", "hamming", "--l", "2", "extra"], ["gen", "hamming", "--", "--l", "2"],
+    ["selftest", "--input", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CASES, ids=" ".join)
+def test_dispatch_on_the_command_name_answers_as_the_root_parser(monkeypatch, argv):
+    shipped = run_cli(argv, DUP_COLS)
+    root, commands = cli._build_parser()
+    assert commands  # the shipped run could take the command's parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: (root, {}))
+    assert shipped == run_cli(argv, DUP_COLS)
 
 
 def test_parser_is_built_once_per_process(monkeypatch):
@@ -793,7 +846,7 @@ def test_selftest_passes():
 
 @pytest.mark.parametrize("message, detail", [("", "assertion failed"), ("rank 3", "rank 3")])
 def test_selftest_reports_a_failed_check(monkeypatch, message, detail):
-    real = cli._selftest_checks
+    real = examples._selftest_checks
 
     def fail():
         raise AssertionError(message)
@@ -802,7 +855,7 @@ def test_selftest_reports_a_failed_check(monkeypatch, message, detail):
         (name, _), *rest = real()
         return [(name, fail), *rest]
 
-    monkeypatch.setattr(cli, "_selftest_checks", one_failing)
+    monkeypatch.setattr(examples, "_selftest_checks", one_failing)
     code, out, _ = run_cli(["selftest"])
     assert code == 1
     report = json.loads(out)

@@ -9,11 +9,16 @@ The tests time nothing.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import hadamix
+from hadamix import examples
 
 LADDER = Path(__file__).resolve().parents[1] / "benchmarks" / "ladder.py"
 
@@ -38,6 +43,35 @@ def test_every_case_builds_and_names_known_kernels(ladder):
 def test_every_kernel_is_named_by_some_case(ladder):
     named = {kernel for _, _, kernels in ladder.CASES for kernel in kernels}
     assert set(ladder.KERNELS) <= named
+
+
+def test_the_families_match_gen_without_importing_it(ladder):
+    # compare.py runs this ladder against checkouts that have no
+    # hadamix.examples, so the ladder builds the families itself
+    row = ladder.distinct_row(5, 6)
+    for built, generated in [
+        (ladder.hamming(4), examples.gen_hamming(4)),
+        (ladder.stairstep(6), examples.gen_stairstep(6)),
+        (ladder.vandermonde(5, 3, None), examples.gen_vandermonde(5, 3, None)),
+        (ladder.vandermonde(6, 12, row), examples.gen_vandermonde(6, 12, row)),
+    ]:
+        assert (built, repr(built)) == (generated, repr(generated))
+    load = ("import importlib.util, sys\n"
+            f"spec = importlib.util.spec_from_file_location('ladder', {str(LADDER)!r})\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "print('hadamix.examples' in sys.modules)")
+    src = str(Path(hadamix.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", load], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"False\n", b"")
+
+
+def test_each_cli_case_answers_with_one_json_document(ladder):
+    cases = [x for _, x, kernels in ladder.CASES if "cli.main" in kernels]
+    assert [argv[0] for argv, _ in cases] == ["nae-check", "eps", "project"]
+    for x in cases:
+        stdout = ladder.KERNELS["cli.main"](x)
+        assert stdout.endswith("\n") and "error" not in json.loads(stdout), x
 
 
 COMPARE = LADDER.with_name("compare.py")

@@ -30,7 +30,7 @@ from hadamix import (
     nae_restrict,
     nae_rows,
 )
-from hadamix.cli import gen_stairstep
+from hadamix.examples import gen_stairstep
 
 STAIRSTEP_3 = RMatrix.from_rows(
     [[Fraction(1, 2), 1, 1], [Fraction(1, 2), Fraction(1, 2), 1]]
