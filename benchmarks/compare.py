@@ -7,8 +7,10 @@ fresh interpreter whose PYTHONPATH is that side's `src` directory, and
 switches which side goes first every round, so that a drift in host speed
 falls on both sides alike. For each (case, kernel) it reports each side's
 median scaled time, the spread of the parent's runs (the distance between
-their quartiles), how many rounds the change was faster, and whether every
-run gave the same answer digest; mismatches are listed first. The summary
+their quartiles), how many rounds the change was faster, whether the
+difference of the medians exceeds that spread ("unresolved" when it does
+not: such a row shows no change either way, whatever its wins), and whether
+every run gave the same answer digest; mismatches are listed first. The summary
 is printed and written to BENCH_compare_<n>.json in the current directory,
 n being the first unused number. Both sides run this checkout's ladder, so
 its cases must build against both.
@@ -64,12 +66,14 @@ def summarize(parent: list[list[dict]], change: list[list[dict]]) -> list[dict]:
         p = [r["scaled_s"] for r in ours]
         c = [r["scaled_s"] for r in theirs]
         q1, _, q3 = statistics.quantiles(p, n=4)
+        parent_median, change_median = statistics.median(p), statistics.median(c)
         rows.append({
             "case": case,
             "kernel": kernel,
-            "parent_median_s": statistics.median(p),
-            "change_median_s": statistics.median(c),
+            "parent_median_s": parent_median,
+            "change_median_s": change_median,
             "parent_iqr_s": q3 - q1,
+            "resolved": abs(change_median - parent_median) > q3 - q1,
             "change_wins": sum(b < a for a, b in zip(p, c)),
             "rounds": len(p),
             "answers_match": len({r["answer"] for r in ours + theirs}) == 1,
@@ -93,6 +97,7 @@ def main(argv: list[str]) -> None:
               f" {row['parent_median_s'] * 1e3:9.3f} -> {row['change_median_s'] * 1e3:9.3f} ms"
               f"  iqr {row['parent_iqr_s'] * 1e3:7.3f}"
               f"  wins {row['change_wins']}/{row['rounds']}"
+              f"  {'resolved' if row['resolved'] else 'unresolved'}"
               f"  {'same answers' if row['answers_match'] else 'ANSWERS DIFFER'}")
     path = next(Path(f"BENCH_compare_{n}.json") for n in count(1)
                 if not Path(f"BENCH_compare_{n}.json").exists())

@@ -10,8 +10,9 @@ Times `greedy_min_rows`, `full_extension_rank`, `exhaustive_min_rows`,
 `MomentVector` constructor and `from_json_obj` run),
 `MomentVector.from_json_obj` (with `json.loads`), `recover_pi`,
 `lagrange_projection`, `blocks_of` and `respects` on the inputs of CASES,
-and `cli.main` on tiny documents (what an invocation pays besides its
-kernel; its answer is the stdout), best of REPEATS runs, and writes the
+and `cli.main` (its answer is the stdout) on tiny documents, which shows
+what an invocation pays besides its kernel, and on the 2^n-entry documents
+of `moments`, `recover-pi` and `hadext`, best of REPEATS runs, and writes the
 times with a digest of each answer to BENCH_<n>.json in the current
 directory, n being the first unused run number. Each run is bracketed by a fixed pure-Python calibration loop, as
 in `clibench/run.py`, and its time is scaled by CALIBRATION_REFERENCE_S
@@ -170,6 +171,12 @@ TINY_MATRIX = '{"rows": 3, "cols": 3, "data": [[1, 2, 3], [1, "1/2", 0], [2, 2, 
 TINY_VECTOR = '{"v": [3, "1/2", 3, 0, "1/2"]}'
 
 
+def matrix_document(m: RMatrix) -> dict:
+    """m as the CLI reads it."""
+    return {"rows": m.n_rows, "cols": m.n_cols,
+            "data": [[str(x) for x in row] for row in m.entries]}
+
+
 class Mixture(NamedTuple):
     """A mixture, its moments and their JSON document."""
 
@@ -188,6 +195,14 @@ def mixture(seed: int, n: int, k: int = 4) -> Mixture:
     params = MixtureParams(m, [Fraction(w, sum(weights)) for w in weights])
     moments = moment_map(params)
     return Mixture(params, moments, json.dumps(moments.to_json_obj()))
+
+
+def mixture_cli_cases(x: Mixture) -> list[tuple[list[str], str]]:
+    """The `moments` and `recover-pi` invocations on x's documents."""
+    m = matrix_document(x.params.m)
+    pi = [str(w) for w in x.params.pi]
+    return [(["moments"], json.dumps({"m": m, "pi": pi})),
+            (["recover-pi"], '{"m": %s, "moments": %s}' % (json.dumps(m), x.document))]
 
 
 class Blocks(NamedTuple):
@@ -218,6 +233,8 @@ def block_vector(seed: int, k: int, blocks: int) -> Blocks:
 GREEDY, RANK, EXTENSION = "greedy_min_rows", "full_extension_rank", "hadamard_extension"
 NAE = (GREEDY, "eps_bar", "nae_restrict", "exhaustive_nae_restrict")
 MIXTURE = ("moment_map", "MomentVector check", "json.loads + from_json_obj", "recover_pi")
+MIXTURE_N12 = mixture(14, 12)
+MOMENTS_N12, RECOVER_PI_N12 = mixture_cli_cases(MIXTURE_N12)
 CASES = [
     ("random n=10 k=32", random_matrix(1, 10, 32), (GREEDY, RANK, EXTENSION)),
     ("random n=10 k=48", random_matrix(2, 10, 48), (GREEDY, RANK, EXTENSION)),
@@ -235,7 +252,7 @@ CASES = [
     ("four colours n=6 k=6", colour_matrix(7, 6, 6), NAE),
     ("four colours n=2000 k=20 cols=10", tall_colour_matrix(13, 2000, 20, 10),
      ("nae_rows",)),
-    ("mixture k=4 n=12", mixture(14, 12), MIXTURE),
+    ("mixture k=4 n=12", MIXTURE_N12, MIXTURE),
     ("mixture k=4 n=14", mixture(8, 14), MIXTURE),
     ("mixture k=4 n=16", mixture(9, 16), MIXTURE),
     ("mixture k=4 n=18", mixture(10, 18), MIXTURE),
@@ -244,6 +261,10 @@ CASES = [
     ("cli nae-check 3x3", (["nae-check"], TINY_MATRIX), ("cli.main",)),
     ("cli eps --cols 1 3x3", (["eps", "--cols", "1"], TINY_MATRIX), ("cli.main",)),
     ("cli project --block 1 k=5", (["project", "--block", "1"], TINY_VECTOR), ("cli.main",)),
+    ("cli moments mixture k=4 n=12", MOMENTS_N12, ("cli.main",)),
+    ("cli recover-pi mixture k=4 n=12", RECOVER_PI_N12, ("cli.main",)),
+    ("cli hadext desk n=8 k=5",
+     (["hadext"], json.dumps(matrix_document(desk_matrix(15, 8, 5)))), ("cli.main",)),
 ]
 # Each kernel is called on its case's input.
 KERNELS = {

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import IO, Sequence
 
 from .exact_core import (
@@ -142,7 +143,15 @@ def _require_object(obj: object, keys: Sequence[str], what: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns a JSON-serializable payload
+# command handlers: each returns a JSON-serializable payload, or the text
+# of its document when that holds a 2^n-entry table
+
+# Rows per json.dumps call of hadext. The subset-product tables stay alive
+# while rows are encoded, so 64-row slices peaked higher on an n = 6 matrix
+# (one slice, 68 KiB) than one json.dumps after the tables were freed (56 KiB).
+HADEXT_SLICE = 16
+# Entries per joined slice of the moments document
+MOMENTS_SLICE = 256
 
 
 def _cmd_gen(args, stdin):
@@ -167,13 +176,17 @@ def _cmd_gen(args, stdin):
 
 
 def _cmd_hadext(args, stdin):
-    # each entry in lowest terms, as rational_to_json writes it
     matrix = matrix_from_json(_load_json(args, stdin))
-    data = []
-    for nums, dens in _extension_table(matrix):
-        data.append([x // g if g == d else f"{x // g}/{d // g}"
-                     for x, d, g in zip(nums, dens, map(math.gcd, nums, dens))])
-    return {"rows": 1 << matrix.n_rows, "cols": matrix.n_cols, "data": data}
+    rows = _extension_table(matrix)
+    # HADEXT_SLICE rows at a time, each entry in lowest terms as
+    # rational_to_json writes it, so that no list holds all 2^n rows
+    slices = []
+    while chunk := [[x // g if g == d else f"{x // g}/{d // g}"
+                     for x, d, g in zip(nums, dens, map(math.gcd, nums, dens))]
+                    for nums, dens in islice(rows, HADEXT_SLICE)]:
+        slices.append(json.dumps(chunk)[1:-1])
+    return (f'{{"cols": {matrix.n_cols}, "data": [{", ".join(slices)}],'
+            f' "rows": {1 << matrix.n_rows}}}')
 
 
 def _cmd_rank(args, stdin):
@@ -286,13 +299,30 @@ def _cmd_moments(args, stdin):
             f"entry ({row + 1},{col + 1}) = {matrix.entries[row][col]} is not a probability",
             witness={"row": row + 1, "col": col + 1},
         ) from None
-    return moment_map(params).to_json_obj()
+    return _moments_text(moment_map(params).to_json_obj())
+
+
+def _moments_text(obj: dict) -> str:
+    """json.dumps(obj, sort_keys=True) of a `MomentVector.to_json_obj`
+    document, MOMENTS_SLICE entries at a time: its keys are digits and its
+    values ints or "a/b" strings, none of which JSON escapes."""
+    table = obj["moments"]
+    keys = sorted(table)
+    slices = []
+    for start in range(0, len(keys), MOMENTS_SLICE):
+        chunk = keys[start:start + MOMENTS_SLICE]
+        slices.append(", ".join([
+            f'"{key}": "{value}"' if type(value) is str else f'"{key}": {value}'
+            for key, value in zip(chunk, map(table.__getitem__, chunk))
+        ]))
+    return f'{{"moments": {{{", ".join(slices)}}}, "n": {obj["n"]}}}'
 
 
 def _cmd_recover_pi(args, stdin):
     obj = _require_object(_load_json(args, stdin), ["m", "moments"], "recover-pi")
     matrix = matrix_from_json(obj["m"])
     moments = MomentVector.from_json_obj(obj["moments"])
+    del obj  # the document's 2^n keys and values, freed before the solve
     return {"pi": _vector_to_json(recover_pi(matrix, moments))}
 
 
@@ -411,7 +441,9 @@ def main(
         payload, code = {"error": f"internal invariant violated: {exc}", "witness": None}, 1
     else:
         code = int(args.command == "selftest" and not payload["ok"])
-    stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, sort_keys=True)
+    stdout.write(payload + "\n")
     return code
 
 

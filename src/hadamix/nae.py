@@ -162,6 +162,7 @@ def _constant_table(classes: Classes, rows: int, width: int, size: int) -> int:
         # at most ROW_SCAN_GUARD rows: the count is the field's low byte, its others stay zero
         packed[size * cmask] = count
     table = int.from_bytes(packed, "little")
+    del packed  # as large as the table, and not read again
     step = 8 * size
     keep = (1 << (step << (width - 1))) - 1  # the fields whose top bit is clear
     for b in reversed(range(width)):

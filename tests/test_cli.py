@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -9,9 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from hadamix import InputFormatError, cli, examples, nae, partition_algebra
+from hadamix import (
+    InputFormatError,
+    MixtureParams,
+    RMatrix,
+    cli,
+    examples,
+    moment_map,
+    nae,
+    partition_algebra,
+)
 from hadamix.cli import main
-from hadamix.exact_core import SubsetIndex, rational_pair
+from hadamix.exact_core import SubsetIndex, rational_pair, rational_to_json
 
 
 def run_cli(argv, stdin_text=""):
@@ -432,6 +442,86 @@ def test_moment_document_errors_keep_their_order_and_text():
                               '"witness": null}\n' % n, "")
             # refused before any table of 2^n entries (or the integer 2^n)
             assert peak < 64 * 1024, peak
+
+
+def mixture_document(rng, n, k):
+    """{m, pi} of an n x k mixture with a zero row and a row of ones, so
+    that the moments hold zeros and integer ones besides the empty set's."""
+    pool = [0, 1, "1/2", "1/3", "2/7", "5/8", "9/10"]
+    data = [[0] * k, [1] * k] + [[rng.choice(pool) for _ in range(k)] for _ in range(n - 2)]
+    rng.shuffle(data)
+    weights = [rng.randint(1, 9) for _ in range(k)]
+    pi = [f"{w}/{sum(weights)}" for w in weights]
+    return {"m": {"rows": n, "cols": k, "data": data}, "pi": pi}
+
+
+def test_the_moments_document_is_json_dumps_across_its_slices():
+    rng = random.Random(30)
+    for n in range(9, 13):  # 512 to 4096 entries: 2 to 16 slices
+        document = mixture_document(rng, n, rng.randint(1, 4))
+        params = MixtureParams(RMatrix.from_rows(document["m"]["data"], document["m"]["cols"]),
+                               document["pi"])
+        obj = moment_map(params).to_json_obj()
+        values = list(obj["moments"].values())
+        assert 0 in values and values.count(1) > 1 and any(isinstance(v, str) for v in values)
+        expected = json.dumps(obj, sort_keys=True) + "\n"
+        assert run_cli(["moments"], json.dumps(document)) == (0, expected, "")
+
+
+def mixture_n12():
+    document = mixture_document(random.Random(12), 12, 4)
+    params = MixtureParams(RMatrix.from_rows(document["m"]["data"], 4), document["pi"])
+    return document, moment_map(params)
+
+
+def test_recover_pi_frees_its_document_before_the_solve(monkeypatch):
+    document, moments = mixture_n12()
+    text = json.dumps({"m": document["m"], "moments": moments.to_json_obj()})
+    tracemalloc.start()
+    try:
+        parsed = json.loads(text)
+        document_size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del parsed
+    at_entry = []
+    solve = cli.recover_pi
+
+    def traced_recover_pi(m, vec):
+        at_entry.append(tracemalloc.get_traced_memory()[0])
+        return solve(m, vec)
+
+    monkeypatch.setattr(cli, "recover_pi", traced_recover_pi)
+    stdin, stdout = io.StringIO(text), io.StringIO()  # not traced: the input is given
+    tracemalloc.start()
+    try:
+        code = main(["recover-pi"], stdin, stdout, io.StringIO())
+    finally:
+        tracemalloc.stop()
+    pi = [rational_to_json(Fraction(x)) for x in document["pi"]]
+    assert (code, json.loads(stdout.getvalue())) == (0, {"pi": pi})
+    # what the solve starts with is the matrix and the moment tables, not
+    # the parsed document's 2^n keys and values as well
+    assert at_entry[0] < document_size, (at_entry, document_size)
+
+
+def test_the_moments_document_peaks_below_one_json_dumps():
+    document, moments = mixture_n12()
+    text = json.dumps(document)
+    run_cli(["moments"], text)  # the parser's own allocations
+    peaks = []
+    for encode in [lambda: run_cli(["moments"], text),
+                   lambda: json.dumps(moments.to_json_obj(), sort_keys=True)]:
+        tracemalloc.start()
+        try:
+            encode()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    command, one_dumps = peaks
+    # the whole command, parse and moment sums included, against the
+    # table and one json.dumps over it
+    assert command <= one_dumps * 3 / 4, peaks
 
 
 # ---------------------------------------------------------------------------

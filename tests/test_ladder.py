@@ -68,7 +68,8 @@ def test_the_families_match_gen_without_importing_it(ladder):
 
 def test_each_cli_case_answers_with_one_json_document(ladder):
     cases = [x for _, x, kernels in ladder.CASES if "cli.main" in kernels]
-    assert [argv[0] for argv, _ in cases] == ["nae-check", "eps", "project"]
+    assert [argv[0] for argv, _ in cases] == [
+        "nae-check", "eps", "project", "moments", "recover-pi", "hadext"]
     for x in cases:
         stdout = ladder.KERNELS["cli.main"](x)
         assert stdout.endswith("\n") and "error" not in json.loads(stdout), x
@@ -102,12 +103,18 @@ def test_compare_summarizes_rounds_and_lists_mismatches_first(compare):
     change = [_run((0.5, 5.0)), _run((2.5, 4.0)), _run((1.0, 6.0), ("a", "B")),
               _run((3.0, 4.0))]
     y_row, x_row = compare.summarize(parent, change)
+    # 3 wins of 4, but the medians differ by less than the parent's spread
     assert x_row == {"case": "c", "kernel": "x", "parent_median_s": 2.5,
-                     "change_median_s": 1.75, "parent_iqr_s": 2.5,
+                     "change_median_s": 1.75, "parent_iqr_s": 2.5, "resolved": False,
                      "change_wins": 3, "rounds": 4, "answers_match": True}
     # ties win for neither side; one differing answer marks the row
     assert (y_row["kernel"], y_row["change_wins"], y_row["parent_iqr_s"],
             y_row["answers_match"]) == ("y", 2, 0.0, False)
+    # the medians 5.0 and 4.5 differ by more than the parent's spread of 0
+    assert (y_row["change_median_s"], y_row["resolved"]) == (4.5, True)
+    # a difference equal to the spread is not resolved
+    change[1] = _run((2.5, 5.0))
+    assert [row["resolved"] for row in compare.summarize(parent, change)] == [False, False]
     # a row missing from any run is left out
     change[3] = change[3][:1]
     assert [row["kernel"] for row in compare.summarize(parent, change)] == ["x"]
