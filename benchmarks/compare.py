@@ -40,6 +40,26 @@ def schedule(rounds: int) -> list[tuple[str, str]]:
     return [SIDES if r % 2 == 0 else SIDES[::-1] for r in range(rounds)]
 
 
+def timing_row(p: list[float], c: list[float]) -> dict:
+    """The timing fields of a summary row from the parent's and the change's
+    times, round by round: each side's median, the parent's spread (the
+    distance between its quartiles; a single run has none), whether the
+    medians differ by more than that spread, and the rounds the change won."""
+    spread = 0.0
+    if len(p) > 1:
+        q1, _, q3 = statistics.quantiles(p, n=4)
+        spread = q3 - q1
+    parent_median, change_median = statistics.median(p), statistics.median(c)
+    return {
+        "parent_median_s": parent_median,
+        "change_median_s": change_median,
+        "parent_iqr_s": spread,
+        "resolved": abs(change_median - parent_median) > spread,
+        "change_wins": sum(b < a for a, b in zip(p, c)),
+        "rounds": len(p),
+    }
+
+
 def run_ladder(src: Path) -> list[dict]:
     """The results of one ladder run on the package in `src`."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -51,8 +71,7 @@ def run_ladder(src: Path) -> list[dict]:
 
 def summarize(parent: list[list[dict]], change: list[list[dict]]) -> list[dict]:
     """One row per (case, kernel) that every run reports, in the parent's
-    order with answer mismatches first; run i of each side is round i, and
-    each side needs at least two runs."""
+    order with answer mismatches first; run i of each side is round i."""
     def by_key(run: list[dict]) -> dict[tuple[str, str], dict]:
         return {(r["case"], r["kernel"]): r for r in run}
 
@@ -63,19 +82,10 @@ def summarize(parent: list[list[dict]], change: list[list[dict]]) -> list[dict]:
     for case, kernel in keys:
         ours = [run[case, kernel] for run in parent_runs]
         theirs = [run[case, kernel] for run in change_runs]
-        p = [r["scaled_s"] for r in ours]
-        c = [r["scaled_s"] for r in theirs]
-        q1, _, q3 = statistics.quantiles(p, n=4)
-        parent_median, change_median = statistics.median(p), statistics.median(c)
         rows.append({
             "case": case,
             "kernel": kernel,
-            "parent_median_s": parent_median,
-            "change_median_s": change_median,
-            "parent_iqr_s": q3 - q1,
-            "resolved": abs(change_median - parent_median) > q3 - q1,
-            "change_wins": sum(b < a for a, b in zip(p, c)),
-            "rounds": len(p),
+            **timing_row([r["scaled_s"] for r in ours], [r["scaled_s"] for r in theirs]),
             "answers_match": len({r["answer"] for r in ours + theirs}) == 1,
         })
     return sorted(rows, key=lambda row: row["answers_match"])

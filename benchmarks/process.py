@@ -9,9 +9,10 @@ this runs ROUNDS processes per side, each with PYTHONPATH set to that
 side's `src` directory, and switches which side goes first every round, as
 `compare.py` does. Per command it reports each side's median wall time,
 the spread of the parent's runs (the distance between their quartiles),
-how many rounds the change was faster, and whether every process printed
-the same stdout with the same exit code; mismatches are listed first and
-make the exit status 1. The summary is printed and written to
+how many rounds the change was faster, whether the difference of the
+medians exceeds that spread ("unresolved" when it does not, as in
+`compare.py`), and whether every process printed the same stdout with the
+same exit code; mismatches are listed first and make the exit status 1. The summary is printed and written to
 BENCH_process_<n>.json in the current directory, n being the first unused
 number, with the Python version, whether bytecode writing is disabled
 (then every process compiles hadamix afresh) and whether each side's
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -30,7 +30,7 @@ import time
 from itertools import count
 from pathlib import Path
 
-from compare import SIDES, schedule
+from compare import SIDES, schedule, timing_row
 
 # Runs per side and command. One process takes 80-200 ms; on a shared host
 # its time drifts by up to 20-30 ms over a few seconds, on both sides alike.
@@ -70,28 +70,14 @@ def measure(srcs: dict[str, Path], commands: dict[str, tuple[list[str], str]],
     return runs
 
 
-def _spread(values: list[float]) -> float:
-    """The distance between the quartiles; a single run has none."""
-    if len(values) < 2:
-        return 0.0
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return q3 - q1
-
-
 def summarize(runs: dict[str, dict[str, list[dict]]]) -> list[dict]:
     """One row per command, in COMMANDS order with output mismatches first."""
     rows = []
     for name in runs["parent"]:
         ours, theirs = runs["parent"][name], runs["change"][name]
-        p = [run["seconds"] for run in ours]
-        c = [run["seconds"] for run in theirs]
         rows.append({
             "command": name,
-            "parent_median_s": statistics.median(p),
-            "change_median_s": statistics.median(c),
-            "parent_iqr_s": _spread(p),
-            "change_wins": sum(b < a for a, b in zip(p, c)),
-            "rounds": len(p),
+            **timing_row([run["seconds"] for run in ours], [run["seconds"] for run in theirs]),
             "outputs_match": len({(run["code"], run["stdout"]) for run in ours + theirs}) == 1,
         })
     return sorted(rows, key=lambda row: row["outputs_match"])
@@ -108,6 +94,7 @@ def main(argv: list[str]) -> int:
               f" {row['parent_median_s'] * 1e3:8.1f} -> {row['change_median_s'] * 1e3:8.1f} ms"
               f"  iqr {row['parent_iqr_s'] * 1e3:6.1f}"
               f"  wins {row['change_wins']}/{row['rounds']}"
+              f"  {'resolved' if row['resolved'] else 'unresolved'}"
               f"  {'same outputs' if row['outputs_match'] else 'OUTPUTS DIFFER'}")
     path = next(Path(f"BENCH_process_{n}.json") for n in count(1)
                 if not Path(f"BENCH_process_{n}.json").exists())

@@ -98,16 +98,30 @@ def rational_to_json(q: Fraction) -> int | str:
 class _Record:
     """Base of hadamix's immutable records, the contract of a frozen dataclass.
 
-    A record lists its fields in `__slots__`, in declaration order, and its
-    own `__init__` sets each with object.__setattr__. Equality, hash and
-    repr read the tuple of its `_compared` fields: every slot, unless the
-    record names fewer. Records of different classes never compare equal.
+    A record names its fields once, in `__slots__`, in declaration order. Its
+    constructor is generated from them: one real `def` per record, compiled
+    once, as `namedtuple` builds its `__new__`, with one parameter per slot,
+    by position or by keyword. Only `SubsetIndex` writes its own `__init__`,
+    for the default `mask=0`. Each constructor sets the fields with
+    object.__setattr__ and then calls `__post_init__`, the one place a record
+    checks or normalizes its fields. Equality, hash and repr read the tuple
+    of its `_compared` fields: every slot, unless the record names fewer.
+    Records of different classes never compare equal.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._compared = cls.__dict__.get("_compared", cls.__slots__)
+        if "__init__" not in cls.__dict__:
+            sets = "".join(f"_set(self, {name!r}, {name}); " for name in cls.__slots__)
+            namespace = {"_set": object.__setattr__}
+            exec(f"def __init__(self, {', '.join(cls.__slots__)}): {sets}self.__post_init__()",
+                 namespace)
+            cls.__init__ = namespace["__init__"]
+
+    def __post_init__(self) -> None:
+        """Check or normalize the fields; the base has none."""
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._compared])
@@ -245,13 +259,6 @@ class RMatrix(_Record):
     """Dense n x k matrix of rationals; immutable, row-major."""
 
     __slots__ = ("n_rows", "n_cols", "entries")
-
-    def __init__(self, n_rows: int, n_cols: int,
-                 entries: tuple[tuple[Fraction, ...], ...]) -> None:
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "n_cols", n_cols)
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n_rows < 0 or self.n_cols < 0:
@@ -428,13 +435,6 @@ class Subspace(_Record):
 
     __slots__ = ("ambient_dim", "rows", "pivots")
     _compared = ("ambient_dim", "rows")
-
-    def __init__(self, ambient_dim: int, rows: tuple[tuple[int, ...], ...],
-                 pivots: tuple[int, ...]) -> None:
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "pivots", pivots)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.pivots) != len(self.rows) \

@@ -69,11 +69,6 @@ class RowspaceState(_Record):
 
     __slots__ = ("chosen_rows", "space")
 
-    def __init__(self, chosen_rows: SubsetIndex, space: Subspace) -> None:
-        object.__setattr__(self, "chosen_rows", chosen_rows)
-        object.__setattr__(self, "space", space)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if not self.space.contains([1] * self.space.ambient_dim):
             raise DomainError("extension rowspace must contain the all-ones vector")
@@ -188,10 +183,6 @@ class NotFullRank(_Record):
     """
 
     __slots__ = ("rank",)
-
-    def __init__(self, rank: int) -> None:
-        object.__setattr__(self, "rank", rank)
-
 
 def greedy_min_rows(m: RMatrix) -> SubsetIndex | NotFullRank:
     """Small row subset whose extension already has full column rank.

@@ -20,7 +20,6 @@ from .exact_core import (
     DomainError,
     InputFormatError,
     InternalInvariantError,
-    RationalLike,
     RMatrix,
     SubsetIndex,
     _Record,
@@ -48,12 +47,8 @@ class MixtureParams(_Record):
 
     __slots__ = ("m", "pi")
 
-    def __init__(self, m: RMatrix, pi: Sequence[RationalLike]) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "pi", as_vector(pi))
-        self.__post_init__()
-
     def __post_init__(self) -> None:
+        object.__setattr__(self, "pi", as_vector(self.pi))
         if len(self.pi) != self.m.n_cols:
             raise DomainError(
                 f"pi has {len(self.pi)} entries for {self.m.n_cols} columns"
@@ -185,12 +180,6 @@ class MomentVector(_Record):
     """
 
     __slots__ = ("n", "nums", "dens")
-
-    def __init__(self, n: int, nums: tuple[int, ...], dens: tuple[int, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "dens", dens)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_moments(self.n, self.nums, self.dens)
@@ -325,17 +314,6 @@ class GateReport(_Record):
 
     __slots__ = ("n_rows", "n_cols", "extension_rank", "full_rank", "certificate",
                  "separated_rows", "separated_needed")
-
-    def __init__(self, n_rows: int, n_cols: int, extension_rank: int, full_rank: bool,
-                 certificate: SubsetIndex | None, separated_rows: SubsetIndex,
-                 separated_needed: int) -> None:
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "n_cols", n_cols)
-        object.__setattr__(self, "extension_rank", extension_rank)
-        object.__setattr__(self, "full_rank", full_rank)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "separated_rows", separated_rows)
-        object.__setattr__(self, "separated_needed", separated_needed)
 
     @property
     def separated_count(self) -> int:

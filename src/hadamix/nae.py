@@ -48,13 +48,6 @@ class NaeReport(_Record):
 
     __slots__ = ("eps_bar", "witness_columns", "nae_rows_of_witness")
 
-    def __init__(self, eps_bar: int, witness_columns: SubsetIndex,
-                 nae_rows_of_witness: SubsetIndex) -> None:
-        object.__setattr__(self, "eps_bar", eps_bar)
-        object.__setattr__(self, "witness_columns", witness_columns)
-        object.__setattr__(self, "nae_rows_of_witness", nae_rows_of_witness)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if len(self.witness_columns) == 0:
             raise DomainError("witness column set must be nonempty")

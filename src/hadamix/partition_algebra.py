@@ -39,12 +39,6 @@ class Partition(_Record):
 
     __slots__ = ("ambient", "values", "blocks")
 
-    def __init__(self, ambient: int, values: tuple[Fraction, ...],
-                 blocks: tuple[SubsetIndex, ...]) -> None:
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "blocks", blocks)
-
     def __len__(self) -> int:
         return len(self.blocks)
 

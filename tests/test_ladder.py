@@ -120,22 +120,40 @@ def test_compare_summarizes_rounds_and_lists_mismatches_first(compare):
     assert [row["kernel"] for row in compare.summarize(parent, change)] == ["x"]
 
 
-def test_process_timer_runs_each_side_and_checks_their_outputs(monkeypatch):
-    # one process per side on one command, this checkout's src as both sides
+@pytest.fixture
+def process(monkeypatch):
     monkeypatch.syspath_prepend(str(LADDER.parent))  # process.py imports compare
     spec = importlib.util.spec_from_file_location("benchmarks_process",
                                                   LADDER.with_name("process.py"))
-    process = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(process)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_process_timer_runs_each_side_and_checks_their_outputs(process):
+    # one process per side on one command, this checkout's src as both sides
     assert list(process.COMMANDS) == ["rank", "nae-check", "moments", "blocks"]
     src = Path(hadamix.__file__).resolve().parents[1]
     runs = process.measure({"parent": src, "change": src},
                            {"rank": process.COMMANDS["rank"]}, 1)
     (row,) = process.summarize(runs)
     assert set(row) == {"command", "parent_median_s", "change_median_s", "parent_iqr_s",
-                        "change_wins", "rounds", "outputs_match"}
+                        "resolved", "change_wins", "rounds", "outputs_match"}
     assert (row["command"], row["rounds"], row["parent_iqr_s"], row["outputs_match"]) == (
         "rank", 1, 0.0, True)
     assert runs["parent"]["rank"][0]["code"] == 0
     runs["change"]["rank"][0]["stdout"] += " "
     assert process.summarize(runs)[0]["outputs_match"] is False
+
+
+def test_process_timer_marks_a_win_inside_the_parents_spread_unresolved(process):
+    def side(seconds):
+        return {"rank": [{"seconds": s, "code": 0, "stdout": "{}"} for s in seconds]}
+
+    runs = {"parent": side([1.0, 2.0, 3.0, 4.0]), "change": side([0.9, 1.9, 2.9, 3.9])}
+    (row,) = process.summarize(runs)
+    # 4 wins of 4, but the medians 2.5 and 2.4 lie within the spread of 2.5
+    assert (row["change_wins"], row["parent_iqr_s"], row["resolved"]) == (4, 2.5, False)
+    # the same medians are resolved against a parent without spread
+    runs["parent"] = side([2.5] * 4)
+    assert process.summarize(runs)[0]["resolved"] is True

@@ -4,8 +4,11 @@ Matrices are small (k <= 5 columns, n <= 8 rows) with entries drawn from
 1-4 distinct values, so ties, constant rows and equal columns are common.
 With n <= 8 the 2^n-row extension is small enough to materialize, and its
 rank by sympy, an implementation independent of the fold, is the oracle.
-The certificate bound and invariance versus block respect are criteria 1
-and 4 of test_acceptance.py and are not restated here.
+One more property states the identity that a k x k route to that rank
+rests on: the Gram matrix of the extension E is the entrywise product of
+the matrices J + m_i m_i^T, one per row m_i of m, and all three have the
+same rank. The certificate bound and invariance versus block respect are
+criteria 1 and 4 of test_acceptance.py and are not restated here.
 """
 
 from fractions import Fraction
@@ -78,3 +81,21 @@ def test_a_repeated_column_leaves_the_rank_short(m, data):
     m = RMatrix.from_rows([row[:j] + (row[i],) + row[j + 1:] for row in m.entries], m.n_cols)
     rank = full_extension_rank(m)
     assert rank == extension_rank(m) < m.n_cols, m
+
+
+@claims
+@given(matrices())
+def test_the_extension_rank_is_the_rank_of_its_gram_matrix(m):
+    # entry (j, l) of E^T E sums prod_{i in S} m_ij m_il over all row
+    # subsets S, which factors as prod_i (1 + m_ij m_il)
+    rows = hadamard_extension(m).entries
+    e = sympy.Matrix(len(rows), m.n_cols, [
+        sympy.Rational(*x.as_integer_ratio()) for row in rows for x in row
+    ])
+    gram = e.T * e
+    product = sympy.ones(m.n_cols, m.n_cols)
+    for row in m.entries:
+        col = sympy.Matrix([sympy.Rational(*x.as_integer_ratio()) for x in row])
+        product = product.multiply_elementwise(sympy.ones(m.n_cols, m.n_cols) + col * col.T)
+    assert gram == product, m
+    assert full_extension_rank(m) == extension_rank(m) == gram.rank() == product.rank(), m

@@ -3,10 +3,12 @@
 Each record is an immutable value: equal fields give equal instances with
 equal hashes, instances of two different records never compare equal, a
 field can be neither assigned nor deleted, the repr names every compared
-field in declaration order, and a constructor refuses bad arguments with
-a DomainError. The reprs and messages below are pinned as text.
+field in declaration order, a constructor takes exactly the slots, by
+position or by keyword, and it refuses bad arguments with a DomainError.
+The reprs and messages below are pinned as text.
 """
 
+import inspect
 from fractions import Fraction
 from itertools import combinations
 
@@ -95,6 +97,18 @@ def test_fields_can_be_neither_assigned_nor_deleted(make, fields, text):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert repr(record) == before
+
+
+@pytest.mark.parametrize("make, fields, text", RECORDS, ids=IDS)
+def test_the_constructor_takes_the_slots_by_position_or_by_keyword(make, fields, text):
+    # every record but SubsetIndex gets its constructor from __slots__
+    record = make()
+    cls = type(record)
+    assert cls.__slots__ == fields
+    assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
+    values = {name: getattr(record, name) for name in cls.__slots__}
+    assert cls(*values.values()) == record
+    assert cls(**values) == record
 
 
 def test_records_of_different_classes_never_compare_equal():
