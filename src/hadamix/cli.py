@@ -21,9 +21,11 @@ from itertools import islice
 from typing import IO, Sequence
 
 from .exact_core import (
+    ZERO,
     DomainError,
     InputFormatError,
     InternalInvariantError,
+    RMatrix,
     SubsetIndex,
     _entry_reader,
     as_vector,
@@ -144,7 +146,7 @@ def _require_object(obj: object, keys: Sequence[str], what: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns a JSON-serializable payload, or the text
-# of its document when that holds a 2^n-entry table
+# of its document when that holds a 2^n-entry table or a k x k projector
 
 # Rows per json.dumps call of hadext. The subset-product tables stay alive
 # while rows are encoded, so 64-row slices peaked higher on an n = 6 matrix
@@ -267,7 +269,31 @@ def _cmd_project(args, stdin):
                 f"block index {args.block} out of range for {n_blocks} blocks"
             ) from None
         raise
-    return matrix_to_json(projector)
+    return _diagonal_text(projector)
+
+
+def _diagonal_text(m: RMatrix) -> str:
+    """json.dumps(matrix_to_json(m), sort_keys=True) of a square diagonal
+    RMatrix, with no object per entry: each row is the text before its
+    diagonal entry, the entry as rational_to_json writes it, and the text
+    after it, both texts cut from one run of "0, ".
+
+    Every off-diagonal entry is checked to be zero. The tuple comparison
+    runs in C and passes RMatrix.diagonal's shared ZERO by identity, any
+    other zero by value."""
+    k = m.n_cols
+    pad, zeros = "0, " * k, (ZERO,) * (k - 1)
+    rows = []
+    for j, row in enumerate(m.entries):
+        if row[:j] + row[j + 1:] != zeros:
+            raise InternalInvariantError(
+                f"row {j} (0-based) of a {m.n_rows}x{k} projector has a nonzero"
+                " entry off the diagonal"
+            )
+        x = rational_to_json(row[j])
+        x = f'"{x}"' if type(x) is str else x
+        rows.append(f"[{pad[:3 * j]}{x}{pad[1:3 * (k - j) - 2]}]")
+    return f'{{"cols": {k}, "data": [{", ".join(rows)}], "rows": {m.n_rows}}}'
 
 
 def _cmd_invariant(args, stdin):

@@ -9,19 +9,24 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamix import (
     InputFormatError,
+    InternalInvariantError,
     MixtureParams,
     RMatrix,
+    blocks_of,
     cli,
     examples,
+    lagrange_projection,
     moment_map,
     nae,
     partition_algebra,
 )
 from hadamix.cli import main
-from hadamix.exact_core import SubsetIndex, rational_pair, rational_to_json
+from hadamix.exact_core import ZERO, SubsetIndex, matrix_to_json, rational_pair, rational_to_json
 
 
 def run_cli(argv, stdin_text=""):
@@ -393,6 +398,46 @@ def test_project_block_out_of_range_names_the_typed_index():
         }
     code, out, _ = run_cli(["project", "--block", "1"], '{"v":[]}')
     assert code == 1 and json.loads(out)["error"] == "vector must be nonempty"
+
+
+# zero, signs, "a/b" entries and a denominator of 2^61 - 1
+PROJECT_VALUES = [Fraction(x) for x in
+                  (0, 1, -1, 5, -3, "7/3", "-2/10007", "1/2305843009213693951")]
+
+
+def reference_text(m):
+    return json.dumps(matrix_to_json(m), sort_keys=True)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.sampled_from(PROJECT_VALUES), min_size=1, max_size=6, unique=True)
+       .flatmap(lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=62)))
+def test_project_prints_the_projector_as_json_dumps(v):
+    document = json.dumps({"v": [rational_to_json(x) for x in v]})
+    for i in range(len(blocks_of(v))):
+        expected = reference_text(lagrange_projection(v, i)) + "\n"
+        assert run_cli(["project", "--block", str(i + 1)], document) == (0, expected, ""), (v, i)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.fractions(max_denominator=2**61 - 1) | st.sampled_from(PROJECT_VALUES),
+                max_size=20))
+def test_diagonal_text_is_json_dumps_of_any_diagonal(d):
+    assert cli._diagonal_text(RMatrix.diagonal(d)) == reference_text(RMatrix.diagonal(d))
+    # zeros that are distinct Fraction(0) objects, not the shared ZERO
+    k = len(d)
+    rows = [[x if i == j else Fraction(0) for j in range(k)] for i, x in enumerate(d)]
+    built = RMatrix.from_rows(rows, k)
+    assert not any(x is ZERO for row in built.entries for x in row)
+    assert cli._diagonal_text(built) == reference_text(built)
+
+
+def test_diagonal_text_refuses_an_entry_off_the_diagonal():
+    for k, i, j in [(2, 0, 1), (2, 1, 0), (5, 4, 0), (5, 2, 3)]:
+        rows = [list(row) for row in RMatrix.diagonal(range(1, k + 1)).entries]
+        rows[i][j] = Fraction(1, 3)
+        with pytest.raises(InternalInvariantError, match=f"row {i} \\(0-based\\)"):
+            cli._diagonal_text(RMatrix.from_rows(rows, k))
 
 
 def test_moments_and_recover_pi_roundtrip():

@@ -7,10 +7,16 @@ rank by sympy, an implementation independent of the fold, is the oracle.
 One more property states the identity that a k x k route to that rank
 rests on: the Gram matrix of the extension E is the entrywise product of
 the matrices J + m_i m_i^T, one per row m_i of m, and all three have the
-same rank. The certificate bound and invariance versus block respect are
-criteria 1 and 4 of test_acceptance.py and are not restated here.
+same rank. The paper's invariance claim is a property too: a subspace U is
+invariant under v (v*U lies in U) exactly when U respects the blocks of v,
+checked against sympy's rank of U's spanning vectors stacked on their
+products with v, and the block projectors that `project` prints resolve
+the identity into orthogonal idempotents. The certificate bound is
+criterion 1 of test_acceptance.py and is not restated here.
 """
 
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,11 +25,17 @@ from hypothesis import strategies as st
 
 from hadamix import (
     RMatrix,
+    blocks_of,
     eps_bar,
     full_extension_rank,
     hadamard_extension,
+    is_invariant,
     nae_restrict,
+    respects,
+    span,
 )
+from hadamix.cli import main
+from hadamix.exact_core import rational_to_json
 
 sympy = pytest.importorskip("sympy")
 
@@ -99,3 +111,56 @@ def test_the_extension_rank_is_the_rank_of_its_gram_matrix(m):
         product = product.multiply_elementwise(sympy.ones(m.n_cols, m.n_cols) + col * col.T)
     assert gram == product, m
     assert full_extension_rank(m) == extension_rank(m) == gram.rank() == product.rank(), m
+
+
+def rational(x):
+    return sympy.Rational(*Fraction(x).as_integer_ratio())
+
+
+@st.composite
+def vectors_and_spans(draw):
+    """v with 1-8 coordinates from 1-4 values, and 0-k vectors spanning U: in
+    half the examples each vector is supported inside one block of v, so
+    that U respects the blocks, in the other half its entries are free."""
+    pool = draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=4, unique=True))
+    v = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    k = len(v)
+    supported = draw(st.booleans())
+    blocks = [list(block) for block in blocks_of(v).blocks]
+    vectors = []
+    for _ in range(draw(st.integers(0, k))):
+        vector = [Fraction(0)] * k
+        for j in draw(st.sampled_from(blocks)) if supported else range(k):
+            vector[j] = draw(st.sampled_from(VALUES))
+        vectors.append(vector)
+    return v, vectors
+
+
+@claims
+@given(vectors_and_spans())
+def test_invariance_under_v_is_respecting_its_blocks(case):
+    v, vectors = case
+    k = len(v)
+    u = span(vectors, k)
+    b = sympy.Matrix(len(vectors), k, [rational(x) for row in vectors for x in row])
+    vb = sympy.Matrix(len(vectors), k, [rational(x) * rational(y)
+                                        for row in vectors for x, y in zip(row, v)])
+    dim = b.rank()
+    assert u.dim == dim, case
+    invariant = b.col_join(vb).rank() == dim
+    assert is_invariant(v, u) == respects(u, v) == invariant, case
+
+    # the projectors as `project` prints them: P_1 + ... + P_B = I and
+    # P_i P_j is P_i when i = j, else 0
+    document = json.dumps({"v": [rational_to_json(x) for x in v]})
+    projectors = []
+    for i in range(len(blocks_of(v))):
+        out = io.StringIO()
+        assert main(["project", "--block", str(i + 1)], io.StringIO(document), out,
+                    io.StringIO()) == 0, case
+        data = json.loads(out.getvalue())["data"]
+        projectors.append(sympy.Matrix(k, k, [rational(x) for row in data for x in row]))
+    assert sum(projectors, sympy.zeros(k, k)) == sympy.eye(k), case
+    for i, p in enumerate(projectors):
+        for j, q in enumerate(projectors):
+            assert p * q == (p if i == j else sympy.zeros(k, k)), (case, i, j)
