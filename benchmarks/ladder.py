@@ -12,8 +12,9 @@ Times `greedy_min_rows`, `full_extension_rank`, `exhaustive_min_rows`,
 `lagrange_projection`, `blocks_of` and `respects` on the inputs of CASES,
 and `cli.main` (its answer is the stdout) on tiny documents, which shows
 what an invocation pays besides its kernel, on the 2^n-entry documents
-of `moments`, `recover-pi` and `hadext`, and on the k x k projector that
-`project` prints at k = 62, best of REPEATS runs, and writes the
+of `moments`, `recover-pi` and `hadext`, on the k x k projector that
+`project` prints at k = 62, and on `invariant` with a 16 x 48 basis, the
+subspace workload's heaviest command, best of REPEATS runs, and writes the
 times with a digest of each answer to BENCH_<n>.json in the current
 directory, n being the first unused run number. Each run is bracketed by a fixed pure-Python calibration loop, as
 in `clibench/run.py`, and its time is scaled by CALIBRATION_REFERENCE_S
@@ -237,6 +238,10 @@ MIXTURE = ("moment_map", "MomentVector check", "json.loads + from_json_obj", "re
 MIXTURE_N12 = mixture(14, 12)
 MOMENTS_N12, RECOVER_PI_N12 = mixture_cli_cases(MIXTURE_N12)
 PROJECT_K62 = json.dumps({"v": [str(x) for x in block_vector(16, 62, 6).v]})
+INVARIANT_16X48 = json.dumps({
+    "basis": matrix_document(desk_matrix(17, 16, 48)),
+    "v": [str(x) for x in block_vector(18, 48, 6).v],
+})
 CASES = [
     ("random n=10 k=32", random_matrix(1, 10, 32), (GREEDY, RANK, EXTENSION)),
     ("random n=10 k=48", random_matrix(2, 10, 48), (GREEDY, RANK, EXTENSION)),
@@ -265,6 +270,7 @@ CASES = [
     ("cli project --block 1 k=5", (["project", "--block", "1"], TINY_VECTOR), ("cli.main",)),
     ("cli project --block 1 k=62 b=6", (["project", "--block", "1"], PROJECT_K62),
      ("cli.main",)),
+    ("cli invariant basis 16x48 b=6", (["invariant"], INVARIANT_16X48), ("cli.main",)),
     ("cli moments mixture k=4 n=12", MOMENTS_N12, ("cli.main",)),
     ("cli recover-pi mixture k=4 n=12", RECOVER_PI_N12, ("cli.main",)),
     ("cli hadext desk n=8 k=5",

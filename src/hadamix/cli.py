@@ -21,11 +21,9 @@ from itertools import islice
 from typing import IO, Sequence
 
 from .exact_core import (
-    ZERO,
     DomainError,
     InputFormatError,
     InternalInvariantError,
-    RMatrix,
     SubsetIndex,
     _entry_reader,
     as_vector,
@@ -257,10 +255,11 @@ def _cmd_blocks(args, stdin):
 def _cmd_project(args, stdin):
     obj = _require_object(_load_json(args, stdin), ["v"], "project")
     v = _vector_from_json(obj["v"], "'v'")
+    del obj  # the parsed document, freed before the projector is built
     if args.block < 1:
         raise InputFormatError("--block is 1-based")
     try:
-        projector = lagrange_projection(v, args.block - 1)
+        diagonal = lagrange_projection(v, args.block - 1)
     except DomainError:
         # the library's message names the 0-based index; restate it as typed
         n_blocks = len(blocks_of(v)) if v else 0
@@ -269,38 +268,30 @@ def _cmd_project(args, stdin):
                 f"block index {args.block} out of range for {n_blocks} blocks"
             ) from None
         raise
-    return _diagonal_text(projector)
+    return _diagonal_text(diagonal)
 
 
-def _diagonal_text(m: RMatrix) -> str:
-    """json.dumps(matrix_to_json(m), sort_keys=True) of a square diagonal
-    RMatrix, with no object per entry: each row is the text before its
-    diagonal entry, the entry as rational_to_json writes it, and the text
-    after it, both texts cut from one run of "0, ".
-
-    Every off-diagonal entry is checked to be zero. The tuple comparison
-    runs in C and passes RMatrix.diagonal's shared ZERO by identity, any
-    other zero by value."""
-    k = m.n_cols
-    pad, zeros = "0, " * k, (ZERO,) * (k - 1)
+def _diagonal_text(diagonal: Sequence[Fraction]) -> str:
+    """json.dumps(matrix_to_json(m), sort_keys=True) of the square matrix m
+    with this diagonal and zeros elsewhere, with no object per entry: each
+    row is the text before its diagonal entry, the entry as rational_to_json
+    writes it, and the text after it, both texts cut from one run of "0, "."""
+    k = len(diagonal)
+    pad = "0, " * k
     rows = []
-    for j, row in enumerate(m.entries):
-        if row[:j] + row[j + 1:] != zeros:
-            raise InternalInvariantError(
-                f"row {j} (0-based) of a {m.n_rows}x{k} projector has a nonzero"
-                " entry off the diagonal"
-            )
-        x = rational_to_json(row[j])
+    for j, x in enumerate(map(rational_to_json, diagonal)):
         x = f'"{x}"' if type(x) is str else x
         rows.append(f"[{pad[:3 * j]}{x}{pad[1:3 * (k - j) - 2]}]")
-    return f'{{"cols": {k}, "data": [{", ".join(rows)}], "rows": {m.n_rows}}}'
+    return f'{{"cols": {k}, "data": [{", ".join(rows)}], "rows": {k}}}'
 
 
 def _cmd_invariant(args, stdin):
     obj = _require_object(_load_json(args, stdin), ["basis", "v"], "invariant")
     v = _vector_from_json(obj["v"], "'v'")
     basis = matrix_from_json(obj["basis"])
+    del obj  # the parsed document, freed before span
     u = span(basis.entries, basis.n_cols)
+    del basis  # the Fraction rows; u holds integer rows
     invariant = is_invariant(v, u)
     respected = respects(u, v)
     if invariant != respected:

@@ -16,9 +16,6 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
-# Shared zero; a Fraction is immutable, so every zero entry can be this one.
-ZERO = Fraction(0)
-
 # Exhaustive subset scans refuse to enumerate more than this many subsets.
 SUBSET_SCAN_LIMIT = 10**6
 
@@ -286,14 +283,6 @@ class RMatrix(_Record):
             n_cols = len(data[0])
         return cls(len(data), n_cols, tuple(data))
 
-    @classmethod
-    def diagonal(cls, diag: Sequence[RationalLike]) -> "RMatrix":
-        vals = as_vector(diag)
-        n = len(vals)
-        zeros = (ZERO,) * n
-        rows = tuple(zeros[:i] + (x,) + zeros[i + 1:] for i, x in enumerate(vals))
-        return cls(n, n, rows)
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         if not 0 <= i < self.n_rows:
             raise DomainError(f"row index {i} out of range for {self.n_rows} rows")
@@ -309,12 +298,10 @@ class RMatrix(_Record):
 
 
 def matrix_to_json(m: RMatrix) -> dict:
-    # RMatrix.diagonal's off-diagonal entries are the shared ZERO: no call for them
     return {
         "rows": m.n_rows,
         "cols": m.n_cols,
-        "data": [[0 if x is ZERO else rational_to_json(x) for x in row]
-                 for row in m.entries],
+        "data": [list(map(rational_to_json, row)) for row in m.entries],
     }
 
 

@@ -3,7 +3,8 @@
 A vector v over Q^k partitions the coordinates [k] into blocks of equal
 value, ordered by strictly decreasing value. Each block carries a 0/1
 diagonal projector, realizable as the Lagrange interpolation polynomial
-(1 at that block's value, 0 at the others) evaluated entrywise on v. A
+(1 at that block's value, 0 at the others) evaluated entrywise on v, and
+handed over as its diagonal: nothing off the diagonal is ever nonzero. A
 subspace "respects" the partition when it is the direct sum of its block
 projections, which happens exactly when span(U union v*U) = U.
 """
@@ -16,11 +17,9 @@ from itertools import compress
 from typing import Sequence
 
 from .exact_core import (
-    ZERO,
     DomainError,
     InternalInvariantError,
     RationalLike,
-    RMatrix,
     Subspace,
     SubsetIndex,
     _Record,
@@ -60,8 +59,10 @@ def blocks_of(v: Sequence[RationalLike]) -> Partition:
     return Partition(len(vec), values, blocks)
 
 
-def lagrange_projection(v: Sequence[RationalLike], i: int) -> RMatrix:
-    """Block-i projector obtained by polynomial evaluation on diag(v).
+def lagrange_projection(v: Sequence[RationalLike], i: int) -> tuple[Fraction, ...]:
+    """Diagonal of the block-i projector obtained by polynomial evaluation
+    on diag(v): k exact 0/1 Fractions, the projector's off-diagonal entries
+    being all zero.
 
     The Lagrange basis polynomial L_i (1 at the i-th distinct value, 0 at
     the others) is evaluated once per distinct value, over integers: with
@@ -77,7 +78,7 @@ def lagrange_projection(v: Sequence[RationalLike], i: int) -> RMatrix:
     _, a = scale_to_integers(part.values)
     others = a[:i] + a[i + 1:]
     denominator = math.prod(a[i] - b for b in others)
-    diag: list[Fraction] = [ZERO] * part.ambient
+    diag = [0] * part.ambient  # placeholders: the blocks cover every coordinate
     for ax, block in zip(a, part.blocks):
         value = Fraction(math.prod(ax - b for b in others), denominator)
         for j in block:
@@ -88,7 +89,7 @@ def lagrange_projection(v: Sequence[RationalLike], i: int) -> RMatrix:
             f"polynomial projector of block {i} (0-based) disagrees with the block diagonal"
             f" (len(v) = {part.ambient})"
         )
-    return RMatrix.diagonal(diag)
+    return tuple(diag)
 
 
 def respects(u: Subspace, v: Sequence[RationalLike]) -> bool:

@@ -458,6 +458,21 @@ def lagrange_projection_reference(v, i):
     ))
 
 
+# the one zero that every diagonal_matrix shares off its diagonal
+ZERO = Fraction(0)
+
+
+def diagonal_matrix(diag):
+    """The square RMatrix with this diagonal and the one shared ZERO off it,
+    as RMatrix.diagonal built it before `lagrange_projection` returned its
+    projector's diagonal alone."""
+    vals = as_vector(diag)
+    n = len(vals)
+    zeros = (ZERO,) * n
+    rows = tuple(zeros[:i] + (x,) + zeros[i + 1:] for i, x in enumerate(vals))
+    return RMatrix(n, n, rows)
+
+
 def basis(u):
     """The rational RREF basis of a Subspace, every pivot entry 1: each
     primitive integer row divided by its pivot entry."""

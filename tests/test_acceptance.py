@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_matrix, SMALL_POOL, PROB_POOL
+from conftest import diagonal_matrix, random_matrix, SMALL_POOL, PROB_POOL
 from hadamix import (
     MixtureParams,
     NotFullRank,
@@ -164,14 +164,14 @@ def test_criterion_4_invariance_characterization():
         assert is_invariant(v, u) == respects(u, v), (v, u)
         # lagrange_projection raises internally if polynomial evaluation
         # mismatches the block diagonal
-        projectors = [lagrange_projection(v, i) for i in range(len(part))]
+        projectors = [diagonal_matrix(lagrange_projection(v, i)) for i in range(len(part))]
         total = [
             [sum(p.entries[r][c] for p in projectors) for c in range(k)]
             for r in range(k)
         ]
-        assert RMatrix.from_rows(total, k) == RMatrix.diagonal([1] * k), v
+        assert RMatrix.from_rows(total, k) == diagonal_matrix([1] * k), v
         for value, p in zip(part.values, projectors):
-            assert p == RMatrix.diagonal([1 if x == value else 0 for x in v]), (v, value)
+            assert p == diagonal_matrix([1 if x == value else 0 for x in v]), (v, value)
         checked += 1
     assert checked == 1000
     print("CRITERION 4 (invariant under v iff respects blocks of v; projector "

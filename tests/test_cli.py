@@ -7,14 +7,15 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import diagonal_matrix
 from hadamix import (
     InputFormatError,
-    InternalInvariantError,
     MixtureParams,
     RMatrix,
     blocks_of,
@@ -26,7 +27,7 @@ from hadamix import (
     partition_algebra,
 )
 from hadamix.cli import main
-from hadamix.exact_core import ZERO, SubsetIndex, matrix_to_json, rational_pair, rational_to_json
+from hadamix.exact_core import SubsetIndex, matrix_to_json, rational_pair, rational_to_json
 
 
 def run_cli(argv, stdin_text=""):
@@ -415,7 +416,7 @@ def reference_text(m):
 def test_project_prints_the_projector_as_json_dumps(v):
     document = json.dumps({"v": [rational_to_json(x) for x in v]})
     for i in range(len(blocks_of(v))):
-        expected = reference_text(lagrange_projection(v, i)) + "\n"
+        expected = reference_text(diagonal_matrix(lagrange_projection(v, i))) + "\n"
         assert run_cli(["project", "--block", str(i + 1)], document) == (0, expected, ""), (v, i)
 
 
@@ -423,21 +424,44 @@ def test_project_prints_the_projector_as_json_dumps(v):
 @given(st.lists(st.fractions(max_denominator=2**61 - 1) | st.sampled_from(PROJECT_VALUES),
                 max_size=20))
 def test_diagonal_text_is_json_dumps_of_any_diagonal(d):
-    assert cli._diagonal_text(RMatrix.diagonal(d)) == reference_text(RMatrix.diagonal(d))
-    # zeros that are distinct Fraction(0) objects, not the shared ZERO
-    k = len(d)
-    rows = [[x if i == j else Fraction(0) for j in range(k)] for i, x in enumerate(d)]
-    built = RMatrix.from_rows(rows, k)
-    assert not any(x is ZERO for row in built.entries for x in row)
-    assert cli._diagonal_text(built) == reference_text(built)
+    expected = reference_text(diagonal_matrix(d))
+    assert cli._diagonal_text(d) == cli._diagonal_text(tuple(d)) == expected
 
 
-def test_diagonal_text_refuses_an_entry_off_the_diagonal():
-    for k, i, j in [(2, 0, 1), (2, 1, 0), (5, 4, 0), (5, 2, 3)]:
-        rows = [list(row) for row in RMatrix.diagonal(range(1, k + 1)).entries]
-        rows[i][j] = Fraction(1, 3)
-        with pytest.raises(InternalInvariantError, match=f"row {i} \\(0-based\\)"):
-            cli._diagonal_text(RMatrix.from_rows(rows, k))
+def traced_run(argv, stdin_text):
+    """(exit code, stdout, peak bytes traced) of one invocation, after an
+    untraced one that builds the parsers."""
+    run_cli(argv, stdin_text)
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(argv, stdin_text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, peak
+
+
+def test_project_allocates_no_k_by_k_structure():
+    corpus = json.loads((Path(__file__).parent / "golden" / "cli_corpus.json").read_text())
+    case = next(c for c in corpus if c["name"] == "project/k62-six-blocks")
+    code, out, peak = traced_run(case["argv"], case["stdin"])
+    assert (code, out) == (case["exit"], case["stdout"])
+    # 44 KB on CPython 3.11; a k x k matrix of the projector, 62 tuples of
+    # 62 pointers, adds about 33 KB, and peaked at 81 KB
+    assert peak < 64 * 1024, peak
+
+
+def test_invariant_frees_its_document_before_span():
+    rng = random.Random(48)
+    k, r = 48, 16
+    v = [f"{rng.randint(-3, 3)}/{rng.randint(1, 2)}" for _ in range(k)]
+    data = [[f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}" for _ in range(k)] for _ in range(r)]
+    document = json.dumps({"basis": {"rows": r, "cols": k, "data": data}, "v": v})
+    code, out, peak = traced_run(["invariant"], document)
+    assert (code, out) == (0, '{"invariant": false, "respects": false}\n')
+    # 84 KB on CPython 3.11; with the parsed document and the Fraction basis
+    # alive through span, is_invariant and respects it peaked at 118 KB
+    assert peak < 100 * 1024, peak
 
 
 def test_moments_and_recover_pi_roundtrip():

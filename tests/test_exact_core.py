@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     SMALL_POOL,
+    ZERO,
     basis,
     complement,
     det_cofactor,
+    diagonal_matrix,
     drop_row,
     extend_odot_reference,
     minor_rank,
@@ -372,7 +374,7 @@ def matrix_rank(m):
 
 
 def test_matrix_rank_examples():
-    assert matrix_rank(RMatrix.diagonal([1] * 3)) == 3
+    assert matrix_rank(diagonal_matrix([1] * 3)) == 3
     two_identical_cols = RMatrix.from_rows([[1, 1], [2, 2], [5, 5]])
     assert matrix_rank(two_identical_cols) == 1
     m = [[1, 1, 1], [Fraction(1, 2), 1, 1], [Fraction(1, 2), Fraction(1, 2), 1]]
@@ -483,14 +485,14 @@ def test_restriction_preserves_order():
 def test_diagonal_shares_its_zero_and_serialises_entrywise():
     for diag in ([], [0], [3, 0, -2, Fraction(5, 7), Fraction(-1, 10007), 0, 1],
                  [Fraction(1, 2**61 - 1), -4, Fraction(9, 2)]):
-        m = RMatrix.diagonal(diag)
+        m = diagonal_matrix(diag)
         n = len(diag)
         assert (m.n_rows, m.n_cols) == (n, n)
         for r in range(n):
             assert m.entries[r][r] == diag[r]
             for c in range(n):
                 if c != r:
-                    assert type(m.entries[r][c]) is Fraction and m.entries[r][c] == 0
+                    assert m.entries[r][c] is ZERO
         # bare ints for integers, "a/b" otherwise; compared as bytes, so an
         # int subclass or a float would show
         entry = [int(x) if Fraction(x).denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -501,7 +503,7 @@ def test_diagonal_shares_its_zero_and_serialises_entrywise():
         assert json.dumps(matrix_to_json(m)) == json.dumps(expected)
 
 
-def test_matrix_to_json_calls_the_encoder_only_off_the_shared_zero(monkeypatch):
+def test_matrix_to_json_calls_the_encoder_once_per_entry(monkeypatch):
     calls = 0
     real = exact_core.rational_to_json
 
@@ -512,9 +514,9 @@ def test_matrix_to_json_calls_the_encoder_only_off_the_shared_zero(monkeypatch):
 
     monkeypatch.setattr(exact_core, "rational_to_json", counted)
     diag = [Fraction(7, 3), 0, -2, Fraction(0), 5]
-    obj = matrix_to_json(RMatrix.diagonal(diag))
-    # one call per diagonal entry; a diagonal zero is a distinct Fraction
-    assert calls == len(diag)
+    obj = matrix_to_json(diagonal_matrix(diag))
+    # the shared ZERO off the diagonal is an entry like any other
+    assert calls == len(diag) ** 2
     assert obj["data"][1] == [0] * 5 and obj["data"][0] == ["7/3", 0, 0, 0, 0]
     calls = 0
     m = RMatrix.from_rows([[0, Fraction(1, 2)], [Fraction(0, 5), -1]])

@@ -11,8 +11,10 @@ same rank. The paper's invariance claim is a property too: a subspace U is
 invariant under v (v*U lies in U) exactly when U respects the blocks of v,
 checked against sympy's rank of U's spanning vectors stacked on their
 products with v, and the block projectors that `project` prints resolve
-the identity into orthogonal idempotents. The certificate bound is
-criterion 1 of test_acceptance.py and is not restated here.
+the identity into orthogonal idempotents. The certificate bound of
+criterion 1 is one as well: a full-rank extension is certified by at most
+k - 1 rows of m, and the greedy finds them; test_acceptance.py checks the
+same bound on its fixed corpus.
 """
 
 import io
@@ -24,10 +26,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hadamix import (
+    NotFullRank,
     RMatrix,
+    SubsetIndex,
     blocks_of,
     eps_bar,
     full_extension_rank,
+    greedy_min_rows,
     hadamard_extension,
     is_invariant,
     nae_restrict,
@@ -71,6 +76,21 @@ def test_nae_rows_alone_give_full_rank(m):
     assume(eps_bar(m).satisfies_nae)
     restricted = m.restrict_rows(nae_restrict(m))
     assert full_extension_rank(restricted) == extension_rank(restricted) == m.n_cols, m
+
+
+@claims
+@given(matrices())
+def test_full_rank_is_certified_by_at_most_k_minus_1_rows(m):
+    # criterion 1: the greedy certificate has at most k - 1 rows, and the
+    # extension of those rows alone has full rank; below full rank the
+    # greedy stops at the extension's rank
+    rank = extension_rank(m)
+    found = greedy_min_rows(m)
+    if rank == m.n_cols:
+        assert isinstance(found, SubsetIndex) and len(found) <= m.n_cols - 1, (m, found)
+        assert extension_rank(m.restrict_rows(found)) == m.n_cols, (m, found)
+    else:
+        assert isinstance(found, NotFullRank) and found.rank == rank, (m, found)
 
 
 @claims
