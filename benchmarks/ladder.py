@@ -10,6 +10,10 @@ Times `greedy_min_rows`, `full_extension_rank`, `exhaustive_min_rows`,
 `MomentVector` constructor and `from_json_obj` run),
 `MomentVector.from_json_obj` (with `json.loads`), `recover_pi`,
 `lagrange_projection`, `blocks_of` and `respects` on the inputs of CASES,
+`hadamix recover-pi` on three n = 12 moment documents (one in the form
+`hadamix moments` writes, checked as text; the same moments in non-lowest
+terms, read whole; an inconsistent one, checked as text up to its full
+mask, then read whole and refused),
 and `cli.main` (its answer is the stdout) on tiny documents, which shows
 what an invocation pays besides its kernel, on the 2^n-entry documents
 of `moments`, `recover-pi` and `hadext`, on the k x k projector that
@@ -199,12 +203,36 @@ def mixture(seed: int, n: int, k: int = 4) -> Mixture:
     return Mixture(params, moments, json.dumps(moments.to_json_obj()))
 
 
+def recover_pi_case(x: Mixture) -> tuple[list[str], str]:
+    """The `recover-pi` invocation on x's matrix and moment document."""
+    return (["recover-pi"],
+            '{"m": %s, "moments": %s}' % (json.dumps(matrix_document(x.params.m)), x.document))
+
+
 def mixture_cli_cases(x: Mixture) -> list[tuple[list[str], str]]:
     """The `moments` and `recover-pi` invocations on x's documents."""
-    m = matrix_document(x.params.m)
     pi = [str(w) for w in x.params.pi]
-    return [(["moments"], json.dumps({"m": m, "pi": pi})),
-            (["recover-pi"], '{"m": %s, "moments": %s}' % (json.dumps(m), x.document))]
+    return [(["moments"], json.dumps({"m": matrix_document(x.params.m), "pi": pi})),
+            recover_pi_case(x)]
+
+
+def non_lowest(x: Mixture) -> Mixture:
+    """x with every moment of its document written as "2a/2b": the same
+    moments, which `recover-pi` reads whole."""
+    table = {str(mask): f"{2 * num}/{2 * den}"
+             for mask, (num, den) in enumerate(zip(x.moments.nums, x.moments.dens))}
+    return x._replace(document=json.dumps({"n": x.moments.n, "moments": table}))
+
+
+def inconsistent(x: Mixture) -> Mixture:
+    """x with its full-mask moment times 6/7, as clibench's mixture workload
+    makes its inconsistent inputs: still monotone, and refused by
+    `recover_pi`'s consistency check."""
+    nums, dens = list(x.moments.nums), list(x.moments.dens)
+    nums[-1] *= 6
+    dens[-1] *= 7
+    moments = MomentVector(x.moments.n, nums, dens)
+    return x._replace(moments=moments, document=json.dumps(moments.to_json_obj()))
 
 
 class Blocks(NamedTuple):
@@ -235,6 +263,10 @@ def block_vector(seed: int, k: int, blocks: int) -> Blocks:
 GREEDY, RANK, EXTENSION = "greedy_min_rows", "full_extension_rank", "hadamard_extension"
 NAE = (GREEDY, "eps_bar", "nae_restrict", "exhaustive_nae_restrict")
 MIXTURE = ("moment_map", "MomentVector check", "json.loads + from_json_obj", "recover_pi")
+# Kernels of the three n = 12 recover-pi documents, one per path of
+# `hadamix recover-pi`: the text check, the full read, and the text check
+# that fails and falls back to the full read
+RECOVER_PI = ("json.loads + from_json_obj", "recover_pi", "cli recover-pi")
 MIXTURE_N12 = mixture(14, 12)
 MOMENTS_N12, RECOVER_PI_N12 = mixture_cli_cases(MIXTURE_N12)
 PROJECT_K62 = json.dumps({"v": [str(x) for x in block_vector(16, 62, 6).v]})
@@ -259,7 +291,9 @@ CASES = [
     ("four colours n=6 k=6", colour_matrix(7, 6, 6), NAE),
     ("four colours n=2000 k=20 cols=10", tall_colour_matrix(13, 2000, 20, 10),
      ("nae_rows",)),
-    ("mixture k=4 n=12", MIXTURE_N12, MIXTURE),
+    ("mixture k=4 n=12", MIXTURE_N12, MIXTURE + ("cli recover-pi",)),
+    ("mixture k=4 n=12 non-lowest terms", non_lowest(MIXTURE_N12), RECOVER_PI),
+    ("mixture k=4 n=12 inconsistent", inconsistent(MIXTURE_N12), RECOVER_PI),
     ("mixture k=4 n=14", mixture(8, 14), MIXTURE),
     ("mixture k=4 n=16", mixture(9, 16), MIXTURE),
     ("mixture k=4 n=18", mixture(10, 18), MIXTURE),
@@ -289,6 +323,8 @@ KERNELS = {
     "MomentVector check": lambda x: _check_moments(x.moments.n, x.moments.nums, x.moments.dens),
     "json.loads + from_json_obj": lambda x: MomentVector.from_json_obj(json.loads(x.document)),
     "recover_pi": lambda x: recover_pi(x.params.m, x.moments),
+    # the document is formatted on each call: about 25 us, under 1% of the call
+    "cli recover-pi": lambda x: cli_stdout(*recover_pi_case(x)),
     "lagrange_projection": lambda x: lagrange_projection(x.v, 0),
     "blocks_of": lambda x: blocks_of(x.v),
     "respects": lambda x: respects(x.u, x.v),

@@ -40,7 +40,7 @@ from .hadamard import (
     full_extension_rank,
     greedy_min_rows,
 )
-from .mixture import MixtureParams, MomentVector, moment_map, recover_pi
+from .mixture import MixtureParams, _recover_pi_from_json, moment_map
 from .nae import eps_bar, exhaustive_nae_restrict, nae_restrict, nae_rows
 from .partition_algebra import (
     blocks_of,
@@ -338,9 +338,8 @@ def _moments_text(obj: dict) -> str:
 def _cmd_recover_pi(args, stdin):
     obj = _require_object(_load_json(args, stdin), ["m", "moments"], "recover-pi")
     matrix = matrix_from_json(obj["m"])
-    moments = MomentVector.from_json_obj(obj["moments"])
-    del obj  # the document's 2^n keys and values, freed before the solve
-    return {"pi": _vector_to_json(recover_pi(matrix, moments))}
+    # pops the moment document, its 2^n keys and values, from obj
+    return {"pi": _vector_to_json(_recover_pi_from_json(matrix, obj))}
 
 
 def _cmd_selftest(args, stdin):

@@ -6,6 +6,16 @@ S: Pr(all of X_S equal 1) = (product of rows S) dot pi. Full column rank
 of the Hadamard extension of m is necessary for these moments to pin down
 pi, and then a small certifying row subset suffices to solve for it
 exactly.
+
+`recover_pi` solves pi from the certificate's moments and checks it
+against all 2^n. `hadamix recover-pi` reads its JSON moment document
+through `_recover_pi_from_json`. A document in the form `hadamix moments`
+writes (exactly the 2^n keys, every moment but the empty set's an "a/b"
+string in lowest terms) is parsed only at the certificate, and the
+forward moments of the weights solved there are compared with it as text,
+a block of consecutive masks at a time. Any other document, or one that
+fails that comparison, is read whole by `MomentVector.from_json_obj`, so
+it is refused, or solved, as `recover_pi` would.
 """
 
 from __future__ import annotations
@@ -13,8 +23,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import compress, count
-from typing import Sequence
+from itertools import compress, count, repeat
+from typing import Callable, Sequence
 
 from .exact_core import (
     DomainError,
@@ -36,6 +46,10 @@ from .hadamard import (
     _subset_products,
     greedy_min_rows,
 )
+
+# Rows per block of the text check of a moment document (`_is_moment_text`):
+# it builds the forward moments of 2^_TEXT_BLOCK_BITS masks at a time.
+_TEXT_BLOCK_BITS = 5
 
 
 class MixtureParams(_Record):
@@ -346,14 +360,27 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
 
     Requires the extension of m to have full column rank. Solves the
     k x k system of the first k independent extension rows of the greedy
-    certificate, in canonical order, on integers, then re-verifies every one
-    of the 2^n moment equations; any mismatch means the moments are
-    inconsistent.
+    certificate, in canonical order, on integers (`_weights`), then
+    re-verifies every one of the 2^n moment equations
+    (`_check_consistency`); any mismatch means the moments are
+    inconsistent. `_recover_pi_from_json` gives the same answer, refusal
+    for refusal, on a moment document.
     """
-    n, k = m.n_rows, m.n_cols
-    if moments.n != n:
-        raise DomainError(f"moments are over {moments.n} observables, matrix has {n}")
-    certificate = greedy_min_rows(m)
+    if moments.n != m.n_rows:
+        raise DomainError(f"moments are over {moments.n} observables, matrix has {m.n_rows}")
+    pi = _weights(m, greedy_min_rows(m), lambda mask: (moments.nums[mask], moments.dens[mask]))
+    _check_consistency(m, pi, moments)
+    return pi
+
+
+def _weights(m: RMatrix, certificate: SubsetIndex | NotFullRank,
+             moment: Callable[[int], tuple[int, int]]) -> tuple[Fraction, ...]:
+    """recover_pi's solve: the weights from the certificate's equations,
+    moment(mask) giving each moment as (num, den) with den > 0. It is asked
+    only for masks inside the certificate, and for none once k equations
+    are independent. Raises recover_pi's refusals of a rank-deficient
+    extension and of weights that sum to 0."""
+    k = m.n_cols
     if isinstance(certificate, NotFullRank):
         raise DomainError(
             f"extension rank {certificate.rank} < {k}; weights are not identifiable",
@@ -369,10 +396,9 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
 
     def equations():
         for local in masks_by_cardinality(len(certificate)):
-            mask = _spread(local, certificate.mask)
-            den = moments.dens[mask]
+            num, den = moment(_spread(local, certificate.mask))
             *coefficients, scale = products[local]
-            yield [den * p for p in coefficients] + [scale * moments.nums[mask]]
+            yield [den * p for p in coefficients] + [scale * num]
 
     pi = _solve_rows(equations(), k)
     if pi is None:
@@ -382,6 +408,12 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
     # k >= 1 adjoins the empty-set equation sum(pi) = 1 first, so only k = 0 fails it
     if not pi:
         raise DomainError("recovered weights sum to 0, not 1; moments are inconsistent")
+    return pi
+
+
+def _check_consistency(m: RMatrix, pi: Sequence[Fraction], moments: MomentVector) -> None:
+    """Refuse moments that differ from those of (m, pi) at some mask,
+    naming the smallest."""
     nums, dens = _forward_moments(m, pi)
 
     def mismatches():
@@ -394,4 +426,105 @@ def recover_pi(m: RMatrix, moments: MomentVector) -> tuple[Fraction, ...]:
             "moments are inconsistent with every weight vector",
             witness={"subset_mask": next(compress(count(), mismatches()))},
         )
+
+
+def _recover_pi_from_json(m: RMatrix, document: dict) -> tuple[Fraction, ...]:
+    """recover_pi(m, MomentVector.from_json_obj(document.pop("moments"))):
+    the same weights, or the same refusal first. The moment document is
+    popped from `document`, so that the fallback below frees it before its
+    consistency check.
+
+    A document in the form `hadamix moments` writes is parsed only at the
+    certificate and checked as text. It must have an int n equal to m's
+    rows (within the guard, checked before 1 << n) and exactly 2^n entries.
+    Then greedy_min_rows(m) runs once, and `_weights` solves pi from the
+    values of the certificate's subsets alone, each read by rational_pair.
+    If (m, pi) is a valid `MixtureParams` (every m_ij in [0, 1], every
+    pi_j >= 0, sum(pi) = 1), `_is_moment_text` compares the forward moments
+    of (m, pi) with the document at every mask but 0, and pi is returned
+    when they match. A match proves that recover_pi would return the same
+    pi:
+
+    - The empty set is the first subset of every certificate, so the value
+      at key "0" was read, and the empty-set equation makes sum(pi) equal
+      to it. As sum(pi) = 1, it reads as 1, the forward moment at mask 0.
+    - The key of every other mask holds the string "a/b" of its forward
+      moment a/b in lowest terms (a >= 0, b > 0), which rational_pair reads
+      as (a, b). With 2^n entries in all, the keys are exactly str(0) ..
+      str(2^n - 1). So from_json_obj builds the tables of
+      moment_map(MixtureParams(m, pi)), which are valid (see moment_map),
+      and accepts them.
+    - recover_pi then finds the same n, the same certificate and the same
+      certificate values, so it solves the same pi, and the forward moments
+      of pi equal the tables at every mask.
+
+    Any other outcome (another shape, type or key, an int moment at a
+    nonzero mask, a value in non-lowest terms, an inconsistent value, m or
+    pi not a probability, a rank-deficient extension) reads the document
+    whole through from_json_obj, so that its refusals come first, as in
+    recover_pi's callers. The document is freed after that read, and the
+    fallback finishes as recover_pi does, with the certificate and the
+    weights (or the refusal of the solve) already found: neither is
+    computed again.
+    """
+    doc = document.pop("moments")
+    n = m.n_rows
+    raw = doc.get("moments") if isinstance(doc, dict) else None
+    pi = None
+    if (isinstance(raw, dict) and type(doc.get("n")) is int and doc["n"] == n
+            and n <= EXTENSION_ROW_GUARD and len(raw) == 1 << n):
+        try:
+            pi = _weights(m, greedy_min_rows(m), lambda mask: rational_pair(raw[str(mask)]))
+        except (DomainError, InternalInvariantError) as exc:
+            pi = exc  # raised once from_json_obj accepts the document, as recover_pi would
+        except (InputFormatError, KeyError):
+            pass  # from_json_obj refuses the document
+        else:
+            try:
+                if _is_moment_text(MixtureParams(m, pi), raw):
+                    return pi
+            # a DomainError: m or pi is not a probability; or a moment past
+            # the digit limit of int-to-str conversion
+            except ValueError:
+                pass
+    moments = MomentVector.from_json_obj(doc)
+    del doc, raw  # the document's 2^n keys and values
+    if pi is None:
+        return recover_pi(m, moments)
+    if isinstance(pi, Exception):
+        raise pi
+    _check_consistency(m, pi, moments)
     return pi
+
+
+def _is_moment_text(params: MixtureParams, raw: dict) -> bool:
+    """Whether raw[str(mask)] is the string f"{a}/{b}" at every mask but 0,
+    a/b being the moment of params at that mask in lowest terms.
+
+    The forward moments of `_forward_moments` come _TEXT_BLOCK_BITS low rows
+    at a time: the 2^_TEXT_BLOCK_BITS consecutive masks of a block share
+    their high rows, so each column's weighted subset products over the low
+    rows are scaled by its product over the block's high rows, and each
+    mask is reduced by one gcd. No table of all 2^n moments is built, and
+    the comparison stops at the first block that differs.
+    """
+    rows = [scale_to_integers(row) for row in params.m.entries]
+    w, weights = scale_to_integers(params.pi)
+    low = min(len(rows), _TEXT_BLOCK_BITS)
+    columns = [[row[j] for _, row in rows] for j in range(len(weights))]
+    lows = [_subset_products(weight, column[:low]) for weight, column in zip(weights, columns)]
+    low_dens = _subset_products(w, [d for d, _ in rows[:low]])
+    highs = [_subset_products(1, column[low:]) for column in columns]
+    high_dens = _subset_products(1, [d for d, _ in rows[low:]])
+    size, first = 1 << low, 1  # mask 0 holds sum(pi), checked by the caller
+    for base, high_den, *factors in zip(count(0, size), high_dens, *highs):
+        nums = [0] * size
+        for table, factor in zip(lows, factors):
+            nums = list(map(operator.add, nums, map(operator.mul, table, repeat(factor))))
+        dens = [high_den * d for d in low_dens]
+        texts = [f"{num // g}/{den // g}"
+                 for num, den, g in zip(nums, dens, map(math.gcd, nums, dens))]
+        if [raw.get(str(mask)) for mask in range(base + first, base + size)] != texts[first:]:
+            return False
+        first = 0
+    return True

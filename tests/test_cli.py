@@ -1,33 +1,48 @@
 import argparse
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import diagonal_matrix
 from hadamix import (
+    DomainError,
     InputFormatError,
+    InternalInvariantError,
     MixtureParams,
+    MomentVector,
+    NotFullRank,
     RMatrix,
     blocks_of,
     cli,
     examples,
+    greedy_min_rows,
     lagrange_projection,
+    mixture,
     moment_map,
     nae,
     partition_algebra,
+    recover_pi,
 )
 from hadamix.cli import main
-from hadamix.exact_core import SubsetIndex, matrix_to_json, rational_pair, rational_to_json
+from hadamix.exact_core import (
+    SubsetIndex,
+    matrix_from_json,
+    matrix_to_json,
+    rational_pair,
+    rational_to_json,
+)
 
 
 def run_cli(argv, stdin_text=""):
@@ -543,9 +558,21 @@ def mixture_n12():
     return document, moment_map(params)
 
 
-def test_recover_pi_frees_its_document_before_the_solve(monkeypatch):
+def scaled_moments(table):
+    """The moment table with every value in non-lowest terms, "2a/2b"."""
+    scaled = {}
+    for key, value in table.items():
+        num, den = rational_pair(value)
+        scaled[key] = f"{2 * num}/{2 * den}"
+    return scaled
+
+
+def test_recover_pi_frees_its_document_before_the_consistency_check(monkeypatch):
+    # the text check fails, and the document is read whole by from_json_obj
     document, moments = mixture_n12()
-    text = json.dumps({"m": document["m"], "moments": moments.to_json_obj()})
+    obj = moments.to_json_obj()
+    obj["moments"] = scaled_moments(obj["moments"])
+    text = json.dumps({"m": document["m"], "moments": obj})
     tracemalloc.start()
     try:
         parsed = json.loads(text)
@@ -554,13 +581,13 @@ def test_recover_pi_frees_its_document_before_the_solve(monkeypatch):
         tracemalloc.stop()
     del parsed
     at_entry = []
-    solve = cli.recover_pi
+    check = mixture._check_consistency
 
-    def traced_recover_pi(m, vec):
+    def traced_check(*args):
         at_entry.append(tracemalloc.get_traced_memory()[0])
-        return solve(m, vec)
+        return check(*args)
 
-    monkeypatch.setattr(cli, "recover_pi", traced_recover_pi)
+    monkeypatch.setattr(mixture, "_check_consistency", traced_check)
     stdin, stdout = io.StringIO(text), io.StringIO()  # not traced: the input is given
     tracemalloc.start()
     try:
@@ -569,9 +596,188 @@ def test_recover_pi_frees_its_document_before_the_solve(monkeypatch):
         tracemalloc.stop()
     pi = [rational_to_json(Fraction(x)) for x in document["pi"]]
     assert (code, json.loads(stdout.getvalue())) == (0, {"pi": pi})
-    # what the solve starts with is the matrix and the moment tables, not
-    # the parsed document's 2^n keys and values as well
-    assert at_entry[0] < document_size, (at_entry, document_size)
+    # what the check starts with is the matrix, the weights and the moment
+    # tables, not the parsed document's 2^n keys and values as well
+    assert len(at_entry) == 1 and at_entry[0] < document_size, (at_entry, document_size)
+
+
+def interior_mixture(seed, n, k):
+    """({m, moments} as `hadamix moments` writes the moments, pi as JSON) of
+    an n x k mixture with entries a/8, 1 <= a <= 7, positive weights and a
+    full-rank extension. No moment but the empty set's is an integer, so
+    every other one is written as an "a/b" string."""
+    rng = random.Random(seed)
+    m = None
+    while m is None or isinstance(greedy_min_rows(m), NotFullRank):
+        m = RMatrix.from_rows([[Fraction(rng.randint(1, 7), 8) for _ in range(k)]
+                               for _ in range(n)], k)
+    weights = [rng.randint(1, 9) for _ in range(k)]
+    pi = [rational_to_json(Fraction(w, sum(weights))) for w in weights]
+    code, out, _ = run_cli(["moments"], json.dumps({"m": matrix_to_json(m), "pi": pi}))
+    assert code == 0
+    return {"m": matrix_to_json(m), "moments": json.loads(out)}, pi
+
+
+def test_recover_pi_checks_a_canonical_document_below_a_full_read():
+    document, pi = interior_mixture(12, 12, 4)
+    assert all(isinstance(v, str) for v in list(document["moments"]["moments"].values())[1:])
+    text = json.dumps(document)
+    run_cli(["recover-pi"], text)  # the parser's own allocations
+    stdin, stdout = io.StringIO(text), io.StringIO()  # not traced: the input is given
+    tracemalloc.start()
+    try:
+        code = main(["recover-pi"], stdin, stdout, io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, json.loads(stdout.getvalue())) == (0, {"pi": pi})
+    # 0.73 MiB on CPython 3.11, about what the parse alone takes; reading
+    # the document whole, as MomentVector.from_json_obj does, peaked at 1.0 MiB
+    assert peak < 0.9 * 2**20, peak
+
+
+def test_a_canonical_document_is_parsed_only_at_the_certificate(monkeypatch):
+    document, pi = interior_mixture(10, 10, 4)
+    table = document["moments"]["moments"]
+    certificate = greedy_min_rows(matrix_from_json(document["m"]))
+    at_certificate = {table[str(mask)] for mask in range(1 << 10)
+                      if mask & certificate.mask == mask}
+    read, checks = [], Counter()
+    parse, fault = mixture.rational_pair, mixture._first_moment_fault
+
+    def counted_parse(value):
+        read.append(value)
+        return parse(value)
+
+    def counted_fault(*args):
+        checks["fault"] += 1
+        return fault(*args)
+
+    monkeypatch.setattr(mixture, "rational_pair", counted_parse)
+    monkeypatch.setattr(mixture, "_first_moment_fault", counted_fault)
+    assert run_json(["recover-pi"], json.dumps(document)) == {"pi": pi}
+    assert 0 < len(read) <= 1 << len(certificate) and set(read) <= at_certificate, read
+    assert checks["fault"] == 0
+
+
+def test_a_document_read_whole_is_solved_once(monkeypatch):
+    document, pi = interior_mixture(8, 8, 3)
+    table = document["moments"]["moments"]
+    full = str((1 << 8) - 1)
+    inconsistent = {**table, full: rational_to_json(Fraction(table[full]) * Fraction(6, 7))}
+    # the first column repeated: a rank-deficient extension
+    deficient = {**document["m"], "data": [[a, a, c] for a, _, c in document["m"]["data"]]}
+    deficient_moments = run_json(["moments"], json.dumps({"m": deficient, "pi": pi}))["moments"]
+    calls = Counter()
+    for name in ("greedy_min_rows", "_solve_rows"):
+        def counted(*args, _call=getattr(mixture, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(mixture, name, counted)
+    for m, moments, code, solves in [(document["m"], scaled_moments(table), 0, 1),
+                                     (document["m"], inconsistent, 1, 1),
+                                     (deficient, deficient_moments, 1, 0)]:
+        calls.clear()
+        text = json.dumps({"m": m, "moments": {"n": 8, "moments": moments}})
+        assert run_cli(["recover-pi"], text)[0] == code
+        assert calls == Counter(greedy_min_rows=1, _solve_rows=solves), (code, calls)
+
+
+def recover_pi_reference_run(text):
+    """(exit code, stdout, stderr) of `hadamix recover-pi` on text as it
+    was: the document read whole by MomentVector.from_json_obj, then
+    recover_pi."""
+    obj = json.loads(text)
+    try:
+        matrix = matrix_from_json(obj["m"])
+        pi = recover_pi(matrix, MomentVector.from_json_obj(obj["moments"]))
+    except InputFormatError as exc:
+        return 2, "", f"hadamix recover-pi: {exc}\n"
+    except DomainError as exc:
+        payload = {"error": str(exc), "witness": cli._witness_to_json(exc.witness)}
+        return 1, json.dumps(payload, sort_keys=True) + "\n", ""
+    except InternalInvariantError as exc:
+        payload = {"error": f"internal invariant violated: {exc}", "witness": None}
+        return 1, json.dumps(payload, sort_keys=True) + "\n", ""
+    return 0, json.dumps({"pi": [rational_to_json(p) for p in pi]}) + "\n", ""
+
+
+# The document kinds of the differential test: the form `hadamix moments`
+# writes, and each way a document can leave it
+DOCUMENT_EDITS = ["canonical", "non-lowest", "mask-0", "true", "int", "shuffled", "missing",
+                  "extra", "leading-zero", "n", "perturbed", "guard"]
+
+
+@st.composite
+def recover_pi_documents(draw):
+    n = draw(st.integers(0, 7))  # past 5 rows the text check reads several blocks
+    k = draw(st.integers(1, min(n + 1, 4)))
+    inside = ["1/2", "1/3", "2/7", "5/8", "9/10", "3/4"]
+    # integer moments, entries outside [0, 1], repeated columns
+    # (a rank-deficient extension) and negative weights, now and then
+    outside = draw(st.sampled_from([[], [], [0, 1], ["3/2", "-1/2"]]))
+    rows = [[Fraction(draw(st.sampled_from(inside + outside))) for _ in range(k)]
+            for _ in range(n)]
+    if k > 1 and draw(st.integers(0, 4)) == 0:
+        rows = [[row[0], row[0], *row[2:]] for row in rows]
+    weights = draw(st.lists(st.integers(-1 if outside else 1, 9), min_size=k, max_size=k)
+                   .filter(lambda w: sum(w) != 0))
+    pi = [Fraction(w, sum(weights)) for w in weights]
+    values = [sum(p * math.prod((row[j] for i, row in enumerate(rows) if mask >> i & 1),
+                                start=Fraction(1))
+                  for j, p in enumerate(pi))
+              for mask in range(1 << n)]
+    edit = draw(st.sampled_from(DOCUMENT_EDITS if n else DOCUMENT_EDITS[:3]))
+    mask = draw(st.integers(1, (1 << n) - 1)) if n else 0
+    if edit == "perturbed":
+        values[mask] = draw(st.sampled_from([values[mask] * Fraction(6, 7),
+                                             values[mask] + Fraction(1, 7)]))
+    table = {str(i): rational_to_json(v) for i, v in enumerate(values)}
+    table = dict(sorted(table.items()))  # the key order `hadamix moments` writes
+    doc_n = n
+    if edit == "non-lowest":
+        table = scaled_moments(table)
+    elif edit == "mask-0":
+        table["0"] = draw(st.sampled_from(["1", True, 1.0]))
+    elif edit == "true":
+        table[str(mask)] = True
+    elif edit == "int":
+        table[str(mask)] = draw(st.sampled_from([0, 1]))
+    elif edit == "shuffled":
+        items = list(table.items())
+        draw(st.randoms()).shuffle(items)
+        table = dict(items)
+    elif edit == "missing":
+        del table[str(mask)]
+    elif edit == "extra":
+        table[str(1 << n)] = "1/2"
+    elif edit == "leading-zero":
+        table[f"0{mask}"] = table.pop(str(mask))
+    elif edit == "n":
+        doc_n = n + draw(st.sampled_from([-1, 1]))
+    elif edit == "guard":  # n past the guard, and as many matrix rows
+        doc_n = 21
+        rows = [rows[i % n] for i in range(21)]
+    matrix = {"rows": len(rows), "cols": k,
+              "data": [[rational_to_json(x) for x in row] for row in rows]}
+    return json.dumps({"m": matrix, "moments": {"n": doc_n, "moments": table}})
+
+
+# entries of 3001 digits, whose full-mask moment has more digits than
+# int-to-str conversion allows, and a full-mask value that increases
+TINY = f"1/{10 ** 3000}"
+PAST_THE_DIGIT_LIMIT = json.dumps({
+    "m": {"rows": 2, "cols": 1, "data": [[TINY], [TINY]]},
+    "moments": {"n": 2, "moments": {"0": 1, "1": TINY, "2": TINY, "3": "1/2"}},
+})
+
+
+@settings(deadline=None, max_examples=400)
+@given(recover_pi_documents())
+@example(PAST_THE_DIGIT_LIMIT)
+def test_recover_pi_answers_as_a_full_read_does(text):
+    assert run_cli(["recover-pi"], text) == recover_pi_reference_run(text)
 
 
 def test_the_moments_document_peaks_below_one_json_dumps():
