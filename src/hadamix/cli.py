@@ -338,8 +338,7 @@ def _moments_text(obj: dict) -> str:
 def _cmd_recover_pi(args, stdin):
     obj = _require_object(_load_json(args, stdin), ["m", "moments"], "recover-pi")
     matrix = matrix_from_json(obj["m"])
-    # pops the moment document, its 2^n keys and values, from obj
-    return {"pi": _vector_to_json(_recover_pi_from_json(matrix, obj))}
+    return {"pi": _vector_to_json(_recover_pi_from_json(matrix, obj["moments"]))}
 
 
 def _cmd_selftest(args, stdin):
@@ -455,6 +454,10 @@ def main(
         payload, code = {"error": str(exc), "witness": _witness_to_json(exc.witness)}, 1
     except InternalInvariantError as exc:
         payload, code = {"error": f"internal invariant violated: {exc}", "witness": None}, 1
+    except ValueError as exc:  # only an integer past int-to-str's digit limit; others are bugs
+        if "integer string conversion" not in str(exc):
+            raise
+        payload, code = {"error": str(exc), "witness": None}, 1
     else:
         code = int(args.command == "selftest" and not payload["ok"])
     if not isinstance(payload, str):

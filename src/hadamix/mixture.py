@@ -8,14 +8,16 @@ pi, and then a small certifying row subset suffices to solve for it
 exactly.
 
 `recover_pi` solves pi from the certificate's moments and checks it
-against all 2^n. `hadamix recover-pi` reads its JSON moment document
-through `_recover_pi_from_json`. A document in the form `hadamix moments`
-writes (exactly the 2^n keys, every moment but the empty set's an "a/b"
-string in lowest terms) is parsed only at the certificate, and the
-forward moments of the weights solved there are compared with it as text,
-a block of consecutive masks at a time. Any other document, or one that
-fails that comparison, is read whole by `MomentVector.from_json_obj`, so
-it is refused, or solved, as `recover_pi` would.
+against all 2^n, a block of consecutive masks at a time
+(`_moment_blocks`), so no table of them is built. `hadamix recover-pi`
+reads its JSON moment document through `_recover_pi_from_json`. A
+document in the form `hadamix moments` writes (exactly the 2^n keys,
+every moment but the empty set's an "a/b" string in lowest terms) is
+parsed only at the certificate, and the forward moments of the weights
+solved there are compared with it as text, block by block. Any other
+document is read whole by `MomentVector.from_json_obj`, so it is refused,
+or solved, as `recover_pi` would; the check resumes at the first block
+the text did not prove.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 from typing import Callable, Sequence
 
 from .exact_core import (
@@ -47,8 +49,8 @@ from .hadamard import (
     greedy_min_rows,
 )
 
-# Rows per block of the text check of a moment document (`_is_moment_text`):
-# it builds the forward moments of 2^_TEXT_BLOCK_BITS masks at a time.
+# Rows per block of `_moment_blocks`, which builds the forward moments of
+# 2^_TEXT_BLOCK_BITS masks at a time for the checks of a moment document.
 _TEXT_BLOCK_BITS = 5
 
 
@@ -411,28 +413,23 @@ def _weights(m: RMatrix, certificate: SubsetIndex | NotFullRank,
     return pi
 
 
-def _check_consistency(m: RMatrix, pi: Sequence[Fraction], moments: MomentVector) -> None:
-    """Refuse moments that differ from those of (m, pi) at some mask,
-    naming the smallest."""
-    nums, dens = _forward_moments(m, pi)
-
-    def mismatches():
-        return map(operator.ne, map(operator.mul, nums, moments.dens),
-                   map(operator.mul, moments.nums, dens))
-
-    # any() keeps no table of cross-products; a refusal scans again for its mask
-    if any(mismatches()):
-        raise DomainError(
-            "moments are inconsistent with every weight vector",
-            witness={"subset_mask": next(compress(count(), mismatches()))},
-        )
+def _check_consistency(m: RMatrix, pi: Sequence[Fraction], moments: MomentVector,
+                       first: int = 0) -> None:
+    """Refuse moments that differ from those of (m, pi) at some mask from
+    the block at mask `first` on (`_moment_blocks`), naming the smallest."""
+    for base, nums, dens in _moment_blocks(m, pi, first):
+        top = base + len(nums)
+        mismatches = map(operator.ne, map(operator.mul, nums, moments.dens[base:top]),
+                         map(operator.mul, moments.nums[base:top], dens))
+        mask = next(compress(count(base), mismatches), None)
+        if mask is not None:
+            raise DomainError("moments are inconsistent with every weight vector",
+                              witness={"subset_mask": mask})
 
 
-def _recover_pi_from_json(m: RMatrix, document: dict) -> tuple[Fraction, ...]:
-    """recover_pi(m, MomentVector.from_json_obj(document.pop("moments"))):
-    the same weights, or the same refusal first. The moment document is
-    popped from `document`, so that the fallback below frees it before its
-    consistency check.
+def _recover_pi_from_json(m: RMatrix, doc: object) -> tuple[Fraction, ...]:
+    """recover_pi(m, MomentVector.from_json_obj(doc)): the same weights, or
+    the same refusal first.
 
     A document in the form `hadamix moments` writes is parsed only at the
     certificate and checked as text. It must have an int n equal to m's
@@ -440,10 +437,10 @@ def _recover_pi_from_json(m: RMatrix, document: dict) -> tuple[Fraction, ...]:
     Then greedy_min_rows(m) runs once, and `_weights` solves pi from the
     values of the certificate's subsets alone, each read by rational_pair.
     If (m, pi) is a valid `MixtureParams` (every m_ij in [0, 1], every
-    pi_j >= 0, sum(pi) = 1), `_is_moment_text` compares the forward moments
-    of (m, pi) with the document at every mask but 0, and pi is returned
-    when they match. A match proves that recover_pi would return the same
-    pi:
+    pi_j >= 0, sum(pi) = 1), `_first_unproved_block` compares the forward
+    moments of (m, pi) with the document at every mask but 0, and pi is
+    returned when they match. A match proves that recover_pi would return
+    the same pi:
 
     - The empty set is the first subset of every certificate, so the value
       at key "0" was read, and the empty-set equation makes sum(pi) equal
@@ -462,69 +459,69 @@ def _recover_pi_from_json(m: RMatrix, document: dict) -> tuple[Fraction, ...]:
     nonzero mask, a value in non-lowest terms, an inconsistent value, m or
     pi not a probability, a rank-deficient extension) reads the document
     whole through from_json_obj, so that its refusals come first, as in
-    recover_pi's callers. The document is freed after that read, and the
-    fallback finishes as recover_pi does, with the certificate and the
-    weights (or the refusal of the solve) already found: neither is
-    computed again.
+    recover_pi's callers. Then a refusal of the solve is raised again, or
+    the weights already solved are checked from the first block the text
+    did not prove, as every mask before it holds its forward moment.
     """
-    doc = document.pop("moments")
     n = m.n_rows
     raw = doc.get("moments") if isinstance(doc, dict) else None
-    pi = None
+    pi, first = None, 0
     if (isinstance(raw, dict) and type(doc.get("n")) is int and doc["n"] == n
             and n <= EXTENSION_ROW_GUARD and len(raw) == 1 << n):
         try:
             pi = _weights(m, greedy_min_rows(m), lambda mask: rational_pair(raw[str(mask)]))
-        except (DomainError, InternalInvariantError) as exc:
-            pi = exc  # raised once from_json_obj accepts the document, as recover_pi would
         except (InputFormatError, KeyError):
             pass  # from_json_obj refuses the document
+        except (DomainError, InternalInvariantError):
+            MomentVector.from_json_obj(doc)  # its refusals come first, as in recover_pi's callers
+            raise
         else:
             try:
-                if _is_moment_text(MixtureParams(m, pi), raw):
-                    return pi
-            # a DomainError: m or pi is not a probability; or a moment past
-            # the digit limit of int-to-str conversion
-            except ValueError:
+                first = _first_unproved_block(MixtureParams(m, pi), raw)
+            except ValueError:  # m or pi not a probability, or int-to-str's digit limit
                 pass
+            if first is None:
+                return pi
     moments = MomentVector.from_json_obj(doc)
-    del doc, raw  # the document's 2^n keys and values
     if pi is None:
         return recover_pi(m, moments)
-    if isinstance(pi, Exception):
-        raise pi
-    _check_consistency(m, pi, moments)
+    _check_consistency(m, pi, moments, first)
     return pi
 
 
-def _is_moment_text(params: MixtureParams, raw: dict) -> bool:
-    """Whether raw[str(mask)] is the string f"{a}/{b}" at every mask but 0,
-    a/b being the moment of params at that mask in lowest terms.
-
-    The forward moments of `_forward_moments` come _TEXT_BLOCK_BITS low rows
-    at a time: the 2^_TEXT_BLOCK_BITS consecutive masks of a block share
-    their high rows, so each column's weighted subset products over the low
-    rows are scaled by its product over the block's high rows, and each
-    mask is reduced by one gcd. No table of all 2^n moments is built, and
-    the comparison stops at the first block that differs.
+def _moment_blocks(m: RMatrix, pi: Sequence[Fraction], first: int = 0):
+    """The moments of `_forward_moments`, 2^_TEXT_BLOCK_BITS consecutive
+    masks (all 2^n if fewer) at a time from the block at mask `first`, as
+    (base, nums, dens): mask base + i has nums[i] / dens[i], not reduced.
+    A block's masks share their high rows, so each column's weighted
+    subset products over the low rows are scaled by its product over them.
     """
-    rows = [scale_to_integers(row) for row in params.m.entries]
-    w, weights = scale_to_integers(params.pi)
+    rows = [scale_to_integers(row) for row in m.entries]
+    w, weights = scale_to_integers(pi)
     low = min(len(rows), _TEXT_BLOCK_BITS)
     columns = [[row[j] for _, row in rows] for j in range(len(weights))]
     lows = [_subset_products(weight, column[:low]) for weight, column in zip(weights, columns)]
     low_dens = _subset_products(w, [d for d, _ in rows[:low]])
     highs = [_subset_products(1, column[low:]) for column in columns]
     high_dens = _subset_products(1, [d for d, _ in rows[low:]])
-    size, first = 1 << low, 1  # mask 0 holds sum(pi), checked by the caller
-    for base, high_den, *factors in zip(count(0, size), high_dens, *highs):
+    size = 1 << low
+    for base, high_den, *factors in islice(zip(count(0, size), high_dens, *highs),
+                                           first >> low, None):
         nums = [0] * size
         for table, factor in zip(lows, factors):
             nums = list(map(operator.add, nums, map(operator.mul, table, repeat(factor))))
-        dens = [high_den * d for d in low_dens]
+        yield base, nums, [high_den * d for d in low_dens]
+
+
+def _first_unproved_block(params: MixtureParams, raw: dict) -> int | None:
+    """The base of the first block of `_moment_blocks` with a mask but 0
+    where raw[str(mask)] is not f"{a}/{b}", the moment of params there
+    reduced by one gcd; None if there is none."""
+    start = 1  # mask 0 holds sum(pi), checked by the caller
+    for base, nums, dens in _moment_blocks(params.m, params.pi):
         texts = [f"{num // g}/{den // g}"
                  for num, den, g in zip(nums, dens, map(math.gcd, nums, dens))]
-        if [raw.get(str(mask)) for mask in range(base + first, base + size)] != texts[first:]:
-            return False
-        first = 0
-    return True
+        if [raw.get(str(mask)) for mask in range(base + start, base + len(nums))] != texts[start:]:
+            return base
+        start = 0
+    return None

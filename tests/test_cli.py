@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import diagonal_matrix
+from conftest import diagonal_matrix, recover_pi_reference
 from hadamix import (
     DomainError,
     InputFormatError,
@@ -567,38 +568,45 @@ def scaled_moments(table):
     return scaled
 
 
-def test_recover_pi_frees_its_document_before_the_consistency_check(monkeypatch):
-    # the text check fails, and the document is read whole by from_json_obj
+def test_recover_pi_checks_its_moments_a_block_at_a_time():
+    spec = importlib.util.spec_from_file_location(
+        "benchmarks_ladder", Path(__file__).resolve().parents[1] / "benchmarks" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    x = ladder.mixture(9, 16)
+    recover_pi(x.params.m, x.moments)  # the first call's own allocations
+    tracemalloc.start()
+    try:
+        pi = recover_pi(x.params.m, x.moments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pi == x.params.pi
+    # 0.27 MiB on CPython 3.11; checking against two whole tables of the
+    # 2^16 forward moments peaked at 7.8 MiB
+    assert peak < 0.5 * 2**20, peak
+
+
+def test_a_document_read_whole_peaks_no_higher_than_before():
+    # the text check fails at once, and the document is read whole by from_json_obj
     document, moments = mixture_n12()
     obj = moments.to_json_obj()
     obj["moments"] = scaled_moments(obj["moments"])
     text = json.dumps({"m": document["m"], "moments": obj})
-    tracemalloc.start()
-    try:
-        parsed = json.loads(text)
-        document_size = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    del parsed
-    at_entry = []
-    check = mixture._check_consistency
-
-    def traced_check(*args):
-        at_entry.append(tracemalloc.get_traced_memory()[0])
-        return check(*args)
-
-    monkeypatch.setattr(mixture, "_check_consistency", traced_check)
+    run_cli(["recover-pi"], text)  # the parser's own allocations
     stdin, stdout = io.StringIO(text), io.StringIO()  # not traced: the input is given
     tracemalloc.start()
     try:
         code = main(["recover-pi"], stdin, stdout, io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     pi = [rational_to_json(Fraction(x)) for x in document["pi"]]
     assert (code, json.loads(stdout.getvalue())) == (0, {"pi": pi})
-    # what the check starts with is the matrix, the weights and the moment
-    # tables, not the parsed document's 2^n keys and values as well
-    assert len(at_entry) == 1 and at_entry[0] < document_size, (at_entry, document_size)
+    # 0.878 MiB on CPython 3.11, as when the parsed document was freed
+    # before a check against whole tables; keeping it through that check
+    # peaked at 1.07 MiB
+    assert peak <= 0.9 * 2**20, peak
 
 
 def interior_mixture(seed, n, k):
@@ -682,6 +690,66 @@ def test_a_document_read_whole_is_solved_once(monkeypatch):
         text = json.dumps({"m": m, "moments": {"n": 8, "moments": moments}})
         assert run_cli(["recover-pi"], text)[0] == code
         assert calls == Counter(greedy_min_rows=1, _solve_rows=solves), (code, calls)
+
+
+def test_an_inconsistent_document_is_walked_once(monkeypatch):
+    document, _ = interior_mixture(8, 10, 4)
+    table = document["moments"]["moments"]
+    full = str((1 << 10) - 1)
+    table[full] = rational_to_json(Fraction(table[full]) * Fraction(6, 7))
+    blocks = []
+    walk = mixture._moment_blocks
+
+    def counted_walk(*args):
+        for block in walk(*args):
+            blocks.append(block[0])
+            yield block
+
+    def no_table(*args):
+        raise AssertionError("a table of all 2^n forward moments was built")
+
+    monkeypatch.setattr(mixture, "_moment_blocks", counted_walk)
+    monkeypatch.setattr(mixture, "_forward_moments", no_table)
+    code, out, err = run_cli(["recover-pi"], json.dumps(document))
+    assert (code, json.loads(out)["witness"], err) == (1, {"subset_mask": (1 << 10) - 1}, "")
+    # the text check's 2^(n-5) blocks, then the last one again
+    assert len(blocks) <= (1 << 5) + 1, blocks
+
+
+@st.composite
+def resumed_check_documents(draw):
+    """A recover-pi document of an interior mixture, n = 8-10, with one or
+    two moments of block 0, a middle block or the last block scaled by a
+    factor in (7/8, 1), which keeps every superset below them, and now and
+    then an earlier moment written in non-lowest terms."""
+    n = draw(st.integers(8, 10))
+    document, _ = interior_mixture(draw(st.integers(0, 10**6)), n, draw(st.integers(1, 4)))
+    table = document["moments"]["moments"]
+    last = (1 << (n - 5)) - 1
+    base = draw(st.sampled_from([0, draw(st.integers(1, last - 1)), last])) << 5
+    masks = draw(st.lists(st.integers(max(base, 1), base + 31),
+                          min_size=1, max_size=2, unique=True))
+    for mask in masks:
+        factor = draw(st.sampled_from([Fraction(8, 9), Fraction(15, 16)]))
+        table[str(mask)] = rational_to_json(Fraction(table[str(mask)]) * factor)
+    if min(masks) > 1 and draw(st.booleans()):
+        earlier = str(draw(st.integers(1, min(masks) - 1)))
+        table[earlier] = scaled_moments({earlier: table[earlier]})[earlier]
+    return json.dumps(document)
+
+
+@settings(deadline=None, max_examples=60)
+@given(resumed_check_documents())
+def test_the_resumed_check_answers_as_the_reference(text):
+    obj = json.loads(text)
+    m = matrix_from_json(obj["m"])
+    try:
+        pi = recover_pi_reference(m, MomentVector.from_json_obj(obj["moments"]))
+        expected = (0, {"pi": [rational_to_json(p) for p in pi]})
+    except DomainError as exc:
+        expected = (1, {"error": str(exc), "witness": cli._witness_to_json(exc.witness)})
+    code, out, err = run_cli(["recover-pi"], text)
+    assert (code, json.loads(out), err) == (*expected, "")
 
 
 def recover_pi_reference_run(text):
@@ -778,6 +846,23 @@ PAST_THE_DIGIT_LIMIT = json.dumps({
 @example(PAST_THE_DIGIT_LIMIT)
 def test_recover_pi_answers_as_a_full_read_does(text):
     assert run_cli(["recover-pi"], text) == recover_pi_reference_run(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no digit limit on int-to-str conversion")
+@pytest.mark.parametrize("argv, document", [
+    (["moments"], {"m": {"rows": 2, "cols": 1, "data": [[TINY], [TINY]]}, "pi": ["1"]}),
+    (["hadext"], {"rows": 2, "cols": 1, "data": [[TINY], [TINY]]}),
+    # weights of about 4,400 digits
+    (["recover-pi"], {"m": {"rows": 1, "cols": 2, "data": [[
+        f"1/{10 ** 2200 + 7}", f"1/{10 ** 2200 + 10 ** 1000 + 3}"]]},
+        "moments": {"n": 1, "moments": {"0": 1, "1": "1/3"}}}),
+], ids=["moments", "hadext", "recover-pi"])
+def test_an_output_past_the_digit_limit_is_an_error_object(argv, document):
+    code, out, err = run_cli(argv, json.dumps(document))
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert "integer string conversion" in payload["error"] and payload["witness"] is None
 
 
 def test_the_moments_document_peaks_below_one_json_dumps():
