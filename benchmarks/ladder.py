@@ -9,7 +9,9 @@ Times `greedy_min_rows`, `full_extension_rank`, `exhaustive_min_rows`,
 "MomentVector check" calls `_check_moments`, which the public
 `MomentVector` constructor and `from_json_obj` run),
 `MomentVector.from_json_obj` (with `json.loads`), `recover_pi`,
-`lagrange_projection`, `blocks_of` and `respects` on the inputs of CASES,
+`lagrange_projection`, `blocks_of`, `respects` and `matrix_from_json` (on
+three parsed matrix documents, so that the reader is timed as a layer of
+its own) on the inputs of CASES,
 `hadamix recover-pi` on three n = 12 moment documents (one in the form
 `hadamix moments` writes, checked as text; the same moments in non-lowest
 terms, read whole; an inconsistent one, checked as text up to its full
@@ -62,6 +64,8 @@ from hadamix import (
     greedy_min_rows,
     hadamard_extension,
     lagrange_projection,
+    matrix_from_json,
+    matrix_to_json,
     moment_map,
     nae_restrict,
     nae_rows,
@@ -183,6 +187,12 @@ def matrix_document(m: RMatrix) -> dict:
             "data": [[str(x) for x in row] for row in m.entries]}
 
 
+def parsed_document(m: RMatrix) -> dict:
+    """m's JSON document as json.loads returns it: a whole entry as an int,
+    any other as an "a/b" string, as `gen` and the workloads write them."""
+    return json.loads(json.dumps(matrix_to_json(m)))
+
+
 class Mixture(NamedTuple):
     """A mixture, its moments and their JSON document."""
 
@@ -299,6 +309,10 @@ CASES = [
     ("mixture k=4 n=18", mixture(10, 18), MIXTURE),
     ("blocks k=48 b=29", block_vector(11, 48, 29),
      ("lagrange_projection", "blocks_of", "respects")),
+    ("document desk n=12 k=16", parsed_document(desk_matrix(19, 12, 16)), ("matrix_from_json",)),
+    ("document four colours n=62 k=15", parsed_document(colour_matrix(20, 62, 15)),
+     ("matrix_from_json",)),
+    ("document hamming l=8", parsed_document(hamming(8)), ("matrix_from_json",)),
     ("cli nae-check 3x3", (["nae-check"], TINY_MATRIX), ("cli.main",)),
     ("cli eps --cols 1 3x3", (["eps", "--cols", "1"], TINY_MATRIX), ("cli.main",)),
     ("cli project --block 1 k=5", (["project", "--block", "1"], TINY_VECTOR), ("cli.main",)),
@@ -328,11 +342,14 @@ KERNELS = {
     "lagrange_projection": lambda x: lagrange_projection(x.v, 0),
     "blocks_of": lambda x: blocks_of(x.v),
     "respects": lambda x: respects(x.u, x.v),
+    "matrix_from_json": matrix_from_json,
     "cli.main": lambda x: cli_stdout(*x),
 }
 
 
 def digest(answer: object) -> str:
+    if isinstance(answer, RMatrix):  # its rationals, however a checkout holds them
+        answer = (answer.n_rows, answer.n_cols, answer.entries)
     return hashlib.sha256(repr(answer).encode()).hexdigest()[:16]
 
 

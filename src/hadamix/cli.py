@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from typing import IO, Sequence
 
 from .exact_core import (
@@ -182,8 +182,8 @@ def _cmd_hadext(args, stdin):
     # rational_to_json writes it, so that no list holds all 2^n rows
     slices = []
     while chunk := [[x // g if g == d else f"{x // g}/{d // g}"
-                     for x, d, g in zip(nums, dens, map(math.gcd, nums, dens))]
-                    for nums, dens in islice(rows, HADEXT_SLICE)]:
+                     for x, g in zip(nums, map(math.gcd, nums, repeat(d)))]
+                    for nums, d in islice(rows, HADEXT_SLICE)]:
         slices.append(json.dumps(chunk)[1:-1])
     return (f'{{"cols": {matrix.n_cols}, "data": [{", ".join(slices)}],'
             f' "rows": {1 << matrix.n_rows}}}')
@@ -290,8 +290,8 @@ def _cmd_invariant(args, stdin):
     v = _vector_from_json(obj["v"], "'v'")
     basis = matrix_from_json(obj["basis"])
     del obj  # the parsed document, freed before span
-    u = span(basis.entries, basis.n_cols)
-    del basis  # the Fraction rows; u holds integer rows
+    u = span(basis.rows, basis.n_cols)
+    del basis  # u holds its own rows
     invariant = is_invariant(v, u)
     respected = respects(u, v)
     if invariant != respected:

@@ -1,18 +1,25 @@
 """Exact rational linear algebra substrate.
 
 Scalars, dense matrices, subset bitmasks, and canonical (RREF) subspaces,
-all over Q via fractions.Fraction. There is no floating point and no
-tolerance anywhere, so rank and subspace equality are exact decisions.
-Every type is an immutable value and every function is pure. A number in
-hand, int or Fraction, is keyed and taken apart only by `as_integer_ratio()`:
-its exact (numerator, denominator) pair, hashed in C, not in Python code.
+all over Q. There is no floating point and no tolerance anywhere, so rank
+and subspace equality are exact decisions. Every type is an immutable
+value and every function is pure.
+
+Fractions are the API's numbers, not the kernels'. A matrix is held as
+integer rows, each row scaled by the lcm of its denominators (`RMatrix`),
+and `matrix_from_json` reads a document straight into that form, parsing
+each distinct string once, with no Fraction built; `RMatrix.entries`
+builds the Fractions only when a caller asks for them. A vector or a
+number a caller hands in, int or Fraction, is taken apart only by
+`as_integer_ratio()`: its exact (numerator, denominator) pair.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -78,8 +85,9 @@ def as_vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
                  for v in values)
 
 
-def ones(k: int) -> tuple[Fraction, ...]:
-    return (Fraction(1),) * k
+def ones(k: int) -> tuple[int, ...]:
+    """The all-ones row of length k, as integers."""
+    return (1,) * k
 
 
 def rational_to_json(q: Fraction) -> int | str:
@@ -253,22 +261,48 @@ def masks_by_cardinality(n: int) -> Iterator[int]:
 
 
 class RMatrix(_Record):
-    """Dense n x k matrix of rationals; immutable, row-major."""
+    """Dense n x k matrix of rationals; immutable, row-major.
 
-    __slots__ = ("n_rows", "n_cols", "entries")
+    Row i is held as integers: `rows[i]` is the row times `scales[i]`, the
+    lcm of the denominators of its entries in lowest terms, so a row of
+    integers is its own numerators, with scale 1. The form is canonical, so
+    equality, hash and repr read it, and every kernel reads these rows. The
+    constructor takes rational rows, ints or Fractions, and scales each row
+    once. `entries`, the rows as rationals, is kept as the constructor was
+    given it; a matrix read from JSON or built by a kernel builds it, as
+    Fractions, only when it is first asked for.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n_rows < 0 or self.n_cols < 0:
+    __slots__ = ("n_rows", "n_cols", "scales", "rows", "_entries")
+    _compared = ("n_rows", "n_cols", "scales", "rows")
+
+    def __init__(self, n_rows: int, n_cols: int,
+                 entries: Sequence[Sequence[Fraction | int]]) -> None:
+        if n_rows < 0 or n_cols < 0:
             raise DomainError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.n_rows:
-            raise DomainError(
-                f"expected {self.n_rows} rows, got {len(self.entries)}"
-            )
-        for row in self.entries:
-            if len(row) != self.n_cols:
+        if len(entries) != n_rows:
+            raise DomainError(f"expected {n_rows} rows, got {len(entries)}")
+        for row in entries:
+            if len(row) != n_cols:
                 raise DomainError(
-                    f"ragged matrix: row of length {len(row)}, expected {self.n_cols}"
+                    f"ragged matrix: row of length {len(row)}, expected {n_cols}"
                 )
+        scaled = list(map(scale_to_integers, entries))
+        self._fill(n_rows, n_cols, tuple([d for d, _ in scaled]),
+                   tuple([tuple(row) for _, row in scaled]), entries)
+
+    @classmethod
+    def _of(cls, n_rows: int, n_cols: int, scales: tuple[int, ...],
+            rows: tuple[tuple[int, ...], ...]) -> "RMatrix":
+        """The matrix of rows already in the canonical form, neither checked
+        nor scaled: each scale is the least d > 0 that makes d times the
+        row integers, so gcd(d, *row) = 1."""
+        return object.__new__(cls)._fill(n_rows, n_cols, scales, rows, None)
+
+    def _fill(self, *values: object) -> "RMatrix":
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def from_rows(
@@ -283,7 +317,18 @@ class RMatrix(_Record):
             n_cols = len(data[0])
         return cls(len(data), n_cols, tuple(data))
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    @property
+    def entries(self) -> Sequence[Sequence[Fraction | int]]:
+        if self._entries is None:
+            shared: dict[Fraction, Fraction] = {}  # one Fraction per distinct value
+            view = []
+            for d, row in zip(self.scales, self.rows):
+                value = {x: shared.setdefault(q := Fraction(x, d), q) for x in set(row)}
+                view.append(tuple(map(value.__getitem__, row)))
+            object.__setattr__(self, "_entries", tuple(view))
+        return self._entries
+
+    def row(self, i: int) -> Sequence[Fraction | int]:
         if not 0 <= i < self.n_rows:
             raise DomainError(f"row index {i} out of range for {self.n_rows} rows")
         return self.entries[i]
@@ -294,21 +339,27 @@ class RMatrix(_Record):
             raise DomainError(
                 f"row subset over {rows.size} elements does not match {self.n_rows} rows"
             )
-        return RMatrix(len(rows), self.n_cols, tuple(self.entries[i] for i in rows))
+        return RMatrix._of(len(rows), self.n_cols, tuple([self.scales[i] for i in rows]),
+                           tuple([self.rows[i] for i in rows]))
 
 
 def matrix_to_json(m: RMatrix) -> dict:
+    """Each entry as rational_to_json writes it, from the integer rows: a
+    row of scale 1 as its ints, any other with one gcd per entry."""
     return {
         "rows": m.n_rows,
         "cols": m.n_cols,
-        "data": [list(map(rational_to_json, row)) for row in m.entries],
+        "data": [list(row) if d == 1 else
+                 [x // g if g == d else f"{x // g}/{d // g}"
+                  for x, g in zip(row, map(math.gcd, row, repeat(d)))]
+                 for d, row in zip(m.scales, m.rows)],
     }
 
 
 def _entry_reader() -> Callable[[object], Fraction]:
-    """A JSON entry as a Fraction, parsing each distinct int or string once.
-    `true` (== 1, with hash 1) is never cached: it and every other type go
-    to rational_pair, which refuses them."""
+    """A JSON entry of a vector as a Fraction, parsing each distinct int or
+    string once. `true` (== 1, with hash 1) is never cached: it and every
+    other type go to rational_pair, which refuses them."""
     parsed: dict[int | str, Fraction] = {}
 
     def entry(x: object) -> Fraction:
@@ -322,7 +373,38 @@ def _entry_reader() -> Callable[[object], Fraction]:
     return entry
 
 
+_INT = {int}
+_TOKENS = {int, str}
+
+
+class _Ratio(NamedTuple):
+    """A matrix entry that is not whole, as rational_pair reads it: a type
+    of its own, which a row tells apart from an int."""
+
+    num: int
+    den: int
+
+
+def _ratio(num: int, den: int) -> int | _Ratio:
+    return num if den == 1 else _Ratio(num, den)
+
+
 def matrix_from_json(obj: object) -> RMatrix:
+    """The matrix of a JSON document, each row scaled to integers as it is
+    read, with no Fraction built.
+
+    An int entry is read as it is. Each distinct string is parsed once, by
+    rational_pair, into an int if it is whole and a `_Ratio` if not.
+    `true` and every other type go to rational_pair uncached, which refuses
+    them. The rows are read in order, each checked for its length before
+    its entries, so the first fault in row-major order is the one refused.
+
+    Heap: only the entries that are not whole get an object of their own,
+    a scaled value that CPython does not share (outside -5..256) is held
+    once per matrix, as the entries were once one Fraction per token, and
+    a row equal to the one before it, with the same entry types, is the
+    same tuple.
+    """
     if not isinstance(obj, dict):
         raise InputFormatError("matrix JSON must be an object")
     for key in ("rows", "cols", "data"):
@@ -335,13 +417,40 @@ def matrix_from_json(obj: object) -> RMatrix:
         raise InputFormatError("'rows' and 'cols' must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows:
         raise InputFormatError(f"'data' must be a list of {rows} rows")
-    entry = _entry_reader()
-    entries = []
+    parsed: dict[str, int | _Ratio] = {}
+
+    def value(x: object) -> int | _Ratio:
+        if type(x) is int:
+            return x
+        if type(x) is not str:
+            return _ratio(*rational_pair(x))
+        q = parsed.get(x)
+        if q is None:
+            q = parsed[x] = _ratio(*rational_pair(x))
+        return q
+
+    share = {}.setdefault
+    scales, scaled = [], []
+    last = None
     for r in data:
         if not isinstance(r, list) or len(r) != cols:
             raise InputFormatError(f"each row must be a list of {cols} entries")
-        entries.append(tuple(map(entry, r)))
-    return RMatrix(rows, cols, tuple(entries))
+        if r == last and set(map(type, r)) <= _TOKENS:  # a copy of the row before
+            scales.append(d)
+            scaled.append(row)
+            continue
+        values = list(map(value, r))
+        d = math.lcm(*[q[1] for q in values if type(q) is _Ratio])
+        if d == 1:  # the row is its own numerators
+            row = tuple(values)
+        else:
+            row = tuple([a if -5 <= a <= 256 else share(a, a) for a in
+                         [q[0] * (d // q[1]) if type(q) is _Ratio else q * d
+                          for q in values]])
+        scales.append(d)
+        scaled.append(row)
+        last = r
+    return RMatrix._of(rows, cols, tuple(scales), tuple(scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +610,14 @@ class Subspace(_Record):
 
 
 def span(vectors: Iterable[Sequence[RationalLike]], ambient_dim: int) -> Subspace:
-    """Canonical subspace spanned by the given vectors of length ambient_dim."""
+    """Canonical subspace spanned by the given vectors of length ambient_dim.
+
+    A vector of ints, such as a row of `RMatrix.rows`, is reduced as it is;
+    any other is read by as_vector and scaled to integers first.
+    """
     return Subspace(ambient_dim, (), ()).extend(
-        scale_to_integers(as_vector(v))[1] for v in vectors)
+        v if set(map(type, v)) <= _INT else scale_to_integers(as_vector(v))[1]
+        for v in vectors)
 
 
 def _solve_rows(rows: Iterable[Sequence[int]], k: int) -> tuple[Fraction, ...] | None:
@@ -534,8 +648,11 @@ def solve_square(a: RMatrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
     rhs = as_vector(b)
     if len(rhs) != a.n_rows:
         raise DomainError("right-hand side length does not match the system")
-    x = _solve_rows((scale_to_integers(row + (value,))[1]
-                     for row, value in zip(a.entries, rhs)), a.n_cols)
+    # row / d . x = p / q is the integer row [q * row | d * p]
+    x = _solve_rows(([q * y for y in row] + [d * p]
+                     for d, row, (p, q) in zip(a.scales, a.rows,
+                                               map(Fraction.as_integer_ratio, rhs))),
+                    a.n_cols)
     if x is None:
         raise DomainError("system matrix is singular")
     return x

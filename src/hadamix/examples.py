@@ -14,6 +14,7 @@ from .exact_core import (
     RMatrix,
     SubsetIndex,
     masks_of_weight,
+    scale_to_integers,
     span,
 )
 from .hadamard import (
@@ -58,12 +59,12 @@ def gen_vandermonde(k: int, copies: int, row: Sequence[Fraction] | None) -> RMat
     if copies < 0:
         raise InputFormatError("--copies must be nonnegative")
     _check_gen_size(copies, k)
-    values = tuple(row) if row is not None else tuple(Fraction(j) for j in range(k))
+    scale, values = scale_to_integers(row) if row is not None else (1, range(k))
     if len(values) != k:
         raise InputFormatError(f"--row must have {k} entries")
-    if len({x.as_integer_ratio() for x in values}) != k:
+    if len(set(values)) != k:
         raise InputFormatError("--row entries must be pairwise distinct")
-    return RMatrix(copies, k, (values,) * copies)
+    return RMatrix._of(copies, k, (scale,) * copies, (tuple(values),) * copies)
 
 
 def gen_hamming(l: int) -> RMatrix:
@@ -71,9 +72,8 @@ def gen_hamming(l: int) -> RMatrix:
     if not 1 <= l <= EXTENSION_ROW_GUARD:
         raise InputFormatError(f"--l must be in 1..{EXTENSION_ROW_GUARD}")
     k = 1 << l
-    signs = (Fraction(1), Fraction(-1))  # one object per distinct entry
-    rows = tuple(tuple(signs[(j >> i) & 1] for j in range(k)) for i in range(l))
-    return RMatrix(l, k, rows)
+    rows = tuple(tuple(1 - 2 * (j >> i & 1) for j in range(k)) for i in range(l))
+    return RMatrix._of(l, k, (1,) * l, rows)
 
 
 def gen_stairstep(k: int) -> RMatrix:
@@ -87,9 +87,9 @@ def gen_stairstep(k: int) -> RMatrix:
     if k < 1:
         raise InputFormatError("--k must be at least 1")
     _check_gen_size(k - 1, k)
-    one, half = Fraction(1), Fraction(1, 2)  # one object per distinct entry
-    rows = tuple(tuple(one if i < j else half for j in range(k)) for i in range(k - 1))
-    return RMatrix(k - 1, k, rows)
+    # scaled by 2, as every row has the entry 1/2 in column 0
+    rows = tuple(tuple(2 if i < j else 1 for j in range(k)) for i in range(k - 1))
+    return RMatrix._of(k - 1, k, (2,) * (k - 1), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,26 +3,26 @@ rank-certifying row subsets.
 
 The extension of an n x k matrix m is the 2^n x k matrix whose rows are
 the entrywise products of every subset of the rows of m (the empty subset
-contributing the all-ones row). `_subset_products` is the one table of
-products over subsets. `_extension_table` builds it on integers, over the
-numerators and over the denominators of each column, with one gcd per
-entry; `hadamard_extension` and the `hadext` command both read the
-extension from that table. The mixture module uses it for the forward
+contributing the all-ones row). Every function here reads m's integer
+rows (`RMatrix.rows`, row i scaled by `scales[i]`), and none builds a
+Fraction. `_subset_products` is the one table of products over subsets.
+`_extension_table` builds it over each column of the integer rows and over
+the row scales, with one gcd per entry; `hadamard_extension` and the
+`hadext` command both read the extension from that table. The mixture module uses it for the forward
 moments and the equations of `recover_pi`. The column rank needs no 2^n
 rows: adjoining a row t to a chosen set replaces the rowspace U by
 span(U union t*U), which only touches basis vectors. That fold is
 `Subspace.extend_odot`, on integer rows; it returns U itself when t adds
 nothing, and the unit rows of Q^k, with no further elimination, as soon as
 its residues fill the space. `_fold` runs it once over the rows in index
-order for the rank and the greedy certificate, scaling each row it folds
-once; `exhaustive_min_rows` scales each row once and folds each prefix
-once, shared by every subset that extends it.
+order for the rank and the greedy certificate; `exhaustive_min_rows`
+folds each prefix once, shared by every subset that extends it.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from fractions import Fraction
 from itertools import repeat
 from typing import Iterator, Sequence
 
@@ -36,7 +36,6 @@ from .exact_core import (
     masks_by_cardinality,
     masks_of_weight,
     ones,
-    scale_to_integers,
     span,
 )
 
@@ -74,8 +73,7 @@ class RowspaceState(_Record):
             raise DomainError("extension rowspace must contain the all-ones vector")
 
 
-def _subset_products(first: Fraction | int,
-                     factors: Sequence[Fraction | int]) -> list[Fraction | int]:
+def _subset_products(first: int, factors: Sequence[int]) -> list[int]:
     """first * prod(factors[i] for i in S) for every mask S, in ascending order.
 
     The table doubles once per factor: the masks whose highest bit is i
@@ -83,24 +81,20 @@ def _subset_products(first: Fraction | int,
     """
     table = [first]
     for x in factors:
-        # list() first: extending a list by a map over itself never ends;
-        # operator.mul, as int.__mul__ returns NotImplemented for a Fraction
+        # list() first: extending a list by a map over itself never ends
         table += list(map(operator.mul, table, repeat(x)))
     return table
 
 
-def _extension_table(m: RMatrix) -> Iterator[tuple[list[int], list[int]]]:
-    """(numerators, denominators) of each extension row of m, rows in
-    canonical order; entry j of row S is nums[j] / dens[j], not in lowest
-    terms.
+def _extension_table(m: RMatrix) -> Iterator[tuple[list[int], int]]:
+    """(numerators, denominator) of each extension row of m, rows in
+    canonical order; entry j of row S is nums[j] / den, not in lowest terms.
 
-    Two integer subset-product tables per column, one over the numerators
-    and one over the denominators of its entries; each reader then takes
-    one gcd per entry. A product of entry denominators divides the product
-    of the rows' lcms, so these integers are never larger than those of the
-    rows scaled to integers (on wide rows of distinct denominators they
-    are far smaller). Every guard is checked, and the tables are built,
-    when this is called; the rows are read off the tables one at a time.
+    Integer subset-product tables over m's integer rows: one per column,
+    over its scaled entries, and one over the row scales, the common
+    denominator D_S = prod_{i in S} d_i of row S. Each reader then takes one
+    gcd per entry. Every guard is checked, and the tables are built, when
+    this is called; the rows are read off the tables one at a time.
     """
     n, k = m.n_rows, m.n_cols
     if n > EXTENSION_ROW_GUARD:
@@ -110,11 +104,9 @@ def _extension_table(m: RMatrix) -> Iterator[tuple[list[int], list[int]]]:
         raise DomainError(
             f"extension guard: at most {EXTENSION_ENTRY_GUARD} entries (got {k << n})"
         )
-    columns = [[row[j].as_integer_ratio() for row in m.entries] for j in range(k)]
-    nums = [_subset_products(1, [num for num, _ in column]) for column in columns]
-    dens = [_subset_products(1, [den for _, den in column]) for column in columns]
-    return ((list(map(operator.itemgetter(mask), nums)),
-             list(map(operator.itemgetter(mask), dens)))
+    nums = [_subset_products(1, [row[j] for row in m.rows]) for j in range(k)]
+    dens = _subset_products(1, m.scales)
+    return ((list(map(operator.itemgetter(mask), nums)), dens[mask])
             for mask in masks_by_cardinality(n))
 
 
@@ -125,9 +117,12 @@ def hadamard_extension(m: RMatrix) -> RMatrix:
     all-ones row comes first and single rows of m come next. The entries
     are read from `_extension_table`.
     """
-    return RMatrix(1 << m.n_rows, m.n_cols, tuple(
-        tuple(map(Fraction, nums, dens)) for nums, dens in _extension_table(m)
-    ))
+    scales, rows = [], []
+    for nums, den in _extension_table(m):
+        g = math.gcd(den, *nums)  # den // g is the least scale of the row
+        scales.append(den // g)
+        rows.append(tuple([x // g for x in nums]))
+    return RMatrix._of(1 << m.n_rows, m.n_cols, tuple(scales), tuple(rows))
 
 
 def extend_rowspace(state: RowspaceState, m: RMatrix, t: int) -> RowspaceState:
@@ -142,8 +137,7 @@ def extend_rowspace(state: RowspaceState, m: RMatrix, t: int) -> RowspaceState:
         raise DomainError(f"row index {t} out of range for {m.n_rows} rows")
     if t in state.chosen_rows:
         raise DomainError(f"row {t} already chosen")
-    t_row = scale_to_integers(m.row(t))[1]
-    return RowspaceState(state.chosen_rows.add(t), state.space.extend_odot(t_row))
+    return RowspaceState(state.chosen_rows.add(t), state.space.extend_odot(m.rows[t]))
 
 
 def _fold(m: RMatrix) -> tuple[int, Subspace]:
@@ -151,18 +145,18 @@ def _fold(m: RMatrix) -> tuple[int, Subspace]:
     setting the bit of) each row that grows U, until U has dimension k.
 
     U starts as span(ones), the empty product, and a fold only adds basis
-    rows, so U holds the all-ones row throughout. Each row is folded at
-    most once, and scaled to integers once, as it is folded. The fold that
+    rows, so U holds the all-ones row throughout. Each integer row of m is
+    folded at most once, as it is. The fold that
     reaches dimension k stops at the residue that fills Q^k and returns its
     unit rows (see `Subspace.extend_odot`).
     """
     k = m.n_cols
     _check_columns(k)
     chosen, space = 0, span([ones(k)], k)
-    for t, row in enumerate(m.entries):
+    for t, row in enumerate(m.rows):
         if space.dim == k:
             break
-        grown = space.extend_odot(scale_to_integers(row)[1])
+        grown = space.extend_odot(row)
         if grown.dim > space.dim:
             chosen, space = chosen | 1 << t, grown
     return chosen, space
@@ -224,7 +218,7 @@ def exhaustive_min_rows(m: RMatrix, size: int) -> list[SubsetIndex]:
     if size < 0 or size > n:
         raise DomainError(f"subset size {size} out of range for {n} rows")
     _count_subsets(n, size)
-    rows = [scale_to_integers(row)[1] for row in m.entries]
+    rows = m.rows
     out: list[SubsetIndex] = []
     # (prefix's space, prefix, members left to pick below `below`), each child
     # folded as it is pushed: a stack, as a path may outrun the recursion limit

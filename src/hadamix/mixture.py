@@ -69,14 +69,14 @@ class MixtureParams(_Record):
             raise DomainError(
                 f"pi has {len(self.pi)} entries for {self.m.n_cols} columns"
             )
-        # int comparisons, not Fraction ones: every denominator is positive
-        for i, row in enumerate(self.m.entries):
-            for j, (num, den) in enumerate([x.as_integer_ratio() for x in row]):
-                if not 0 <= num <= den:
-                    raise DomainError(
-                        f"entry ({i},{j}) = {row[j]} is not a probability",
-                        witness={"row": i, "col": j},
-                    )
+        # entry (i, j) is a / d_i for the integer row a and its scale d_i > 0
+        for i, (d, row) in enumerate(zip(self.m.scales, self.m.rows)):
+            if row and not 0 <= min(row) <= max(row) <= d:
+                j = next(j for j, a in enumerate(row) if not 0 <= a <= d)
+                raise DomainError(
+                    f"entry ({i},{j}) = {self.m.entries[i][j]} is not a probability",
+                    witness={"row": i, "col": j},
+                )
         if any(p.as_integer_ratio()[0] < 0 for p in self.pi):
             raise DomainError("mixture weights must be nonnegative")
         if sum(self.pi) != 1:
@@ -262,21 +262,20 @@ class MomentVector(_Record):
 def _forward_moments(m: RMatrix, pi: Sequence[Fraction]) -> tuple[list[int], list[int]]:
     """All 2^n subset moments of (m, pi) as integer numerators and denominators.
 
-    Row i of m is scaled to integers by the lcm d_i of its denominators and
-    pi by the lcm w of its own, so mask S has the numerator
-    sum_j (w pi_j) prod_{i in S} (d_i m_ij) over the denominator
-    w prod_{i in S} d_i.
+    Row i of m is held scaled to integers by the lcm d_i of its denominators
+    (`RMatrix.rows`), and pi is scaled by the lcm w of its own, so mask S
+    has the numerator sum_j (w pi_j) prod_{i in S} (d_i m_ij) over the
+    denominator w prod_{i in S} d_i.
     """
-    rows = [scale_to_integers(row) for row in m.entries]
     w, weights = scale_to_integers(pi)
-    columns = (_subset_products(weight, [row[j] for _, row in rows])
+    columns = (_subset_products(weight, [row[j] for row in m.rows])
                for j, weight in enumerate(weights))
     nums = next(columns, None)
     if nums is None:  # k = 0: every moment is an empty sum
         nums = [0] * (1 << m.n_rows)
     for column in columns:
         nums = list(map(operator.add, nums, column))
-    return nums, _subset_products(w, [d for d, _ in rows])
+    return nums, _subset_products(w, m.scales)
 
 
 def _lowest_terms(nums: Sequence[int],
@@ -317,7 +316,7 @@ def is_separated(m: RMatrix, i: int) -> bool:
     """Whether row i has k pairwise distinct entries."""
     if not 0 <= i < m.n_rows:
         raise DomainError(f"row index {i} out of range for {m.n_rows} rows")
-    return len({x.as_integer_ratio() for x in m.entries[i]}) == m.n_cols
+    return len(set(m.rows[i])) == m.n_cols
 
 
 class GateReport(_Record):
@@ -392,7 +391,7 @@ def _weights(m: RMatrix, certificate: SubsetIndex | NotFullRank,
     # product over a subset S is [D_S P_S | D_S], for the product row P_S of
     # the extension and D_S = prod_{i in S} d_i. Equation S, P_S pi = num/den,
     # becomes the integer row [den D_S P_S | D_S num].
-    scaled = [(*row, d) for d, row in map(scale_to_integers, map(m.row, certificate))]
+    scaled = [(*m.rows[i], m.scales[i]) for i in certificate]
     products = list(zip(*(_subset_products(1, [row[j] for row in scaled])
                           for j in range(k + 1))))
 
@@ -496,14 +495,13 @@ def _moment_blocks(m: RMatrix, pi: Sequence[Fraction], first: int = 0):
     A block's masks share their high rows, so each column's weighted
     subset products over the low rows are scaled by its product over them.
     """
-    rows = [scale_to_integers(row) for row in m.entries]
     w, weights = scale_to_integers(pi)
-    low = min(len(rows), _TEXT_BLOCK_BITS)
-    columns = [[row[j] for _, row in rows] for j in range(len(weights))]
+    low = min(m.n_rows, _TEXT_BLOCK_BITS)
+    columns = [[row[j] for row in m.rows] for j in range(len(weights))]
     lows = [_subset_products(weight, column[:low]) for weight, column in zip(weights, columns)]
-    low_dens = _subset_products(w, [d for d, _ in rows[:low]])
+    low_dens = _subset_products(w, m.scales[:low])
     highs = [_subset_products(1, column[low:]) for column in columns]
-    high_dens = _subset_products(1, [d for d, _ in rows[low:]])
+    high_dens = _subset_products(1, m.scales[low:])
     size = 1 << low
     for base, high_den, *factors in islice(zip(count(0, size), high_dens, *highs),
                                            first >> low, None):

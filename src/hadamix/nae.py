@@ -69,8 +69,8 @@ def nae_rows(m: RMatrix, cols: SubsetIndex) -> SubsetIndex:
     if not idx:
         raise DomainError("column set must be nonempty")
     mask = 0
-    for i, row in enumerate(m.entries):
-        if len({row[j].as_integer_ratio() for j in idx}) > 1:
+    for i, row in enumerate(m.rows):
+        if len({row[j] for j in idx}) > 1:
             mask |= 1 << i
     return SubsetIndex(m.n_rows, mask)
 
@@ -95,15 +95,15 @@ def _row_classes(m: RMatrix) -> Classes:
     """The rows' classes of equal values, as column masks, one entry per
     distinct pattern: (mask of the rows with that pattern, their classes).
 
-    Values are keyed by `as_integer_ratio()`, as everywhere in the package.
-    Classes are listed by their first column, so rows with the same pattern
-    give the same tuple.
+    Values are keyed by the integer rows of m: two entries of a row are
+    equal exactly when their scaled integers are. Classes are listed by
+    their first column, so rows with the same pattern give the same tuple.
     """
     groups: dict[tuple[int, ...], int] = {}
-    for i, row in enumerate(m.entries):
-        classes: dict[tuple[int, int], int] = {}
+    for i, row in enumerate(m.rows):
+        classes: dict[int, int] = {}
         bit = 1
-        for key in [x.as_integer_ratio() for x in row]:
+        for key in row:
             classes[key] = classes.get(key, 0) | bit
             bit <<= 1
         pattern = tuple(classes.values())

@@ -13,7 +13,8 @@ every product against the growing basis. The block-respect reference eliminates 
 and the invariance reference builds span(U union v*U) in full. The mixture-weight reference is the library's earlier
 Fraction path: extension rows re-spanned one at a time, then `solve_square`
 on the k x k system. The mixture-parameter reference is the library's earlier
-check of m and pi by Fraction comparisons.
+check of m and pi by Fraction comparisons. The matrix reader reference is
+the library's earlier reader, one Fraction per distinct entry.
 """
 
 import math
@@ -24,6 +25,7 @@ import pytest
 
 from hadamix import (
     DomainError,
+    InputFormatError,
     InternalInvariantError,
     MomentVector,
     NotFullRank,
@@ -41,6 +43,7 @@ from hadamix.exact_core import (
     _insert,
     as_vector,
     ones,
+    rational_pair,
     scale_to_integers,
     solve_square,
 )
@@ -551,3 +554,38 @@ def random_matrix(rng, n, k, pool):
 # Small value pools; repeats are likely, which exercises the color logic.
 SMALL_POOL = [0, 1, Fraction(1, 2), 2, -1]
 PROB_POOL = [Fraction(num, 8) for num in range(9)]
+
+
+def matrix_from_json_reference(obj):
+    """The matrix of a JSON document as the library read it before it held
+    integer rows: a Fraction per distinct int or string entry, cached, and
+    a tuple of them per row, each row checked for its length before its
+    entries. `true` and every other type go to rational_pair uncached."""
+    if not isinstance(obj, dict):
+        raise InputFormatError("matrix JSON must be an object")
+    for key in ("rows", "cols", "data"):
+        if key not in obj:
+            raise InputFormatError(f"matrix JSON missing field {key!r}")
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    if isinstance(rows, bool) or isinstance(cols, bool) \
+            or not isinstance(rows, int) or not isinstance(cols, int) \
+            or rows < 0 or cols < 0:
+        raise InputFormatError("'rows' and 'cols' must be nonnegative integers")
+    if not isinstance(data, list) or len(data) != rows:
+        raise InputFormatError(f"'data' must be a list of {rows} rows")
+    parsed = {}
+
+    def entry(x):
+        if type(x) is not int and type(x) is not str:
+            return Fraction(*rational_pair(x))
+        q = parsed.get(x)
+        if q is None:
+            q = parsed[x] = Fraction(*rational_pair(x))
+        return q
+
+    entries = []
+    for r in data:
+        if not isinstance(r, list) or len(r) != cols:
+            raise InputFormatError(f"each row must be a list of {cols} entries")
+        entries.append(tuple(map(entry, r)))
+    return RMatrix(rows, cols, tuple(entries))

@@ -27,8 +27,10 @@ from hadamix import (
     RMatrix,
     blocks_of,
     cli,
+    exact_core,
     examples,
     greedy_min_rows,
+    hadamard,
     lagrange_projection,
     mixture,
     moment_map,
@@ -1337,3 +1339,72 @@ def test_minrows_exhaustive_below_log2_k_adds_no_fold(fold_dims):
     both = run_json(["minrows", "--exhaustive", "--size", "2"], matrix)
     assert both == {**greedy, "exhaustive": []}
     assert len(fold_dims) == greedy_folds
+
+
+# ---------------------------------------------------------------------------
+# matrices read as integer rows
+
+ROWS_M = {"rows": 3, "cols": 3, "data": [["1/2", 2, "-1/3"], [1, "3/4", 0], ["5/6", "5/6", 2]]}
+PROB_M = {"rows": 3, "cols": 2, "data": [["1/2", "1/3"], ["1/4", 1], ["2/3", "1/5"]]}
+PROB_PI = ["1/3", "2/3"]
+
+
+def _row_path_documents():
+    moments = run_cli(["moments"], json.dumps({"m": PROB_M, "pi": PROB_PI}))[1]
+    return [
+        (["rank"], ROWS_M),
+        (["minrows"], ROWS_M),
+        (["minrows", "--exhaustive"], ROWS_M),
+        (["hadext"], ROWS_M),
+        (["moments"], {"m": PROB_M, "pi": PROB_PI}),
+        (["recover-pi"], {"m": PROB_M, "moments": json.loads(moments)}),
+        (["nae-check"], ROWS_M),
+        (["invariant"], {"basis": {"rows": 2, "cols": 3, "data": [["1/2", "1/2", 0], [0, 0, 3]]},
+                         "v": [2, 2, 5]}),
+    ]
+
+
+ROW_PATH_CASES = _row_path_documents()
+
+
+@pytest.mark.parametrize("argv, document", ROW_PATH_CASES,
+                         ids=[" ".join(argv) for argv, _ in ROW_PATH_CASES])
+def test_commands_read_matrix_rows_as_integers(argv, document, monkeypatch):
+    # the rows of the input matrix, as Fractions, whatever their key
+    matrix = document.get("m", document.get("basis", document))
+    fraction_rows = {tuple(map(Fraction, row)) for row in matrix_from_json(matrix).entries}
+    scaled, read = [], []
+    scale = exact_core.scale_to_integers
+
+    def counted(vec):
+        scaled.append(tuple(map(Fraction, vec)))
+        return scale(vec)
+
+    def reader(obj):
+        read.append(matrix_from_json(obj))
+        return read[-1]
+
+    for module in (exact_core, hadamard, mixture, nae, partition_algebra, cli):
+        monkeypatch.setattr(module, "scale_to_integers", counted, raising=False)
+    monkeypatch.setattr(cli, "matrix_from_json", reader)
+    if argv == ["recover-pi"]:  # the text path reads no MomentVector
+        monkeypatch.setattr(mixture.MomentVector, "from_json_obj",
+                            lambda doc: pytest.fail("the document was read whole"))
+    code, out, err = run_cli(argv, json.dumps(document))
+    assert code == 0, (out, err)
+    assert len(read) == 1
+    # every vector scaled is a weight, a v or the ones row, never a matrix row
+    assert fraction_rows.isdisjoint(scaled), scaled
+    # and the reader's matrix never built its Fraction view
+    assert read[0]._entries is None
+
+
+def test_probability_refusals_name_the_entry_in_lowest_terms():
+    m = {"rows": 2, "cols": 2, "data": [["1/2", 0], ["6/4", "1/2"]]}
+    assert run_cli(["moments"], json.dumps({"m": m, "pi": ["1/2", "1/2"]})) == (
+        1, '{"error": "entry (2,1) = 3/2 is not a probability", "witness": {"col": 1, "row": 2}}\n',
+        "")
+    with pytest.raises(DomainError) as refused:
+        MixtureParams(matrix_from_json(m), ("1/2", "1/2"))
+    assert str(refused.value) == "entry (1,0) = 3/2 is not a probability"
+    assert refused.value.witness == {"row": 1, "col": 0}

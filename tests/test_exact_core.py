@@ -17,6 +17,7 @@ from conftest import (
     diagonal_matrix,
     drop_row,
     extend_odot_reference,
+    matrix_from_json_reference,
     minor_rank,
     orthogonal_complement,
     random_matrix,
@@ -503,25 +504,19 @@ def test_diagonal_shares_its_zero_and_serialises_entrywise():
         assert json.dumps(matrix_to_json(m)) == json.dumps(expected)
 
 
-def test_matrix_to_json_calls_the_encoder_once_per_entry(monkeypatch):
-    calls = 0
-    real = exact_core.rational_to_json
-
-    def counted(q):
-        nonlocal calls
-        calls += 1
-        return real(q)
-
-    monkeypatch.setattr(exact_core, "rational_to_json", counted)
+def test_matrix_to_json_writes_the_integer_rows_without_the_encoder(monkeypatch):
+    monkeypatch.setattr(exact_core, "rational_to_json",
+                        lambda q: pytest.fail("an entry went through the encoder"))
     diag = [Fraction(7, 3), 0, -2, Fraction(0), 5]
-    obj = matrix_to_json(diagonal_matrix(diag))
-    # the shared ZERO off the diagonal is an entry like any other
-    assert calls == len(diag) ** 2
+    m = diagonal_matrix(diag)
+    obj = matrix_to_json(m)
     assert obj["data"][1] == [0] * 5 and obj["data"][0] == ["7/3", 0, 0, 0, 0]
-    calls = 0
-    m = RMatrix.from_rows([[0, Fraction(1, 2)], [Fraction(0, 5), -1]])
-    assert matrix_to_json(m)["data"] == [[0, "1/2"], [0, -1]]
-    assert calls == 4
+    # a row of scale 1 is written as its ints, any other with a gcd per entry
+    m = RMatrix.from_rows([[0, Fraction(1, 2)], [Fraction(0, 5), -1], [Fraction(-4, 6), 2]])
+    assert m.scales == (2, 1, 3)
+    assert matrix_to_json(m)["data"] == [[0, "1/2"], [0, -1], ["-2/3", 2]]
+    monkeypatch.undo()
+    assert matrix_to_json(m)["data"] == [list(map(rational_to_json, row)) for row in m.entries]
 
 
 def test_entry_reader_parses_each_distinct_entry_once(monkeypatch):
@@ -542,6 +537,39 @@ def test_entry_reader_parses_each_distinct_entry_once(monkeypatch):
     for bad in (True, False, 1.0, 0.0):
         with pytest.raises(InputFormatError):
             entry(bad)
+
+
+def test_matrix_reader_parses_each_distinct_entry_once(monkeypatch):
+    parses = []
+    real = exact_core.rational_pair
+
+    def counted(x):
+        parses.append(x)
+        return real(x)
+
+    monkeypatch.setattr(exact_core, "rational_pair", counted)
+    obj = {"rows": 3, "cols": 3,
+           "data": [["1/2", 3, "1/2"], ["2/4", 3, "3"], [1, 1, "1/2"]]}
+    m = matrix_from_json(obj)
+    # an int is read as it is, each distinct string once
+    assert parses == ["1/2", "2/4", "3"]
+    assert m.scales == (2, 2, 2)
+    assert m.rows == ((1, 6, 1), (1, 6, 6), (2, 2, 1))
+    # no Fraction is built until the entries are asked for
+    assert m._entries is None
+    assert m.entries == ((Fraction(1, 2), 3, Fraction(1, 2)), (Fraction(1, 2), 3, 3), (1, 1, Fraction(1, 2)))
+    # a row of scale 1 is its tokens; a scaled value outside CPython's small
+    # ints is one object per matrix; a copy of the row before is one tuple
+    big = 10**30
+    m = matrix_from_json({"rows": 4, "cols": 2,
+                          "data": [[big, "6/3"], ["-7/2", "1/2"], ["-7/2", "1/2"], [1, "-7/2"]]})
+    assert m.rows == ((big, 2), (-7, 1), (-7, 1), (2, -7)) and m.scales == (1, 2, 2, 2)
+    assert m.rows[0][0] is big
+    assert m.rows[1] is m.rows[2] and m.rows[3][1] is m.rows[1][0]
+    # `true` is never read from a cached 1, nor `false` from a cached 0
+    for bad in (True, False, 1.0):
+        with pytest.raises(InputFormatError):
+            matrix_from_json({"rows": 1, "cols": 3, "data": [[1, 0, bad]]})
 
 
 def test_rmatrix_validation():
@@ -580,3 +608,55 @@ def test_matrix_json_roundtrip():
 def test_matrix_json_rejects_malformed(bad):
     with pytest.raises(InputFormatError):
         matrix_from_json(bad)
+
+
+# tokens of every kind the reader meets: valid ints and strings (some not in
+# lowest terms or past int-to-str's digit limit), and malformed ones
+VALID_TOKENS = [0, 1, -1, 3, 10**5000, "0", "3", "-0/3", "1/2", "2/4", "-6/4", "007", "5/1"]
+BAD_TOKENS = [True, False, 1.0, 0.5, None, "1/0", "1_0", " 1", "+1", "1/-2", "x",
+              "9" * 5000, "1/" + "9" * 5000, [1], {}]
+
+
+@st.composite
+def matrix_documents(draw):
+    """Matrix JSON objects, most of them valid; a fault, when there is one,
+    is a bad token, a ragged or non-list row, or a bad header."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    tokens = st.sampled_from(VALID_TOKENS)
+    if draw(st.booleans()):
+        tokens = st.one_of(tokens, st.sampled_from(BAD_TOKENS))
+    data = [draw(st.one_of(
+        st.lists(tokens, min_size=cols, max_size=cols),
+        st.lists(tokens, max_size=5),  # maybe ragged
+        st.sampled_from([None, "row", (1,) * cols]),
+    ) if draw(st.integers(0, 9)) == 0 else st.lists(tokens, min_size=cols, max_size=cols))
+        for _ in range(rows)]
+    obj = {"rows": rows, "cols": cols, "data": data}
+    fault = draw(st.integers(0, 19))
+    if fault == 0:
+        obj["rows"] = draw(st.sampled_from([True, -1, "2", rows + 1]))
+    elif fault == 1:
+        del obj[draw(st.sampled_from(["rows", "cols", "data"]))]
+    return obj
+
+
+def _read(reader, obj):
+    try:
+        m = reader(obj)
+    except InputFormatError as exc:
+        return "refused", str(exc)
+    return m, m.entries
+
+
+@settings(deadline=None, max_examples=400)
+@given(matrix_documents())
+@example({"rows": 2, "cols": 2, "data": [["1/2", True], [1]]})
+@example({"rows": 2, "cols": 2, "data": [[1, "1_0"], [1, 2, 3]]})
+@example({"rows": 2, "cols": 2, "data": [[1, 1], [True, 1]]})
+@example({"rows": 1, "cols": 3, "data": [["-0/3", "1/0", 1.0]]})
+@example({"rows": 1, "cols": 2, "data": [[10**5000, "9" * 5000]]})
+@example(42)
+def test_matrix_reader_answers_as_the_fraction_reader(obj):
+    got, expected = _read(matrix_from_json, obj), _read(matrix_from_json_reference, obj)
+    # the same matrix and the same Fraction entries, or the same refusal
+    assert got == expected

@@ -478,9 +478,9 @@ def test_exhaustive_folds_each_prefix_once(fold_dims):
     assert found  # the scan has something to find
 
 
-def test_exhaustive_scales_each_row_once(monkeypatch, fold_dims):
-    # each row of m is scaled to integers once, however many prefixes fold
-    # it, and the starting span scales the ones row: n + 1 calls in all
+def test_exhaustive_scales_no_row(monkeypatch, fold_dims):
+    # m holds its rows scaled to integers, however many prefixes fold them,
+    # and the starting span is of the integer ones row: nothing is scaled
     n, k, size = 8, 5, 4
     m = random_matrix(random.Random(8), n, k, SMALL_POOL)
     expected = exhaustive_min_rows_reference(m, size)
@@ -495,7 +495,7 @@ def test_exhaustive_scales_each_row_once(monkeypatch, fold_dims):
     monkeypatch.setattr(hadamard, "scale_to_integers", counted, raising=False)
     assert exhaustive_min_rows(m, size) == expected
     assert len(fold_dims) > 2 * n  # many folds per row
-    assert len(calls) == n + 1
+    assert calls == []
 
 
 def test_exhaustive_stops_folding_under_a_full_rank_prefix(fold_dims):

@@ -240,14 +240,18 @@ def test_exhaustive_nae_restrict_matches_definitional_enumeration():
 
 
 class _Trap:
-    """An entry that fails the test when it is read."""
+    """An integer-row entry that fails the test when it is read."""
 
-    def as_integer_ratio(self):
+    def __hash__(self):
+        pytest.fail("entries were walked")
+
+    def __eq__(self, other):
         pytest.fail("entries were walked")
 
 
 def test_nae_rows_checks_its_columns_before_the_entry_walk():
-    trapped = RMatrix(63, 3, ((_Trap(),) * 3,) * 63)
+    # the rows as the JSON reader holds them, scaled to integers
+    trapped = RMatrix._of(63, 3, (1,) * 63, ((_Trap(),) * 3,) * 63)
     with pytest.raises(DomainError, match="column set must be nonempty"):
         nae_rows(trapped, SubsetIndex(3))
     with pytest.raises(DomainError, match="does not match 3 columns"):
