@@ -420,8 +420,7 @@ def matrix_from_json(obj: object) -> RMatrix:
     parsed: dict[str, int | _Ratio] = {}
 
     def value(x: object) -> int | _Ratio:
-        if type(x) is int:
-            return x
+        """A str, parsed once, or any other entry but an int, refused."""
         if type(x) is not str:
             return _ratio(*rational_pair(x))
         q = parsed.get(x)
@@ -439,14 +438,13 @@ def matrix_from_json(obj: object) -> RMatrix:
             scales.append(d)
             scaled.append(row)
             continue
-        values = list(map(value, r))
+        values = [x if type(x) is int else value(x) for x in r]
         d = math.lcm(*[q[1] for q in values if type(q) is _Ratio])
         if d == 1:  # the row is its own numerators
             row = tuple(values)
         else:
-            row = tuple([a if -5 <= a <= 256 else share(a, a) for a in
-                         [q[0] * (d // q[1]) if type(q) is _Ratio else q * d
-                          for q in values]])
+            row = tuple([a if -5 <= (a := q[0] * (d // q[1]) if type(q) is _Ratio else q * d)
+                         <= 256 else share(a, a) for q in values])
         scales.append(d)
         scaled.append(row)
         last = r
