@@ -8,13 +8,13 @@ rows (`RMatrix.rows`, row i scaled by `scales[i]`), and none builds a
 Fraction. `_subset_products` is the one table of products over subsets.
 `_extension_table` builds it over each column of the integer rows and over
 the row scales, with one gcd per entry; `hadamard_extension` and the
-`hadext` command both read the extension from that table. The mixture module uses it for the forward
-moments and the equations of `recover_pi`. The column rank needs no 2^n
-rows: adjoining a row t to a chosen set replaces the rowspace U by
-span(U union t*U), which only touches basis vectors. That fold is
-`Subspace.extend_odot`, on integer rows; it returns U itself when t adds
-nothing, and the unit rows of Q^k, with no further elimination, as soon as
-its residues fill the space. `_fold` runs it once over the rows in index
+`hadext` command both read the extension from that table. The mixture
+module uses it for the forward moments and the equations of `recover_pi`.
+The column rank needs no 2^n rows: adjoining a row t to a chosen set
+replaces the rowspace U by span(U union t*U), which only touches basis
+vectors. That fold is `Subspace.extend_odot`, on integer rows; it returns
+U itself when t adds nothing, and the unit rows of Q^k, with no further
+elimination, as soon as its residues fill the space. `_fold` runs it once over the rows in index
 order for the rank and the greedy certificate; `exhaustive_min_rows`
 folds each prefix once, shared by every subset that extends it.
 """

@@ -557,7 +557,8 @@ def test_matrix_reader_parses_each_distinct_entry_once(monkeypatch):
     assert m.rows == ((1, 6, 1), (1, 6, 6), (2, 2, 1))
     # no Fraction is built until the entries are asked for
     assert m._entries is None
-    assert m.entries == ((Fraction(1, 2), 3, Fraction(1, 2)), (Fraction(1, 2), 3, 3), (1, 1, Fraction(1, 2)))
+    assert m.entries == ((Fraction(1, 2), 3, Fraction(1, 2)), (Fraction(1, 2), 3, 3),
+                         (1, 1, Fraction(1, 2)))
     # a row of scale 1 is its tokens; a scaled value outside CPython's small
     # ints is one object per matrix; a copy of the row before is one tuple
     big = 10**30
