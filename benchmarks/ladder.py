@@ -18,8 +18,10 @@ terms, read whole; an inconsistent one, checked as text up to its full
 mask, then read whole and refused),
 and `cli.main` (its answer is the stdout) on tiny documents, which shows
 what an invocation pays besides its kernel, on the 2^n-entry documents
-of `moments`, `recover-pi` and `hadext`, on the k x k projector that
-`project` prints at k = 62, and on `invariant` with a 16 x 48 basis, the
+of `moments`, `recover-pi` and `hadext` (the last at n = 8, 12 and 14,
+which times the product per entry of its two half tables), on the k x k
+projector that `project` prints at k = 62, and on `invariant` with a
+16 x 48 basis, the
 subspace workload's heaviest command, best of REPEATS runs, and writes the
 times with a digest of each answer to BENCH_<n>.json in the current
 directory, n being the first unused run number. Each run is bracketed by a fixed pure-Python calibration loop, as
@@ -323,6 +325,10 @@ CASES = [
     ("cli recover-pi mixture k=4 n=12", RECOVER_PI_N12, ("cli.main",)),
     ("cli hadext desk n=8 k=5",
      (["hadext"], json.dumps(matrix_document(desk_matrix(15, 8, 5)))), ("cli.main",)),
+    ("cli hadext desk n=12 k=8",
+     (["hadext"], json.dumps(matrix_document(desk_matrix(21, 12, 8)))), ("cli.main",)),
+    ("cli hadext desk n=14 k=8",
+     (["hadext"], json.dumps(matrix_document(desk_matrix(22, 14, 8)))), ("cli.main",)),
 ]
 # Each kernel is called on its case's input.
 KERNELS = {

@@ -343,16 +343,21 @@ class RMatrix(_Record):
                            tuple([self.rows[i] for i in rows]))
 
 
+def _row_to_json(nums: Sequence[int], d: int) -> list[int | str]:
+    """The entries nums[j] / d (d > 0), each as rational_to_json writes it:
+    a row of scale 1 as its ints, any other with one gcd per entry."""
+    if d == 1:
+        return list(nums)
+    return [x // g if g == d else f"{x // g}/{d // g}"
+            for x, g in zip(nums, map(math.gcd, nums, repeat(d)))]
+
+
 def matrix_to_json(m: RMatrix) -> dict:
-    """Each entry as rational_to_json writes it, from the integer rows: a
-    row of scale 1 as its ints, any other with one gcd per entry."""
+    """Each entry as rational_to_json writes it, from the integer rows."""
     return {
         "rows": m.n_rows,
         "cols": m.n_cols,
-        "data": [list(row) if d == 1 else
-                 [x // g if g == d else f"{x // g}/{d // g}"
-                  for x, g in zip(row, map(math.gcd, row, repeat(d)))]
-                 for d, row in zip(m.scales, m.rows)],
+        "data": list(map(_row_to_json, m.rows, m.scales)),
     }
 
 

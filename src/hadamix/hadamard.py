@@ -5,11 +5,12 @@ The extension of an n x k matrix m is the 2^n x k matrix whose rows are
 the entrywise products of every subset of the rows of m (the empty subset
 contributing the all-ones row). Every function here reads m's integer
 rows (`RMatrix.rows`, row i scaled by `scales[i]`), and none builds a
-Fraction. `_subset_products` is the one table of products over subsets.
-`_extension_table` builds it over each column of the integer rows and over
-the row scales, with one gcd per entry; `hadamard_extension` and the
-`hadext` command both read the extension from that table. The mixture
-module uses it for the forward moments and the equations of `recover_pi`.
+Fraction. `_subset_products` is the table of products over subsets of one
+column; the mixture module uses it for the forward moments and the
+equations of `recover_pi`. `_extension_table` splits the rows into two
+halves and builds `_subset_rows`, the products of whole rows, over each;
+`hadamard_extension` and the `hadext` command both read the extension from
+those two tables, with one product and one gcd per entry.
 The column rank needs no 2^n rows: adjoining a row t to a chosen set
 replaces the rowspace U by span(U union t*U), which only touches basis
 vectors. That fold is `Subspace.extend_odot`, on integer rows; it returns
@@ -86,15 +87,28 @@ def _subset_products(first: int, factors: Sequence[int]) -> list[int]:
     return table
 
 
+def _subset_rows(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """The entrywise product of every subset of these rows of `width`
+    entries, masks in ascending order: `_subset_products` over each entry
+    at once, the empty subset giving the all-ones row."""
+    table = [[1] * width]
+    for row in rows:
+        table += [list(map(operator.mul, product, row)) for product in table]
+    return table
+
+
 def _extension_table(m: RMatrix) -> Iterator[tuple[list[int], int]]:
     """(numerators, denominator) of each extension row of m, rows in
     canonical order; entry j of row S is nums[j] / den, not in lowest terms.
 
-    Integer subset-product tables over m's integer rows: one per column,
-    over its scaled entries, and one over the row scales, the common
-    denominator D_S = prod_{i in S} d_i of row S. Each reader then takes one
-    gcd per entry. Every guard is checked, and the tables are built, when
-    this is called; the rows are read off the tables one at a time.
+    Each integer row of m is extended by its scale d_i, and the subset
+    products of those rows are built over the low l = n // 2 rows and over
+    the high ones: 2^l and 2^(n-l) rows of k + 1 integers, not k tables of
+    2^n. Row S is the product of low row a = S & (2^l - 1) and high row
+    b = S >> l; its last entry is the common denominator
+    D_S = prod_{i in S} d_i. Each reader then takes one gcd per entry.
+    Every guard is checked, and the tables are built, when this is called;
+    the rows are read off the tables one at a time.
     """
     n, k = m.n_rows, m.n_cols
     if n > EXTENSION_ROW_GUARD:
@@ -104,10 +118,18 @@ def _extension_table(m: RMatrix) -> Iterator[tuple[list[int], int]]:
         raise DomainError(
             f"extension guard: at most {EXTENSION_ENTRY_GUARD} entries (got {k << n})"
         )
-    nums = [_subset_products(1, [row[j] for row in m.rows]) for j in range(k)]
-    dens = _subset_products(1, m.scales)
-    return ((list(map(operator.itemgetter(mask), nums)), dens[mask])
-            for mask in masks_by_cardinality(n))
+    low = n // 2
+    rows = [(*row, d) for row, d in zip(m.rows, m.scales)]
+    lows, highs = _subset_rows(rows[:low], k + 1), _subset_rows(rows[low:], k + 1)
+
+    def read() -> Iterator[tuple[list[int], int]]:
+        low_mask = (1 << low) - 1
+        for mask in masks_by_cardinality(n):
+            nums = list(map(operator.mul, lows[mask & low_mask], highs[mask >> low]))
+            den = nums.pop()
+            yield nums, den
+
+    return read()
 
 
 def hadamard_extension(m: RMatrix) -> RMatrix:

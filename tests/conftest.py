@@ -14,10 +14,13 @@ and the invariance reference builds span(U union v*U) in full. The mixture-weigh
 Fraction path: extension rows re-spanned one at a time, then `solve_square`
 on the k x k system. The mixture-parameter reference is the library's earlier
 check of m and pi by Fraction comparisons. The matrix reader reference is
-the library's earlier reader, one Fraction per distinct entry.
+the library's earlier reader, one Fraction per distinct entry. The
+extension table reference is the library's earlier table, k full tables of
+2^n subset products, one per column.
 """
 
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations
 
@@ -47,7 +50,7 @@ from hadamix.exact_core import (
     scale_to_integers,
     solve_square,
 )
-from hadamix.hadamard import RowspaceState, extend_rowspace
+from hadamix.hadamard import RowspaceState, _subset_products, extend_rowspace
 from hadamix.nae import COLUMN_SCAN_GUARD, NaeReport
 
 
@@ -194,6 +197,17 @@ def extension_rows_reference(m):
         row = m.entries[low.bit_length() - 1]
         products[mask] = tuple(a * b for a, b in zip(products[mask ^ low], row))
     return [(mask, products[mask]) for mask in masks_by_cardinality(m.n_rows)]
+
+
+def extension_table_reference(m):
+    """(numerators, denominator) of each extension row of m in canonical
+    order, as `_extension_table` yields them, from one subset-product table
+    of 2^n entries per column and one over the row scales, as it built them
+    before it split the rows into two halves."""
+    nums = [_subset_products(1, [row[j] for row in m.rows]) for j in range(m.n_cols)]
+    dens = _subset_products(1, m.scales)
+    return [(list(map(operator.itemgetter(mask), nums)), dens[mask])
+            for mask in masks_by_cardinality(m.n_rows)]
 
 
 def solve_pi_reference(m, moments):

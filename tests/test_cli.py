@@ -16,7 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import diagonal_matrix, recover_pi_reference
+from conftest import (
+    diagonal_matrix,
+    extension_table_reference,
+    forward_moments_reference,
+    lagrange_projection_reference,
+    recover_pi_reference,
+)
 from hadamix import (
     DomainError,
     InputFormatError,
@@ -443,7 +449,61 @@ def test_project_prints_the_projector_as_json_dumps(v):
                 max_size=20))
 def test_diagonal_text_is_json_dumps_of_any_diagonal(d):
     expected = reference_text(diagonal_matrix(d))
-    assert cli._diagonal_text(d) == cli._diagonal_text(tuple(d)) == expected
+    assert "".join(cli._diagonal_text(d)) == "".join(cli._diagonal_text(tuple(d))) == expected
+
+
+def hadext_reference(m):
+    """The `hadext` document of m, each entry a Fraction of the full-table
+    reference written by rational_to_json."""
+    return {"rows": 1 << m.n_rows, "cols": m.n_cols,
+            "data": [[rational_to_json(Fraction(x, den)) for x in nums]
+                     for nums, den in extension_table_reference(m)]}
+
+
+def document_of(m):
+    """The matrix document of m, each entry written by rational_to_json."""
+    return {"rows": m.n_rows, "cols": m.n_cols,
+            "data": [[rational_to_json(x) for x in row] for row in m.entries]}
+
+
+# zeros, integers, and rationals whose denominators cancel (2/3, 3/2)
+HADEXT_ENTRIES = st.sampled_from([0, 1, -1, 3, Fraction(2, 3), Fraction(3, 2), Fraction(-5, 6)])
+PROBABILITIES = st.sampled_from([0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)])
+
+
+@st.composite
+def streamed_commands(draw):
+    """(argv, stdin, reference document) of a `hadext`, `project` or
+    `moments` invocation: the three commands whose document main writes
+    as it is made."""
+    command = draw(st.sampled_from(["hadext", "project", "moments"]))
+    if command == "project":
+        v = draw(st.lists(st.sampled_from(PROJECT_VALUES), min_size=1, max_size=70))
+        i = draw(st.integers(0, len(blocks_of(v)) - 1))
+        return (["project", "--block", str(i + 1)],
+                json.dumps({"v": [rational_to_json(x) for x in v]}),
+                document_of(lagrange_projection_reference(v, i)))
+    # 0 to 9 rows, odd counts included; 2^9 moments make two 256-key chunks
+    n = draw(st.integers(0, 9 if command == "moments" else 7))
+    k = draw(st.integers(0 if command == "hadext" else 1, 5))
+    entries = HADEXT_ENTRIES if command == "hadext" else PROBABILITIES
+    m = RMatrix.from_rows([[draw(entries) for _ in range(k)] for _ in range(n)], k)
+    if command == "hadext":
+        return ["hadext"], json.dumps(document_of(m)), hadext_reference(m)
+    weights = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any))
+    pi = [Fraction(w, sum(weights)) for w in weights]
+    moments = forward_moments_reference(m, pi)
+    return (["moments"],
+            json.dumps({"m": document_of(m), "pi": [rational_to_json(p) for p in pi]}),
+            {"n": n, "moments": {str(mask): rational_to_json(q) for mask, q in moments.items()}})
+
+
+@settings(deadline=None, max_examples=200)
+@given(streamed_commands())
+def test_a_streamed_document_is_json_dumps_of_its_reference(command):
+    argv, stdin_text, reference = command
+    expected = json.dumps(reference, sort_keys=True) + "\n"
+    assert run_cli(argv, stdin_text) == (0, expected, "")
 
 
 def traced_run(argv, stdin_text):
@@ -467,6 +527,38 @@ def test_project_allocates_no_k_by_k_structure():
     # 44 KB on CPython 3.11; a k x k matrix of the projector, 62 tuples of
     # 62 pointers, adds about 33 KB, and peaked at 81 KB
     assert peak < 64 * 1024, peak
+
+
+def test_project_writes_its_rows_as_they_are_made():
+    corpus = json.loads((Path(__file__).parent / "golden" / "cli_corpus.json").read_text())
+    case = next(c for c in corpus if c["name"] == "project/k62-six-blocks")
+    code, out, peak = traced_run(case["argv"], case["stdin"])
+    assert (code, out) == (case["exit"], case["stdout"])
+    # 27 KB on CPython 3.11; the rows joined into one document, and that
+    # copied once more with its newline, peaked at 44 KB
+    assert peak < 32 * 1024, peak
+
+
+def test_hadext_writes_its_document_as_it_is_made():
+    rng = random.Random(16)
+    n, k = 16, 4
+    m = RMatrix.from_rows([[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)]
+                           for _ in range(n)], k)
+    text = json.dumps(document_of(m))
+    run_cli(["hadext"], '{"rows": 0, "cols": 0, "data": []}')  # the parser's own allocations
+    stdin, stdout = io.StringIO(text), io.StringIO()  # not traced: the input is given
+    tracemalloc.start()
+    try:
+        code = main(["hadext"], stdin, stdout, io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = stdout.getvalue()
+    assert (code, out) == (0, json.dumps(hadext_reference(m), sort_keys=True) + "\n")
+    # 1.7 MiB on CPython 3.11 for 1.37 MiB of output held in stdout; k full
+    # tables of 2^n products, and the document joined and copied before
+    # its first byte was written, peaked at 8.9 MiB
+    assert peak < 2 * len(out), (peak, len(out))
 
 
 def test_invariant_frees_its_document_before_span():
@@ -865,6 +957,33 @@ def test_an_output_past_the_digit_limit_is_an_error_object(argv, document):
     assert (code, err) == (1, "")
     payload = json.loads(out)
     assert "integer string conversion" in payload["error"] and payload["witness"] is None
+
+
+@pytest.mark.parametrize("document, refusal", [
+    ({"rows": 21, "cols": 1, "data": [[2]] * 21}, "extension guard: at most 20 rows (got 21)"),
+    # 21 * 2^20 entries: the row and column guards pass
+    ({"rows": 20, "cols": 21, "data": [list(range(21))] * 20},
+     "extension guard: at most 20971520 entries (got 22020096)"),
+    ({"rows": 1, "cols": 1025, "data": [[2] * 1025]},
+     "extension guard: at most 1024 columns (got 1025)"),
+], ids=["rows", "entries", "columns"])
+def test_hadext_refuses_before_its_first_byte(document, refusal):
+    expected = json.dumps({"error": refusal, "witness": None}) + "\n"
+    assert run_cli(["hadext"], json.dumps(document)) == (1, expected, "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no digit limit on int-to-str conversion")
+def test_hadext_joins_a_document_whose_bound_passes_the_digit_limit():
+    # a/b and b/a of 3001 digits each: their product over both rows is 1,
+    # but the bound on it, a * b, has 6001 digits
+    a, b = 10 ** 3000 + 1, 10 ** 3000 + 3
+    m = RMatrix.from_rows([[Fraction(a, b), 2], [Fraction(b, a), Fraction(1, 3)]])
+    assert not cli._within_the_digit_limit(m)
+    args = argparse.Namespace(input=None)
+    assert len(list(cli._cmd_hadext(args, io.StringIO(json.dumps(document_of(m)))))) == 1
+    expected = json.dumps(hadext_reference(m), sort_keys=True) + "\n"
+    assert run_cli(["hadext"], json.dumps(document_of(m))) == (0, expected, "")
 
 
 def test_the_moments_document_peaks_below_one_json_dumps():

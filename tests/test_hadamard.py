@@ -15,6 +15,7 @@ from conftest import (
     det_cofactor,
     exhaustive_min_rows_reference,
     extension_rows_reference,
+    extension_table_reference,
     folded_rank_reference,
     greedy_min_rows_reference,
     initial_state,
@@ -148,6 +149,8 @@ def test_extension_matches_the_materialized_reference(n, k, data):
                                         min_size=n, max_size=n))], k)
     expected = RMatrix(1 << n, k, tuple(row for _, row in extension_rows_reference(m)))
     assert hadamard_extension(m) == expected
+    # the two half tables give the products of the full tables, unreduced
+    assert list(hadamard._extension_table(m)) == extension_table_reference(m)
     # hadext writes each entry as rational_to_json does; from n = 5 on its
     # rows span several encoded slices
     assert hadext(m) == (0, json.dumps(matrix_to_json(expected), sort_keys=True) + "\n")

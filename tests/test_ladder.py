@@ -70,7 +70,7 @@ def test_each_cli_case_answers_with_one_json_document(ladder):
     cases = [x for _, x, kernels in ladder.CASES if "cli.main" in kernels]
     assert [argv[0] for argv, _ in cases] == [
         "nae-check", "eps", "project", "project", "invariant", "moments", "recover-pi",
-        "hadext"]
+        "hadext", "hadext", "hadext"]
     for x in cases:
         stdout = ladder.KERNELS["cli.main"](x)
         assert stdout.endswith("\n") and "error" not in json.loads(stdout), x
