@@ -303,6 +303,7 @@ CASES = [
     ("four colours n=6 k=6", colour_matrix(7, 6, 6), NAE),
     ("four colours n=2000 k=20 cols=10", tall_colour_matrix(13, 2000, 20, 10),
      ("nae_rows",)),
+    ("mixture k=4 n=9", mixture(23, 9), MIXTURE),
     ("mixture k=4 n=12", MIXTURE_N12, MIXTURE + ("cli recover-pi",)),
     ("mixture k=4 n=12 non-lowest terms", non_lowest(MIXTURE_N12), RECOVER_PI),
     ("mixture k=4 n=12 inconsistent", inconsistent(MIXTURE_N12), RECOVER_PI),

@@ -5,12 +5,12 @@ The extension of an n x k matrix m is the 2^n x k matrix whose rows are
 the entrywise products of every subset of the rows of m (the empty subset
 contributing the all-ones row). Every function here reads m's integer
 rows (`RMatrix.rows`, row i scaled by `scales[i]`), and none builds a
-Fraction. `_subset_products` is the table of products over subsets of one
-column; the mixture module uses it for the forward moments and the
-equations of `recover_pi`. `_extension_table` splits the rows into two
-halves and builds `_subset_rows`, the products of whole rows, over each;
-`hadamard_extension` and the `hadext` command both read the extension from
-those two tables, with one product and one gcd per entry.
+Fraction. `_subset_rows` is a seed row times the products of every
+subset of whole rows. `_extension_table` builds it over two halves of the
+rows, and `hadamard_extension` and the `hadext` command read the extension
+from those two tables, with one product and one gcd per entry; the mixture
+module builds its moment blocks and the equations of `recover_pi` with it.
+`_subset_products`, over one column, is left to its full forward moments.
 The column rank needs no 2^n rows: adjoining a row t to a chosen set
 replaces the rowspace U by span(U union t*U), which only touches basis
 vectors. That fold is `Subspace.extend_odot`, on integer rows; it returns
@@ -45,9 +45,9 @@ EXTENSION_ROW_GUARD = 20
 # Every fold and every extension row holds k entries, and a fold's work
 # grows faster than k^2; refuse past this before anything of size k is built.
 EXTENSION_COLUMN_GUARD = 1024
-# The extension is built whole before it is written; refuse more entries
-# than the largest `gen hamming` matrix, l = EXTENSION_ROW_GUARD rows by 2^l
-# columns, emits. `gen` caps its own output at this size.
+# `hadamard_extension` builds the extension whole (`hadext` writes it as it
+# goes); refuse more entries than the largest `gen hamming` matrix emits,
+# l = EXTENSION_ROW_GUARD rows by 2^l columns. `gen` caps its output there.
 EXTENSION_ENTRY_GUARD = EXTENSION_ROW_GUARD << EXTENSION_ROW_GUARD
 
 
@@ -87,11 +87,11 @@ def _subset_products(first: int, factors: Sequence[int]) -> list[int]:
     return table
 
 
-def _subset_rows(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
-    """The entrywise product of every subset of these rows of `width`
-    entries, masks in ascending order: `_subset_products` over each entry
-    at once, the empty subset giving the all-ones row."""
-    table = [[1] * width]
+def _subset_rows(first: Sequence[int], rows: Sequence[Sequence[int]]) -> list[Sequence[int]]:
+    """`first` times the entrywise product of every subset of these rows,
+    masks in ascending order: `_subset_products` over each entry at once.
+    The empty subset gives `first` itself, not a copy."""
+    table = [first]
     for row in rows:
         table += [list(map(operator.mul, product, row)) for product in table]
     return table
@@ -120,7 +120,8 @@ def _extension_table(m: RMatrix) -> Iterator[tuple[list[int], int]]:
         )
     low = n // 2
     rows = [(*row, d) for row, d in zip(m.rows, m.scales)]
-    lows, highs = _subset_rows(rows[:low], k + 1), _subset_rows(rows[low:], k + 1)
+    ones = [1] * (k + 1)
+    lows, highs = _subset_rows(ones, rows[:low]), _subset_rows(ones, rows[low:])
 
     def read() -> Iterator[tuple[list[int], int]]:
         low_mask = (1 << low) - 1

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, repeat
 from typing import Callable, Sequence
 
 from .exact_core import (
@@ -46,11 +46,12 @@ from .hadamard import (
     EXTENSION_ROW_GUARD,
     NotFullRank,
     _subset_products,
+    _subset_rows,
     greedy_min_rows,
 )
 
-# Rows per block of `_moment_blocks`, which builds the forward moments of
-# 2^_TEXT_BLOCK_BITS masks at a time for the checks of a moment document.
+# The fewest low rows of `_moment_blocks`: below n = 12 its blocks hold 32
+# masks (all 2^n if fewer), not 2^(n // 2), so fewer of them pay a block's fixed cost.
 _TEXT_BLOCK_BITS = 5
 
 
@@ -391,9 +392,7 @@ def _weights(m: RMatrix, certificate: SubsetIndex | NotFullRank,
     # product over a subset S is [D_S P_S | D_S], for the product row P_S of
     # the extension and D_S = prod_{i in S} d_i. Equation S, P_S pi = num/den,
     # becomes the integer row [den D_S P_S | D_S num].
-    scaled = [(*m.rows[i], m.scales[i]) for i in certificate]
-    products = list(zip(*(_subset_products(1, [row[j] for row in scaled])
-                          for j in range(k + 1))))
+    products = _subset_rows([1] * (k + 1), [(*m.rows[i], m.scales[i]) for i in certificate])
 
     def equations():
         for local in masks_by_cardinality(len(certificate)):
@@ -489,26 +488,25 @@ def _recover_pi_from_json(m: RMatrix, doc: object) -> tuple[Fraction, ...]:
 
 
 def _moment_blocks(m: RMatrix, pi: Sequence[Fraction], first: int = 0):
-    """The moments of `_forward_moments`, 2^_TEXT_BLOCK_BITS consecutive
-    masks (all 2^n if fewer) at a time from the block at mask `first`, as
-    (base, nums, dens): mask base + i has nums[i] / dens[i], not reduced.
-    A block's masks share their high rows, so each column's weighted
-    subset products over the low rows are scaled by its product over them.
-    """
+    """The moments of `_forward_moments` from the block at mask `first`
+    on, as (base, nums, dens) for 2^l consecutive masks: mask base + i has
+    nums[i] / dens[i], not reduced. With each row of m extended by its
+    scale, `_subset_rows` multiplies out the low l = min(n,
+    max(_TEXT_BLOCK_BITS, n // 2)) rows from the seed (w pi, w) and the
+    high rows from ones; block b is the low table's k + 1 columns scaled
+    by high row b."""
     w, weights = scale_to_integers(pi)
-    low = min(m.n_rows, _TEXT_BLOCK_BITS)
-    columns = [[row[j] for row in m.rows] for j in range(len(weights))]
-    lows = [_subset_products(weight, column[:low]) for weight, column in zip(weights, columns)]
-    low_dens = _subset_products(w, m.scales[:low])
-    highs = [_subset_products(1, column[low:]) for column in columns]
-    high_dens = _subset_products(1, m.scales[low:])
+    low = min(m.n_rows, max(_TEXT_BLOCK_BITS, m.n_rows // 2))
+    rows = [(*row, d) for row, d in zip(m.rows, m.scales)]
+    *columns, low_dens = zip(*_subset_rows((*weights, w), rows[:low]))
+    highs = _subset_rows([1] * (len(weights) + 1), rows[low:])
     size = 1 << low
-    for base, high_den, *factors in islice(zip(count(0, size), high_dens, *highs),
-                                           first >> low, None):
+    for b in range(first >> low, len(highs)):
+        *factors, high_den = highs[b]
         nums = [0] * size
-        for table, factor in zip(lows, factors):
-            nums = list(map(operator.add, nums, map(operator.mul, table, repeat(factor))))
-        yield base, nums, [high_den * d for d in low_dens]
+        for column, factor in zip(columns, factors):
+            nums = list(map(operator.add, nums, map(operator.mul, column, repeat(factor))))
+        yield b << low, nums, [high_den * d for d in low_dens]
 
 
 def _first_unproved_block(params: MixtureParams, raw: dict) -> int | None:

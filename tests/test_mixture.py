@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import math
@@ -5,9 +6,10 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -513,6 +515,68 @@ def test_recover_pi_builds_at_most_3k_fractions(n, k, monkeypatch):
     # the weights and their running sum, 2k + 1 in all
     assert built["Fraction"] <= 3 * k, built
     assert recovered == pi
+
+
+def block_size(n):
+    """Masks per block of `_moment_blocks`: 32 (all 2^n if fewer) below
+    n = 12, 2^(n // 2) from there on."""
+    return 1 << min(n, max(5, n // 2))
+
+
+@st.composite
+def block_walks(draw):
+    """(m, pi, first): n = 0-13 rows, k = 0-5 columns of `entries` (0 and
+    1 among them), weights, and a mask at a block start, in mid-block or
+    the last mask."""
+    n, k = draw(st.integers(0, 13)), draw(st.integers(0, 5))
+    rows = [[draw(entries) for _ in range(k)] for _ in range(n)]
+    raw = draw(st.lists(st.integers(0, 2**40), min_size=k, max_size=k))
+    pi = tuple(Fraction(w, sum(raw) or 1) for w in raw)
+    size = block_size(n)
+    start = draw(st.integers(0, (1 << n) // size - 1)) * size
+    first = draw(st.sampled_from([start, start + size // 2, (1 << n) - 1]))
+    return RMatrix.from_rows(rows, k), pi, first
+
+
+def wide_walk(n, k, first):
+    rng = random.Random(n)
+    return random_matrix(rng, n, k, PROB_POOL), random_distribution(rng, k), first
+
+
+@settings(deadline=None, max_examples=150)
+@given(block_walks())
+@example(wide_walk(14, 4, 3 << 7))
+@example(wide_walk(15, 5, (5 << 7) + 77))
+@example(wide_walk(16, 3, (1 << 16) - 1))
+def test_the_moment_blocks_join_into_the_forward_moments(walk):
+    m, pi, first = walk
+    n, size = m.n_rows, block_size(m.n_rows)
+    start = first // size * size
+    nums, dens = mixture._forward_moments(m, pi)
+    blocks = list(mixture._moment_blocks(m, pi, first))
+    assert [base for base, _, _ in blocks] == list(range(start, 1 << n, size))
+    assert all(len(block_nums) == len(block_dens) == size for _, block_nums, block_dens in blocks)
+    assert [num for _, block_nums, _ in blocks for num in block_nums] == nums[start:]
+    assert [den for _, _, block_dens in blocks for den in block_dens] == dens[start:]
+
+
+def test_recover_pi_peaks_at_a_few_blocks():
+    spec = importlib.util.spec_from_file_location(
+        "benchmarks_ladder", Path(__file__).resolve().parents[1] / "benchmarks" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    x = ladder.mixture(9, 16)
+    recover_pi(x.params.m, x.moments)  # the first call's own allocations
+    tracemalloc.start()
+    try:
+        pi = recover_pi(x.params.m, x.moments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pi == x.params.pi
+    # 0.12 MiB on CPython 3.11 with 256-mask blocks; 32-mask blocks kept
+    # 2^11 high rows and peaked at 0.27 MiB
+    assert peak < 0.2 * 2**20, peak
 
 
 def test_moment_map_does_no_fraction_arithmetic_per_mask(monkeypatch):
