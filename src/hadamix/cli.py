@@ -397,61 +397,73 @@ def _cmd_selftest(args, stdin):
 # parser and entry point
 
 
-@functools.cache  # built on the first main() call, not at import
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The root parser, and each command's parser by name."""
-    parser = argparse.ArgumentParser(
-        prog="hadamix",
-        description="Exact Hadamard-extension rank certificates, NAE deficiency, "
-        "partition projectors, and mixture moment maps over JSON.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
+# name: (handler, help); every command but gen and selftest reads --input
+_COMMANDS = {
+    "gen": (_cmd_gen, "generate an example-family matrix"),
+    "hadext": (_cmd_hadext, "matrix -> its 2^n x k extension"),
+    "rank": (_cmd_rank, "matrix -> extension column rank"),
+    "minrows": (_cmd_minrows, "matrix -> greedy rank-certifying row subset"),
+    "eps": (_cmd_eps, "matrix -> deficiency of a fixed column set"),
+    "nae-check": (_cmd_nae_check, "matrix -> minimum deficiency report"),
+    "nae-restrict": (_cmd_nae_restrict, "matrix -> k-1 rows with deficiency exactly -1"),
+    "blocks": (_cmd_blocks, "{v} -> equal-value partition of the coordinates"),
+    "project": (_cmd_project, "{v} -> block projector via polynomial evaluation"),
+    "invariant": (_cmd_invariant, "{basis, v} -> invariance and block-respect of span(basis)"),
+    "moments": (_cmd_moments, "{m, pi} -> all 2^n subset moments"),
+    "recover-pi": (_cmd_recover_pi, "{m, moments} -> the unique consistent weight vector"),
+    "selftest": (_cmd_selftest, "run the built-in example corpus"),
+}
 
-    def add(name: str, handler, help_text: str, with_input: bool = True):
-        p = commands[name] = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        if with_input:
-            p.add_argument("--input", "-i", default=None, metavar="FILE",
-                           help="JSON input file (default: stdin)")
-        return p
 
-    p = add("gen", _cmd_gen, "generate an example-family matrix", with_input=False)
-    family = p.add_subparsers(dest="family", required=True, parser_class=_FamilyParser)
-    f = family.add_parser("vandermonde", help="copies of one distinct-entry row")
-    f.add_argument("--k", type=integer, required=True, help="number of columns")
-    f.add_argument("--copies", type=integer, default=None,
-                   help="number of identical rows (default k-1)")
-    f.add_argument("--row", default=None,
-                   help="comma-separated distinct entries (default 0..k-1)")
-    f = family.add_parser("hamming", help="l x 2^l sign matrix")
-    f.add_argument("--l", type=integer, required=True, help="rows (k = 2^l)")
-    f = family.add_parser("stairstep", help="(k-1) x k staircase")
-    f.add_argument("--k", type=integer, required=True, help="number of columns")
+# Built on first use, not at import: main builds only the named command's
+# parser, and the root, whose subparsers are those same objects, when it must.
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of `hadamix {name}`, the one `sub.add_parser(name)` would make."""
+    p = argparse.ArgumentParser(prog=f"hadamix {name}")
+    p.set_defaults(handler=_COMMANDS[name][0])
+    if name not in ("gen", "selftest"):
+        p.add_argument("--input", "-i", default=None, metavar="FILE",
+                       help="JSON input file (default: stdin)")
+    if name == "gen":
+        family = p.add_subparsers(dest="family", required=True, parser_class=_FamilyParser)
+        f = family.add_parser("vandermonde", help="copies of one distinct-entry row")
+        f.add_argument("--k", type=integer, required=True, help="number of columns")
+        f.add_argument("--copies", type=integer, default=None,
+                       help="number of identical rows (default k-1)")
+        f.add_argument("--row", default=None,
+                       help="comma-separated distinct entries (default 0..k-1)")
+        f = family.add_parser("hamming", help="l x 2^l sign matrix")
+        f.add_argument("--l", type=integer, required=True, help="rows (k = 2^l)")
+        f = family.add_parser("stairstep", help="(k-1) x k staircase")
+        f.add_argument("--k", type=integer, required=True, help="number of columns")
+    elif name == "minrows":
+        p.add_argument("--exhaustive", action="store_true",
+                       help="also list every certifying subset of --size rows")
+        p.add_argument("--size", type=integer, default=None,
+                       help="subset size for --exhaustive (default k-1)")
+    elif name == "eps":
+        p.add_argument("--cols", required=True, help="comma-separated 1-based column indices")
+    elif name == "nae-restrict":
+        p.add_argument("--exhaustive", action="store_true",
+                       help="also list every certifying (k-1)-row subset")
+    elif name == "project":
+        p.add_argument("--block", type=integer, required=True,
+                       help="1-based block index (blocks ordered by decreasing value)")
+    return p
 
-    add("hadext", _cmd_hadext, "matrix -> its 2^n x k extension")
-    add("rank", _cmd_rank, "matrix -> extension column rank")
-    p = add("minrows", _cmd_minrows, "matrix -> greedy rank-certifying row subset")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="also list every certifying subset of --size rows")
-    p.add_argument("--size", type=integer, default=None,
-                   help="subset size for --exhaustive (default k-1)")
-    p = add("eps", _cmd_eps, "matrix -> deficiency of a fixed column set")
-    p.add_argument("--cols", required=True,
-                   help="comma-separated 1-based column indices")
-    add("nae-check", _cmd_nae_check, "matrix -> minimum deficiency report")
-    p = add("nae-restrict", _cmd_nae_restrict, "matrix -> k-1 rows with deficiency exactly -1")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="also list every certifying (k-1)-row subset")
-    add("blocks", _cmd_blocks, "{v} -> equal-value partition of the coordinates")
-    p = add("project", _cmd_project, "{v} -> block projector via polynomial evaluation")
-    p.add_argument("--block", type=integer, required=True,
-                   help="1-based block index (blocks ordered by decreasing value)")
-    add("invariant", _cmd_invariant, "{basis, v} -> invariance and block-respect of span(basis)")
-    add("moments", _cmd_moments, "{m, pi} -> all 2^n subset moments")
-    add("recover-pi", _cmd_recover_pi, "{m, moments} -> the unique consistent weight vector")
-    add("selftest", _cmd_selftest, "run the built-in example corpus", with_input=False)
-    return parser, commands
+
+@functools.cache
+def _root_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="hadamix", description="Exact Hadamard-extension "
+                                     "rank certificates, NAE deficiency, partition projectors, "
+                                     "and mixture moment maps over JSON.")
+    # add_parser passes prog="hadamix {name}" (and, in newer argparse, color)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda prog, **_:
+                                _command_parser(prog.removeprefix("hadamix ")))
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
+    return parser
 
 
 def main(
@@ -467,16 +479,14 @@ def main(
     saved = sys.stdout, sys.stderr  # argparse writes help and usage errors there
     sys.stdout, sys.stderr = stdout, stderr
     try:
-        root, commands = _build_parser()
-        command = commands.get(argv[0]) if argv else None
-        if command is None:  # no command first: help, a usage error or a root option
-            args = root.parse_args(argv)
+        if not argv or argv[0] not in _COMMANDS:  # help, a usage error or a root option
+            args = _root_parser().parse_args(argv)
         else:
-            # what root.parse_args does with a command first, without
-            # classifying and converting the arguments a second time
-            args, extras = command.parse_known_args(argv[1:])
+            # what the root's parse_args does with a command first, without
+            # building the root or classifying the arguments a second time
+            args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
             if extras:
-                root.error(f"unrecognized arguments: {' '.join(extras)}")
+                _root_parser().error(f"unrecognized arguments: {' '.join(extras)}")
             args.command = argv[0]
     except SystemExit as exc:
         return int(exc.code or 0)

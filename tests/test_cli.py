@@ -1296,7 +1296,8 @@ def test_a_parser_that_raises_leaves_the_process_streams_as_they_were(monkeypatc
             raise LookupError("parser failed")
 
     root, command = Failing(prog="hadamix"), Failing(prog="hadamix rank")
-    monkeypatch.setattr(cli, "_build_parser", lambda: (root, {"rank": command}))
+    monkeypatch.setattr(cli, "_root_parser", lambda: root)
+    monkeypatch.setattr(cli, "_command_parser", {"rank": command}.__getitem__)
     process_streams = sys.stdin, sys.stdout, sys.stderr
     for argv, prog in [(["rank"], "hadamix rank"), (["--help"], "hadamix")]:
         err = io.StringIO()
@@ -1322,20 +1323,27 @@ DISPATCH_CASES = [
     ["gen"], ["gen", "-h"], ["gen", "hamming", "--l", "2", "--x"],
     ["gen", "hamming", "--l", "2", "extra"], ["gen", "hamming", "--", "--l", "2"],
     ["selftest", "--input", "x"],
+    *([name, flag]
+      for name in ["hadext", "rank", "minrows", "eps", "nae-check", "nae-restrict", "blocks",
+                   "project", "invariant", "moments", "recover-pi"]
+      for flag in ["--help", "--no-such-flag", "--input"]
+      if [name, flag] != ["rank", "--input"]),  # listed above
+    ["gen", "--no-such-flag"], ["gen", "--input"],
+    ["gen", "hamming", "--l", "2", "--k", "9"], ["gen", "vandermonde", "-h"],
+    ["selftest", "-h"], ["selftest"],
 ]
 
 
 @pytest.mark.parametrize("argv", DISPATCH_CASES, ids=" ".join)
 def test_dispatch_on_the_command_name_answers_as_the_root_parser(monkeypatch, argv):
     shipped = run_cli(argv, DUP_COLS)
-    root, commands = cli._build_parser()
-    assert commands  # the shipped run could take the command's parser
-    monkeypatch.setattr(cli, "_build_parser", lambda: (root, {}))
+    assert cli._COMMANDS  # the shipped run could take the command's parser
+    cli._root_parser()  # built, with every command's parser, while the names are known
+    monkeypatch.setattr(cli, "_COMMANDS", {})  # so main hands every argv to the root
     assert shipped == run_cli(argv, DUP_COLS)
 
 
 def test_parser_is_built_once_per_process(monkeypatch):
-    cli._build_parser.cache_clear()
     progs = []
     init = argparse.ArgumentParser.__init__
 
@@ -1344,13 +1352,45 @@ def test_parser_is_built_once_per_process(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert progs == []  # nothing is built before the first call
-    run_cli(["gen", "hamming", "--l", "2"])
-    built = len(progs)
-    for argv in [["rank", "--help"], ["frobnicate"], ["selftest"], ["gen", "stairstep", "--k", "3"]]:
-        run_cli(argv)
-    assert progs.count("hadamix") == 1
-    assert len(progs) == built  # the root parser and all its subparsers, once
+    gen = ["hadamix gen", "hadamix gen vandermonde", "hadamix gen hamming", "hadamix gen stairstep"]
+    everything = {"hadamix", *gen, *(f"hadamix {name}" for name in cli._COMMANDS)}
+    assert len(everything) == 17
+    for root_first in [["--help"], ["rank", "--bogus"]]:
+        cli._root_parser.cache_clear()
+        cli._command_parser.cache_clear()
+        progs.clear()
+        run_cli(["rank"], DUP_COLS)
+        assert progs == ["hadamix rank"]  # the first call builds its own parser alone
+        for argv in [["rank", "--help"], ["rank", "-i", "missing.json"]]:
+            run_cli(argv)
+        assert progs == ["hadamix rank"]
+        run_cli(["gen", "hamming", "--l", "2"])
+        assert progs == ["hadamix rank", *gen]
+        run_cli(root_first)
+        assert progs[len(gen) + 1] == "hadamix"  # the root, with the other eleven
+        for argv in [["--help"], ["rank", "--bogus"], ["frobnicate"], ["selftest"],
+                     ["gen", "stairstep", "--k", "3"], ["nae-check"]]:
+            run_cli(argv, DUP_COLS)
+        assert Counter(progs) == Counter(everything)  # each once
+
+
+def test_a_first_call_builds_only_its_commands_parser_on_the_heap():
+    # argparse is warmed by an unrelated parser first, as a harness that
+    # parses its own flags has; the root and all 16 parsers would add ~100 KB
+    matrix = '{"rows": 3, "cols": 3, "data": [[1, 2, 3], [1, "1/2", 0], [2, 2, "1/3"]]}'
+    probe = (
+        "import argparse, gc, io, tracemalloc\n"
+        "argparse.ArgumentParser(prog='warm').parse_args([])\n"
+        "from hadamix.cli import main\n"
+        f"stdin, out, err = io.StringIO({matrix!r}), io.StringIO(), io.StringIO()\n"
+        "gc.collect()\n"
+        "tracemalloc.start()\n"
+        "code = main(['nae-check'], stdin, out, err)\n"
+        "print(code, tracemalloc.get_traced_memory()[1], repr(err.getvalue()))\n"
+    )
+    code, peak, err = _probe(probe).split(" ", 2)
+    assert (code, err) == ("0", "''\n")
+    assert int(peak) < 32 * 1024
 
 
 def test_internal_invariant_error_names_its_shape(monkeypatch):

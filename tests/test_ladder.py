@@ -138,23 +138,32 @@ def test_process_timer_runs_each_side_and_checks_their_outputs(process):
     runs = process.measure({"parent": src, "change": src},
                            {"rank": process.COMMANDS["rank"]}, 1)
     (row,) = process.summarize(runs)
-    assert set(row) == {"command", "parent_median_s", "change_median_s", "parent_iqr_s",
-                        "resolved", "change_wins", "rounds", "outputs_match"}
+    timing = {"parent_median_s", "change_median_s", "parent_iqr_s", "resolved", "change_wins",
+              "rounds"}
+    assert set(row) == {"command", "outputs_match", *timing, *(f"import_{key}" for key in timing),
+                        *(f"main_{key}" for key in timing)}
     assert (row["command"], row["rounds"], row["parent_iqr_s"], row["outputs_match"]) == (
         "rank", 1, 0.0, True)
-    assert runs["parent"]["rank"][0]["code"] == 0
+    (run,) = runs["parent"]["rank"]
+    assert run["code"] == 0 and run["stdout"] == '{"full": true, "rank": 3}\n'
+    # the import and the first call, timed inside the process, fit in its time
+    assert 0 < run["import_s"] and 0 < run["main_s"]
+    assert run["import_s"] + run["main_s"] < run["seconds"]
+    assert row["import_parent_median_s"] == run["import_s"]
     runs["change"]["rank"][0]["stdout"] += " "
     assert process.summarize(runs)[0]["outputs_match"] is False
 
 
 def test_process_timer_marks_a_win_inside_the_parents_spread_unresolved(process):
     def side(seconds):
-        return {"rank": [{"seconds": s, "code": 0, "stdout": "{}"} for s in seconds]}
+        return {"rank": [{"seconds": s, "import_s": s / 10, "main_s": s / 100, "code": 0,
+                          "stdout": "{}"} for s in seconds]}
 
     runs = {"parent": side([1.0, 2.0, 3.0, 4.0]), "change": side([0.9, 1.9, 2.9, 3.9])}
     (row,) = process.summarize(runs)
     # 4 wins of 4, but the medians 2.5 and 2.4 lie within the spread of 2.5
     assert (row["change_wins"], row["parent_iqr_s"], row["resolved"]) == (4, 2.5, False)
+    assert (row["main_change_wins"], row["main_resolved"]) == (4, False)
     # the same medians are resolved against a parent without spread
     runs["parent"] = side([2.5] * 4)
     assert process.summarize(runs)[0]["resolved"] is True
