@@ -16,17 +16,16 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from itertools import islice, starmap
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 from .exact_core import (
     DomainError,
     InputFormatError,
     InternalInvariantError,
-    RMatrix,
     SubsetIndex,
+    _diagonal_text,
     _entry_reader,
-    _row_to_json,
+    _matrix_text,
     as_vector,
     matrix_from_json,
     matrix_to_json,
@@ -37,11 +36,12 @@ from .exact_core import (
 from .hadamard import (
     NotFullRank,
     _extension_table,
+    _within_the_digit_limit,
     exhaustive_min_rows,
     full_extension_rank,
     greedy_min_rows,
 )
-from .mixture import MixtureParams, _recover_pi_from_json, moment_map
+from .mixture import MixtureParams, _moments_text, _recover_pi_from_json, moment_map
 from .nae import eps_bar, exhaustive_nae_restrict, nae_restrict, nae_rows
 from .partition_algebra import (
     blocks_of,
@@ -150,17 +150,7 @@ def _require_object(obj: object, keys: Sequence[str], what: str) -> dict:
 # an error object can no longer be, so every refusal is raised before the
 # handler returns, and a chunk iterator raises nothing: its guards and
 # parse errors come first, and hadext joins its own chunks when an entry
-# could pass int-to-str's digit limit. With a StringIO stdout, an n = 16,
-# k = 8 hadext peaks at 3.2 MiB for 2.8 MiB of output (17.8 MiB when it
-# held k full tables and joined the document before writing), and the
-# k = 62 project of the golden corpus at 18 KB (41 KB).
-
-# Rows per chunk, one json.dumps call, of hadext. The tables stay alive
-# while rows are encoded, so 64-row slices peaked higher on an n = 6 matrix
-# (one slice, 68 KiB) than one json.dumps after the tables were freed (56 KiB).
-HADEXT_SLICE = 16
-# Entries per chunk of the moments document
-MOMENTS_SLICE = 256
+# could pass int-to-str's digit limit.
 
 
 def _cmd_gen(args, stdin):
@@ -186,44 +176,12 @@ def _cmd_gen(args, stdin):
 
 def _cmd_hadext(args, stdin):
     matrix = matrix_from_json(_load_json(args, stdin))
-    chunks = _hadext_text(matrix.n_rows, matrix.n_cols, _extension_table(matrix))
+    chunks = _matrix_text(1 << matrix.n_rows, matrix.n_cols, _extension_table(matrix))
     if _within_the_digit_limit(matrix):
         return chunks
     # an entry might pass the limit: join, so that its ValueError comes
     # before the first byte
     return ["".join(chunks)]
-
-
-def _within_the_digit_limit(m: RMatrix) -> bool:
-    """Whether every integer of m's extension, in lowest terms, surely has
-    at most `sys.get_int_max_str_digits()` digits (0 is no limit; some 3.10
-    builds have no such function).
-
-    Entry j of row S is prod_{i in S} rows[i][j] over prod_{i in S}
-    scales[i], so in lowest terms its numerator is at most the product over
-    all i of max(1, |rows[i][j]|), and its denominator at most the product
-    of all scales. A product has at most the sum of its factors' bit
-    lengths, and b bits make at most floor(b * 0.30103) + 1 digits, as
-    log10(2) < 0.30103.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return True
-    bits = max([sum(map(int.bit_length, m.scales)),
-                *(sum(map(int.bit_length, column)) for column in zip(*m.rows))])
-    return bits * 30103 // 100000 + 1 <= limit
-
-
-def _hadext_text(n: int, k: int, rows: Iterator[tuple[list[int], int]]) -> Iterator[str]:
-    """json.dumps(matrix_to_json(e), sort_keys=True) of the 2^n x k
-    extension e whose rows `_extension_table` yields, one chunk per
-    HADEXT_SLICE rows, so that no list holds all 2^n rows."""
-    yield f'{{"cols": {k}, "data": ['
-    sep = ""
-    while chunk := list(starmap(_row_to_json, islice(rows, HADEXT_SLICE))):
-        yield sep + json.dumps(chunk)[1:-1]
-        sep = ", "
-    yield f'], "rows": {1 << n}}}'
 
 
 def _cmd_rank(args, stdin):
@@ -308,21 +266,6 @@ def _cmd_project(args, stdin):
     return _diagonal_text(diagonal)
 
 
-def _diagonal_text(diagonal: Sequence[Fraction]) -> Iterator[str]:
-    """json.dumps(matrix_to_json(m), sort_keys=True) of the square matrix m
-    with this diagonal and zeros elsewhere, one chunk per row, with no
-    object per entry: each row is the text before its diagonal entry, the
-    entry as rational_to_json writes it, and the text after it, both texts
-    cut from one run of "0, "."""
-    k = len(diagonal)
-    pad = "0, " * k
-    yield f'{{"cols": {k}, "data": ['
-    for j, x in enumerate(map(rational_to_json, diagonal)):
-        x = f'"{x}"' if type(x) is str else x
-        yield f"{', ' if j else ''}[{pad[:3 * j]}{x}{pad[1:3 * (k - j) - 2]}]"
-    yield f'], "rows": {k}}}'
-
-
 def _cmd_invariant(args, stdin):
     obj = _require_object(_load_json(args, stdin), ["basis", "v"], "invariant")
     v = _vector_from_json(obj["v"], "'v'")
@@ -355,22 +298,6 @@ def _cmd_moments(args, stdin):
             witness={"row": row + 1, "col": col + 1},
         ) from None
     return _moments_text(moment_map(params).to_json_obj())
-
-
-def _moments_text(obj: dict) -> Iterator[str]:
-    """json.dumps(obj, sort_keys=True) of a `MomentVector.to_json_obj`
-    document, one chunk per MOMENTS_SLICE entries: its keys are digits and
-    its values ints or "a/b" strings, none of which JSON escapes."""
-    table = obj["moments"]
-    keys = sorted(table)
-    yield '{"moments": {'
-    for start in range(0, len(keys), MOMENTS_SLICE):
-        chunk = keys[start:start + MOMENTS_SLICE]
-        yield (", " if start else "") + ", ".join([
-            f'"{key}": "{value}"' if type(value) is str else f'"{key}": {value}'
-            for key, value in zip(chunk, map(table.__getitem__, chunk))
-        ])
-    yield f'}}, "n": {obj["n"]}}}'
 
 
 def _cmd_recover_pi(args, stdin):

@@ -16,9 +16,10 @@ number a caller hands in, int or Fraction, is taken apart only by
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat, starmap
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -107,11 +108,12 @@ class _Record:
     constructor is generated from them: one real `def` per record, compiled
     once, as `namedtuple` builds its `__new__`, with one parameter per slot,
     by position or by keyword. Only `SubsetIndex` writes its own `__init__`,
-    for the default `mask=0`. Each constructor sets the fields with
-    object.__setattr__ and then calls `__post_init__`, the one place a record
-    checks or normalizes its fields. Equality, hash and repr read the tuple
-    of its `_compared` fields: every slot, unless the record names fewer.
-    Records of different classes never compare equal.
+    for the default `mask=0`, and `RMatrix`, which scales its rows. Each
+    constructor sets the fields with object.__setattr__ and then calls
+    `__post_init__`, the one place a record checks or normalizes its fields;
+    `_trusted` is the one constructor that skips it. Equality, hash and repr
+    read the tuple of its `_compared` fields: every slot, unless the record
+    names fewer. Records of different classes never compare equal.
     """
 
     __slots__ = ()
@@ -124,6 +126,14 @@ class _Record:
             exec(f"def __init__(self, {', '.join(cls.__slots__)}): {sets}self.__post_init__()",
                  namespace)
             cls.__init__ = namespace["__init__"]
+
+    @classmethod
+    def _trusted(cls, *values: object):
+        """The record of these values, one per slot, proved valid and normalized."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(record, name, value)
+        return record
 
     def __post_init__(self) -> None:
         """Check or normalize the fields; the base has none."""
@@ -270,7 +280,8 @@ class RMatrix(_Record):
     constructor takes rational rows, ints or Fractions, and scales each row
     once. `entries`, the rows as rationals, is kept as the constructor was
     given it; a matrix read from JSON or built by a kernel builds it, as
-    Fractions, only when it is first asked for.
+    Fractions, only when it is first asked for. `_trusted(n_rows, n_cols,
+    scales, rows, None)` takes rows already so scaled: gcd(d, *row) = 1.
     """
 
     __slots__ = ("n_rows", "n_cols", "scales", "rows", "_entries")
@@ -288,21 +299,10 @@ class RMatrix(_Record):
                     f"ragged matrix: row of length {len(row)}, expected {n_cols}"
                 )
         scaled = list(map(scale_to_integers, entries))
-        self._fill(n_rows, n_cols, tuple([d for d, _ in scaled]),
-                   tuple([tuple(row) for _, row in scaled]), entries)
-
-    @classmethod
-    def _of(cls, n_rows: int, n_cols: int, scales: tuple[int, ...],
-            rows: tuple[tuple[int, ...], ...]) -> "RMatrix":
-        """The matrix of rows already in the canonical form, neither checked
-        nor scaled: each scale is the least d > 0 that makes d times the
-        row integers, so gcd(d, *row) = 1."""
-        return object.__new__(cls)._fill(n_rows, n_cols, scales, rows, None)
-
-    def _fill(self, *values: object) -> "RMatrix":
+        values = (n_rows, n_cols, tuple([d for d, _ in scaled]),
+                  tuple([tuple(row) for _, row in scaled]), entries)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-        return self
 
     @classmethod
     def from_rows(
@@ -339,8 +339,8 @@ class RMatrix(_Record):
             raise DomainError(
                 f"row subset over {rows.size} elements does not match {self.n_rows} rows"
             )
-        return RMatrix._of(len(rows), self.n_cols, tuple([self.scales[i] for i in rows]),
-                           tuple([self.rows[i] for i in rows]))
+        return RMatrix._trusted(len(rows), self.n_cols, tuple([self.scales[i] for i in rows]),
+                                tuple([self.rows[i] for i in rows]), None)
 
 
 def _row_to_json(nums: Sequence[int], d: int) -> list[int | str]:
@@ -359,6 +359,46 @@ def matrix_to_json(m: RMatrix) -> dict:
         "cols": m.n_cols,
         "data": list(map(_row_to_json, m.rows, m.scales)),
     }
+
+
+# A matrix document of 2^n rows or k x k entries is written in chunks. With a
+# StringIO stdout, an n = 16, k = 8 hadext peaks at 3.2 MiB for 2.8 MiB of
+# output (17.8 MiB when it held k full tables and joined the document before
+# writing), and the k = 62 project of the golden corpus at 18 KB (41 KB).
+# Rows per chunk, one json.dumps call, of `_matrix_text`: hadext's tables stay
+# alive while rows are encoded, so 64-row slices peaked higher on an n = 6
+# matrix (one slice, 68 KiB) than one json.dumps after the tables were freed
+# (56 KiB).
+HADEXT_SLICE = 16
+
+
+def _matrix_text(n_rows: int, n_cols: int,
+                 rows: Iterator[tuple[list[int], int]]) -> Iterator[str]:
+    """json.dumps(matrix_to_json(m), sort_keys=True) of the matrix m whose
+    rows come as (numerators, denominator), such as the extension rows that
+    `_extension_table` yields, one chunk per HADEXT_SLICE rows, so that no
+    list holds all n_rows rows."""
+    yield f'{{"cols": {n_cols}, "data": ['
+    sep = ""
+    while chunk := list(starmap(_row_to_json, islice(rows, HADEXT_SLICE))):
+        yield sep + json.dumps(chunk)[1:-1]
+        sep = ", "
+    yield f'], "rows": {n_rows}}}'
+
+
+def _diagonal_text(diagonal: Sequence[Fraction]) -> Iterator[str]:
+    """json.dumps(matrix_to_json(m), sort_keys=True) of the square matrix m
+    with this diagonal and zeros elsewhere, one chunk per row, with no
+    object per entry: each row is the text before its diagonal entry, the
+    entry as rational_to_json writes it, and the text after it, both texts
+    cut from one run of "0, "."""
+    k = len(diagonal)
+    pad = "0, " * k
+    yield f'{{"cols": {k}, "data": ['
+    for j, x in enumerate(map(rational_to_json, diagonal)):
+        x = f'"{x}"' if type(x) is str else x
+        yield f"{', ' if j else ''}[{pad[:3 * j]}{x}{pad[1:3 * (k - j) - 2]}]"
+    yield f'], "rows": {k}}}'
 
 
 def _entry_reader() -> Callable[[object], Fraction]:
@@ -453,7 +493,7 @@ def matrix_from_json(obj: object) -> RMatrix:
         scales.append(d)
         scaled.append(row)
         last = r
-    return RMatrix._of(rows, cols, tuple(scales), tuple(scaled))
+    return RMatrix._trusted(rows, cols, tuple(scales), tuple(scaled), None)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def gen_vandermonde(k: int, copies: int, row: Sequence[Fraction] | None) -> RMat
         raise InputFormatError(f"--row must have {k} entries")
     if len(set(values)) != k:
         raise InputFormatError("--row entries must be pairwise distinct")
-    return RMatrix._of(copies, k, (scale,) * copies, (tuple(values),) * copies)
+    return RMatrix._trusted(copies, k, (scale,) * copies, (tuple(values),) * copies, None)
 
 
 def gen_hamming(l: int) -> RMatrix:
@@ -73,7 +73,7 @@ def gen_hamming(l: int) -> RMatrix:
         raise InputFormatError(f"--l must be in 1..{EXTENSION_ROW_GUARD}")
     k = 1 << l
     rows = tuple(tuple(1 - 2 * (j >> i & 1) for j in range(k)) for i in range(l))
-    return RMatrix._of(l, k, (1,) * l, rows)
+    return RMatrix._trusted(l, k, (1,) * l, rows, None)
 
 
 def gen_stairstep(k: int) -> RMatrix:
@@ -89,7 +89,7 @@ def gen_stairstep(k: int) -> RMatrix:
     _check_gen_size(k - 1, k)
     # scaled by 2, as every row has the entry 1/2 in column 0
     rows = tuple(tuple(2 if i < j else 1 for j in range(k)) for i in range(k - 1))
-    return RMatrix._of(k - 1, k, (2,) * (k - 1), rows)
+    return RMatrix._trusted(k - 1, k, (2,) * (k - 1), rows, None)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,17 @@ The column rank needs no 2^n rows: adjoining a row t to a chosen set
 replaces the rowspace U by span(U union t*U), which only touches basis
 vectors. That fold is `Subspace.extend_odot`, on integer rows; it returns
 U itself when t adds nothing, and the unit rows of Q^k, with no further
-elimination, as soon as its residues fill the space. `_fold` runs it once over the rows in index
-order for the rank and the greedy certificate; `exhaustive_min_rows`
-folds each prefix once, shared by every subset that extends it.
+elimination, as soon as its residues fill the space. `_fold` runs it once
+over the rows in index order for the rank and the greedy certificate;
+`exhaustive_min_rows` folds each prefix once, shared by every subset that
+extends it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from itertools import repeat
 from typing import Iterator, Sequence
 
@@ -133,6 +135,26 @@ def _extension_table(m: RMatrix) -> Iterator[tuple[list[int], int]]:
     return read()
 
 
+def _within_the_digit_limit(m: RMatrix) -> bool:
+    """Whether every integer of m's extension, in lowest terms, surely has
+    at most `sys.get_int_max_str_digits()` digits (0 is no limit; some 3.10
+    builds have no such function).
+
+    Entry j of row S is prod_{i in S} rows[i][j] over prod_{i in S}
+    scales[i], so in lowest terms its numerator is at most the product over
+    all i of max(1, |rows[i][j]|), and its denominator at most the product
+    of all scales. A product has at most the sum of its factors' bit
+    lengths, and b bits make at most floor(b * 0.30103) + 1 digits, as
+    log10(2) < 0.30103.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return True
+    bits = max([sum(map(int.bit_length, m.scales)),
+                *(sum(map(int.bit_length, column)) for column in zip(*m.rows))])
+    return bits * 30103 // 100000 + 1 <= limit
+
+
 def hadamard_extension(m: RMatrix) -> RMatrix:
     """The 2^n x k extension matrix of m, rows in canonical order.
 
@@ -145,7 +167,7 @@ def hadamard_extension(m: RMatrix) -> RMatrix:
         g = math.gcd(den, *nums)  # den // g is the least scale of the row
         scales.append(den // g)
         rows.append(tuple([x // g for x in nums]))
-    return RMatrix._of(1 << m.n_rows, m.n_cols, tuple(scales), tuple(rows))
+    return RMatrix._trusted(1 << m.n_rows, m.n_cols, tuple(scales), tuple(rows), None)
 
 
 def extend_rowspace(state: RowspaceState, m: RMatrix, t: int) -> RowspaceState:
@@ -200,6 +222,7 @@ class NotFullRank(_Record):
     """
 
     __slots__ = ("rank",)
+
 
 def greedy_min_rows(m: RMatrix) -> SubsetIndex | NotFullRank:
     """Small row subset whose extension already has full column rank.

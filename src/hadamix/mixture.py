@@ -10,14 +10,13 @@ exactly.
 `recover_pi` solves pi from the certificate's moments and checks it
 against all 2^n, a block of consecutive masks at a time
 (`_moment_blocks`), so no table of them is built. `hadamix recover-pi`
-reads its JSON moment document through `_recover_pi_from_json`. A
-document in the form `hadamix moments` writes (exactly the 2^n keys,
-every moment but the empty set's an "a/b" string in lowest terms) is
-parsed only at the certificate, and the forward moments of the weights
-solved there are compared with it as text, block by block. Any other
-document is read whole by `MomentVector.from_json_obj`, so it is refused,
-or solved, as `recover_pi` would; the check resumes at the first block
-the text did not prove.
+reads the document `_moments_text` writes through `_recover_pi_from_json`:
+parsed only at the certificate, it is compared as text with the forward
+moments of the weights solved there, block by block, each moment but the
+empty set's as "a/b" in lowest terms. A moment of 0 or 1 is written as a
+bare int, so its document, like any other, is read whole by
+`MomentVector.from_json_obj`, refused or solved as `recover_pi` would,
+and checked from the first block the text did not prove.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import compress, count, repeat
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exact_core import (
     DomainError,
@@ -53,6 +52,8 @@ from .hadamard import (
 # The fewest low rows of `_moment_blocks`: below n = 12 its blocks hold 32
 # masks (all 2^n if fewer), not 2^(n // 2), so fewer of them pay a block's fixed cost.
 _TEXT_BLOCK_BITS = 5
+# Entries per chunk of the moments document (`_moments_text`)
+MOMENTS_SLICE = 256
 
 
 class MixtureParams(_Record):
@@ -204,15 +205,6 @@ class MomentVector(_Record):
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "dens", dens)
 
-    @classmethod
-    def _trusted(cls, n: int, nums: tuple[int, ...], dens: tuple[int, ...]) -> "MomentVector":
-        """A MomentVector of tables that the caller has proved valid and in
-        lowest terms: neither checked nor reduced."""
-        vec = object.__new__(cls)
-        for name, value in (("n", n), ("nums", nums), ("dens", dens)):
-            object.__setattr__(vec, name, value)
-        return vec
-
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
@@ -258,6 +250,22 @@ class MomentVector(_Record):
         _check_moments(n, nums, dens)
         # rational_pair returns every entry in lowest terms
         return cls._trusted(n, nums, dens)
+
+
+def _moments_text(obj: dict) -> Iterator[str]:
+    """json.dumps(obj, sort_keys=True) of a `MomentVector.to_json_obj`
+    document, one chunk per MOMENTS_SLICE entries: its keys are digits and
+    its values ints or "a/b" strings, none of which JSON escapes."""
+    table = obj["moments"]
+    keys = sorted(table)
+    yield '{"moments": {'
+    for start in range(0, len(keys), MOMENTS_SLICE):
+        chunk = keys[start:start + MOMENTS_SLICE]
+        yield (", " if start else "") + ", ".join([
+            f'"{key}": "{value}"' if type(value) is str else f'"{key}": {value}'
+            for key, value in zip(chunk, map(table.__getitem__, chunk))
+        ])
+    yield f'}}, "n": {obj["n"]}}}'
 
 
 def _forward_moments(m: RMatrix, pi: Sequence[Fraction]) -> tuple[list[int], list[int]]:
@@ -429,7 +437,7 @@ def _recover_pi_from_json(m: RMatrix, doc: object) -> tuple[Fraction, ...]:
     """recover_pi(m, MomentVector.from_json_obj(doc)): the same weights, or
     the same refusal first.
 
-    A document in the form `hadamix moments` writes is parsed only at the
+    A document in the form `_moments_text` writes is parsed only at the
     certificate and checked as text. It must have an int n equal to m's
     rows (within the guard, checked before 1 << n) and exactly 2^n entries.
     Then greedy_min_rows(m) runs once, and `_weights` solves pi from the
@@ -454,8 +462,9 @@ def _recover_pi_from_json(m: RMatrix, doc: object) -> tuple[Fraction, ...]:
       of pi equal the tables at every mask.
 
     Any other outcome (another shape, type or key, an int moment at a
-    nonzero mask, a value in non-lowest terms, an inconsistent value, m or
-    pi not a probability, a rank-deficient extension) reads the document
+    nonzero mask, as `_moments_text` writes a moment of 0 or 1, a value in
+    non-lowest terms, an inconsistent value, m or pi not a probability, a
+    rank-deficient extension) reads the document
     whole through from_json_obj, so that its refusals come first, as in
     recover_pi's callers. Then a refusal of the solve is raised again, or
     the weights already solved are checked from the first block the text

@@ -449,7 +449,8 @@ def test_project_prints_the_projector_as_json_dumps(v):
                 max_size=20))
 def test_diagonal_text_is_json_dumps_of_any_diagonal(d):
     expected = reference_text(diagonal_matrix(d))
-    assert "".join(cli._diagonal_text(d)) == "".join(cli._diagonal_text(tuple(d))) == expected
+    assert ("".join(exact_core._diagonal_text(d))
+            == "".join(exact_core._diagonal_text(tuple(d))) == expected)
 
 
 def hadext_reference(m):
@@ -979,7 +980,7 @@ def test_hadext_joins_a_document_whose_bound_passes_the_digit_limit():
     # but the bound on it, a * b, has 6001 digits
     a, b = 10 ** 3000 + 1, 10 ** 3000 + 3
     m = RMatrix.from_rows([[Fraction(a, b), 2], [Fraction(b, a), Fraction(1, 3)]])
-    assert not cli._within_the_digit_limit(m)
+    assert not hadamard._within_the_digit_limit(m)
     args = argparse.Namespace(input=None)
     assert len(list(cli._cmd_hadext(args, io.StringIO(json.dumps(document_of(m)))))) == 1
     expected = json.dumps(hadext_reference(m), sort_keys=True) + "\n"

@@ -220,3 +220,26 @@ def test_a_held_number_is_taken_apart_only_by_as_integer_ratio():
             if name in banned:
                 found.add(f"{'.'.join((path.stem, *scope))}: {name}")
     assert sorted(found) == []
+
+
+def test_cli_defines_no_document_writer():
+    # each streamed document is written next to its reader: the matrix and
+    # the projector by exact_core, the moments by mixture; the only JSON the
+    # cli writes itself is json.dumps of a handler's dict
+    tree = ast.parse((Path(hadamix.__file__).parent / "cli.py").read_text())
+    generators = {".".join(scope) for node, scope in _scoped_nodes(tree)
+                  if isinstance(node, (ast.Yield, ast.YieldFrom))}
+    assert sorted(generators) == []
+
+
+def test_only_record_skips_post_init():
+    # _Record._trusted is the one constructor that skips __post_init__; no
+    # record builds an unchecked instance of its own
+    package = Path(hadamix.__file__).parent
+    found = set()
+    for path in package.glob("*.py"):
+        for node, scope in _scoped_nodes(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                found.add(".".join((path.stem, *scope)))
+    assert found == {"exact_core._Record._trusted"}

@@ -251,7 +251,7 @@ class _Trap:
 
 def test_nae_rows_checks_its_columns_before_the_entry_walk():
     # the rows as the JSON reader holds them, scaled to integers
-    trapped = RMatrix._of(63, 3, (1,) * 63, ((_Trap(),) * 3,) * 63)
+    trapped = RMatrix._trusted(63, 3, (1,) * 63, ((_Trap(),) * 3,) * 63, None)
     with pytest.raises(DomainError, match="column set must be nonempty"):
         nae_rows(trapped, SubsetIndex(3))
     with pytest.raises(DomainError, match="does not match 3 columns"):

@@ -129,7 +129,7 @@ def test_rmatrix_takes_its_entries_by_position_or_by_keyword():
     assert (m.scales, m.rows) == ((2, 3), ((1, 2), (0, 1)))
     assert m.entries == ((Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(1, 3)))
     # rows already in the canonical form, as the JSON reader builds them
-    assert RMatrix._of(2, 2, (2, 3), ((1, 2), (0, 1))) == m
+    assert RMatrix._trusted(2, 2, (2, 3), ((1, 2), (0, 1)), None) == m
     for name in ("entries", "scales", "rows"):
         with pytest.raises(AttributeError):
             setattr(m, name, None)
